@@ -25,7 +25,7 @@ from . import __version__
 from .errors import DataError, NumericalError, NotAligned
 from .evaluation import TrialSummary, lmmse_curve, monte_carlo_order, order_sweep, McConfig
 from .order_select import select_order_proposed, select_order_variance
-from .pdm import fit_pdm, load_pdm, save_pdm, truncate, PdmModel
+from .pdm import _fmt, fit_pdm, load_pdm, save_pdm, truncate, PdmModel
 from .shapes import ShapeSet, generalized_procrustes, load_shape_set, mean_shape
 from .simgen import (
     SeedPdm,
@@ -35,6 +35,7 @@ from .simgen import (
     sample_shapes,
     seed_pdm_from_model,
     noise_variance,
+    parse_spectrum,
 )
 
 
@@ -42,13 +43,12 @@ class UsageError(Exception):
     pass
 
 
+METHODS = ("proposed", "variance")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # noqa: D102 - argparse hook
         raise UsageError(f"{self.prog}: {message}")
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def _utc_now() -> str:
@@ -85,7 +85,7 @@ def write_manifest(artifact: Path, command: str, args: argparse.Namespace, start
 
 
 def write_shapes_csv(path: Path, shape_set: ShapeSet) -> None:
-    lines = [",".join(_fmt(v) for v in s.coords) for s in shape_set.shapes]
+    lines = [",".join(_fmt(v) for v in row) for row in shape_set.as_matrix().T]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -121,10 +121,6 @@ def write_lmmse_csv(path: Path, result) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _hist_sidecar(out: Path) -> Path:
-    return out.with_name(out.stem + "_hist" + out.suffix)
-
-
 def _load_input(args: argparse.Namespace) -> ShapeSet:
     fmt = "directory_of_files" if args.format == "directory" else "csv_rows"
     return load_shape_set(args.input, fmt=fmt)
@@ -151,13 +147,61 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _parse_counts(text: str) -> tuple[int, ...]:
-    try:
-        counts = tuple(int(v) for v in text.split(",") if v.strip())
-    except ValueError as exc:
-        raise UsageError(f"malformed sample count list {text!r}") from exc
-    if not counts:
-        raise UsageError("sample count list is empty")
-    return counts
+    return tuple(int(v) for v in text.split(",") if v.strip())
+
+
+def _spectrum_order(text: str, order: int) -> int:
+    """The order a spectrum spec fixes: its value count for list:, else order."""
+    kind, _, rest = text.partition(":")
+    return len([v for v in rest.split(",") if v.strip()]) if kind == "list" else order
+
+
+def _checked(parse, valid, expected: str):
+    """An argparse type that parses the text and accepts it only if valid."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if valid(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return convert
+
+
+_counts = _checked(str, lambda v: len(_parse_counts(v)) > 0, "comma-separated integers")
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_fraction = _checked(float, lambda v: 0.0 < v < 1.0, "a number strictly between 0 and 1")
+_methods = _checked(str, lambda v: set(v.split(",")) <= set(METHODS), "proposed and/or variance")
+_spectrum = _checked(
+    str,
+    lambda v: parse_spectrum(v, _spectrum_order(v, 1)) is not None,
+    "geometric:RATIO[:TOP] or list:V1,V2,... (positive, descending)",
+)
+
+
+def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--landmarks", type=int, required=True)
+    parser.add_argument("--order", type=int, required=True)
+    parser.add_argument("--spectrum", type=_spectrum, default="geometric:0.7")
+    parser.add_argument("--seed-model", default=None, help="use a stored model as the seed")
+    parser.add_argument("--beta-db", type=float, required=True, dest="beta_db")
+    parser.add_argument(
+        "--b-dist", choices=("uniform", "gaussian"), default="uniform", dest="b_dist"
+    )
+
+
+def _add_trial_flags(parser: argparse.ArgumentParser, samples_help: str) -> None:
+    parser.add_argument("--samples", type=_counts, required=True, help=samples_help)
+    parser.add_argument("--trials", type=_positive_int, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--methods", type=_methods, default="proposed,variance")
+    parser.add_argument("--fraction", type=_fraction, default=0.95)
+    parser.add_argument("--t-max", type=int, default=None, dest="t_max")
+    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--out", required=True)
 
 
 def _threads(args: argparse.Namespace) -> int:
@@ -178,6 +222,8 @@ def _seed_pdm_for(args: argparse.Namespace) -> SeedPdm:
         if isinstance(loaded, PdmModel):
             loaded = truncate(loaded, args.order)
         return seed_pdm_from_model(loaded, source=f"from_data:{args.seed_model}")
+    if _spectrum_order(args.spectrum, args.order) != args.order:
+        raise UsageError(f"--spectrum {args.spectrum!r} does not give {args.order} values")
     return make_seed_pdm_procedural(args.landmarks, args.order, args.spectrum, args.seed)
 
 
@@ -211,6 +257,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_select(args: argparse.Namespace) -> int:
     started = _utc_now()
+    if args.out and args.method != "proposed":
+        raise UsageError("select: --out writes per-order scores, which only --method proposed has")
     shape_set = _ensure_aligned(_load_input(args), args, "select")
     if args.method == "proposed":
         result = select_order_proposed(
@@ -283,14 +331,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         selector_t_max=args.t_max,
         b_dist=args.b_dist,
     )
-    summary = monte_carlo_order(cfg, threads=_threads(args))
-    out = Path(args.out)
-    write_summary_csv(out, summary)
-    write_hist_csv(_hist_sidecar(out), summary)
-    write_manifest(out, "montecarlo", args, started)
-    if summary.failures:
-        print(f"failures={summary.failures}", file=sys.stderr)
-    return 0
+    return _write_trials(monte_carlo_order(cfg, threads=_threads(args)), args, started)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -307,10 +348,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         variance_fraction=args.fraction,
         threads=_threads(args),
     )
+    return _write_trials(summary, args, started)
+
+
+def _write_trials(summary: TrialSummary, args: argparse.Namespace, started: str) -> int:
     out = Path(args.out)
     write_summary_csv(out, summary)
-    write_hist_csv(_hist_sidecar(out), summary)
-    write_manifest(out, "sweep", args, started)
+    write_hist_csv(out.with_name(out.stem + "_hist" + out.suffix), summary)
+    write_manifest(out, args.command, args, started)
     if summary.failures:
         print(f"failures={summary.failures}", file=sys.stderr)
     return 0
@@ -343,12 +388,8 @@ def cmd_lmmse(args: argparse.Namespace) -> int:
 def cmd_mean_shape(args: argparse.Namespace) -> int:
     started = _utc_now()
     shape_set = _ensure_aligned(_load_input(args), args, "mean-shape")
-    mean = mean_shape(shape_set)
-    lines = ["x,y"]
-    coords = mean.coords
-    for landmark in range(mean.n_landmarks):
-        lines.append(f"{_fmt(coords[2 * landmark])},{_fmt(coords[2 * landmark + 1])}")
-    text = "\n".join(lines) + "\n"
+    landmarks = mean_shape(shape_set).coords.reshape(-1, 2)
+    text = "\n".join(["x,y"] + [f"{_fmt(x)},{_fmt(y)}" for x, y in landmarks]) + "\n"
     if args.out:
         out = Path(args.out)
         out.write_text(text)
@@ -380,8 +421,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("select", help="select the model order")
     _add_input_flags(p)
-    p.add_argument("--method", choices=("proposed", "variance"), default="proposed")
-    p.add_argument("--fraction", type=float, default=0.95)
+    p.add_argument("--method", choices=METHODS, default="proposed")
+    p.add_argument("--fraction", type=_fraction, default=0.95)
     p.add_argument("--split", choices=("first-half", "shuffled"), default="first-half")
     p.add_argument("--seed", type=int, default=None, help="shuffled-split seed")
     p.add_argument("--t-max", type=int, default=None, dest="t_max")
@@ -396,14 +437,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("simulate", help="generate one synthetic shape set")
-    p.add_argument("--landmarks", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--spectrum", default="geometric:0.7")
-    p.add_argument("--seed-model", default=None, help="use a stored model as the seed")
-    p.add_argument("--beta-db", type=float, required=True, dest="beta_db")
+    _add_model_flags(p)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--b-dist", choices=("uniform", "gaussian"), default="uniform", dest="b_dist")
     p.add_argument("--rot-range", type=float, default=float(np.pi), dest="rot_range")
     p.add_argument("--log-scale-range", type=float, default=0.2, dest="log_scale_range")
     p.add_argument("--translation-range", type=float, default=0.5, dest="translation_range")
@@ -413,34 +449,15 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("montecarlo", help="Monte Carlo order-selection study")
-    p.add_argument("--landmarks", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--spectrum", default="geometric:0.7")
-    p.add_argument("--seed-model", default=None)
-    p.add_argument("--beta-db", type=float, required=True, dest="beta_db")
-    p.add_argument("--samples", required=True, help="comma-separated sample counts")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--methods", default="proposed,variance")
-    p.add_argument("--fraction", type=float, default=0.95)
-    p.add_argument("--t-max", type=int, default=None, dest="t_max")
-    p.add_argument("--b-dist", choices=("uniform", "gaussian"), default="uniform", dest="b_dist")
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--out", required=True)
+    _add_model_flags(p)
+    _add_trial_flags(p, "comma-separated sample counts")
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("sweep", help="order selection over subsets of one set")
     _add_input_flags(p)
-    p.add_argument("--samples", required=True, help="comma-separated subset sizes")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--methods", default="proposed,variance")
+    _add_trial_flags(p, "comma-separated subset sizes")
     p.add_argument("--mode", choices=("random", "prefix"), default="random")
-    p.add_argument("--fraction", type=float, default=0.95)
-    p.add_argument("--t-max", type=int, default=None, dest="t_max")
     p.add_argument("--no-align", action="store_true", dest="no_align")
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("lmmse", help="leave-one-out hidden-landmark error curve")

@@ -8,8 +8,10 @@ predicts a left-out landmark of a left-out sample from the remaining ones.
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -32,9 +34,6 @@ class CellStats:
 
     @staticmethod
     def from_picks(picks: list[int]) -> "CellStats":
-        hist: dict[int, int] = {}
-        for t in picks:
-            hist[t] = hist.get(t, 0) + 1
         if not picks:
             # Every trial in the cell failed; keep the cell but mark it empty.
             return CellStats(mean_t=float("nan"), var_t=float("nan"), hist={})
@@ -42,7 +41,7 @@ class CellStats:
         return CellStats(
             mean_t=float(values.mean()),
             var_t=float(values.var()),
-            hist=dict(sorted(hist.items())),
+            hist=dict(sorted(Counter(picks).items())),
         )
 
 
@@ -59,10 +58,13 @@ class TrialSummary:
     failures: int = 0
 
     def __post_init__(self) -> None:
-        for key, cell in self.cells.items():
-            total = sum(cell.hist.values())
-            if self.failures == 0 and total != self.trials:
-                raise ValueError(f"cell {key} tabulated {total} of {self.trials} trials")
+        # A failed trial drops every method's pick, so each method misses
+        # exactly `failures` picks across its cells, and no cell overflows.
+        missing: dict[str, list[int]] = {}
+        for (method, _), cell in self.cells.items():
+            missing.setdefault(method, []).append(self.trials - sum(cell.hist.values()))
+        if any(min(absent) < 0 or sum(absent) != self.failures for absent in missing.values()):
+            raise ValueError(f"missing picks {missing} do not match {self.failures} failures")
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,15 +96,52 @@ def _trial_seed(master: int, count: int, trial: int) -> int:
     return int(np.random.SeedSequence((master, count, trial)).generate_state(1, np.uint64)[0])
 
 
-def _select_with(
-    method: str,
-    shape_set: ShapeSet,
+def _tabulate(
+    draw: Callable[[int, int], ShapeSet],
+    sample_counts: tuple[int, ...],
+    trials: int,
+    methods: tuple[str, ...],
     t_max: int | None,
     fraction: float,
-) -> int:
-    if method == "proposed":
-        return select_order_proposed(shape_set, t_max=t_max).t_star
-    return select_order_variance(fit_pdm(shape_set), fraction=fraction)
+    threads: int,
+) -> TrialSummary:
+    """Run every method on draw(count, trial) for every job and tabulate the picks.
+
+    draw derives its randomness from (count, trial) alone, so the result does
+    not depend on job order or thread count.  A PdmOrderError in a job counts
+    as one failure that drops every method's pick; sample counts below 2 are
+    rejected up front, so every counted failure comes from the data.
+    """
+    if min(sample_counts) < 2:
+        raise TooFewSamples(f"sample count {min(sample_counts)} is below 2 shapes")
+    counts = tuple(dict.fromkeys(sample_counts))
+
+    def _one(job: tuple[int, int]) -> dict[str, int] | None:
+        try:
+            shape_set = draw(*job)
+            return {
+                method: select_order_proposed(shape_set, t_max=t_max).t_star
+                if method == "proposed"
+                else select_order_variance(fit_pdm(shape_set), fraction=fraction)
+                for method in methods
+            }
+        except PdmOrderError:
+            return None
+
+    jobs = [(count, trial) for count in counts for trial in range(trials)]
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            outcomes = list(pool.map(_one, jobs))
+    else:
+        outcomes = [_one(job) for job in jobs]
+    cells = {
+        (method, count): CellStats.from_picks(
+            [picked[method] for (c, _), picked in zip(jobs, outcomes) if c == count and picked]
+        )
+        for count in counts
+        for method in methods
+    }
+    return TrialSummary(cells=cells, trials=trials, failures=outcomes.count(None))
 
 
 def monte_carlo_order(cfg: McConfig, threads: int = 1) -> TrialSummary:
@@ -113,7 +152,7 @@ def monte_carlo_order(cfg: McConfig, threads: int = 1) -> TrialSummary:
     thread count.  All requested methods see the same generated sets.
     """
 
-    def _one(count: int, trial: int) -> dict[str, int] | None:
+    def _draw(count: int, trial: int) -> ShapeSet:
         sim = SimConfig(
             n_samples=count,
             beta_db=cfg.beta_db,
@@ -122,36 +161,12 @@ def monte_carlo_order(cfg: McConfig, threads: int = 1) -> TrialSummary:
             realign=True,
             b_dist=cfg.b_dist,
         )
-        try:
-            shape_set = sample_shapes(cfg.seed_pdm, sim)
-            return {
-                method: _select_with(
-                    method, shape_set, cfg.selector_t_max, cfg.variance_fraction
-                )
-                for method in cfg.methods
-            }
-        except PdmOrderError:
-            return None
+        return sample_shapes(cfg.seed_pdm, sim)
 
-    failures = 0
-    cells: dict[tuple[str, int], CellStats] = {}
-    for count in cfg.sample_counts:
-        jobs = [(count, trial) for trial in range(cfg.trials)]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(lambda job: _one(*job), jobs))
-        else:
-            outcomes = [_one(*job) for job in jobs]
-        picks: dict[str, list[int]] = {method: [] for method in cfg.methods}
-        for outcome in outcomes:
-            if outcome is None:
-                failures += 1
-                continue
-            for method, t in outcome.items():
-                picks[method].append(t)
-        for method in cfg.methods:
-            cells[(method, count)] = CellStats.from_picks(picks[method])
-    return TrialSummary(cells=cells, trials=cfg.trials, failures=failures)
+    return _tabulate(
+        _draw, cfg.sample_counts, cfg.trials, cfg.methods, cfg.selector_t_max,
+        cfg.variance_fraction, threads,
+    )
 
 
 def order_sweep(
@@ -169,7 +184,7 @@ def order_sweep(
 
     Args:
         shape_set: aligned input set.
-        sample_counts: subset sizes, each at most the set size.
+        sample_counts: subset sizes, each from 2 up to the set size.
         trials: independent random subsets per size (prefix mode collapses
             to identical subsets, kept for sequential-acquisition studies).
         rng_seed: master seed for the subset draws.
@@ -181,46 +196,17 @@ def order_sweep(
     """
     m = shape_set.n_shapes
     if max(sample_counts) > m:
-        raise TooFewSamples(
-            f"subset size {max(sample_counts)} exceeds the {m} available shapes"
-        )
+        raise TooFewSamples(f"subset size {max(sample_counts)} exceeds the {m} available shapes")
     if mode not in ("random", "prefix"):
         raise ValueError(f"unknown sweep mode {mode!r}")
 
-    def _one(count: int, trial: int) -> dict[str, int] | None:
-        if mode == "random":
-            rng = np.random.default_rng(_trial_seed(rng_seed, count, trial))
-            indices = np.sort(rng.choice(m, size=count, replace=False))
-        else:
-            indices = np.arange(count)
-        subset = shape_set.subset(indices)
-        try:
-            return {
-                method: _select_with(method, subset, t_max, variance_fraction)
-                for method in methods
-            }
-        except PdmOrderError:
-            return None
+    def _draw(count: int, trial: int) -> ShapeSet:
+        if mode == "prefix":
+            return shape_set.subset(range(count))
+        rng = np.random.default_rng(_trial_seed(rng_seed, count, trial))
+        return shape_set.subset(np.sort(rng.choice(m, size=count, replace=False)))
 
-    failures = 0
-    cells: dict[tuple[str, int], CellStats] = {}
-    for count in sample_counts:
-        jobs = [(count, trial) for trial in range(trials)]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(lambda job: _one(*job), jobs))
-        else:
-            outcomes = [_one(*job) for job in jobs]
-        picks: dict[str, list[int]] = {method: [] for method in methods}
-        for outcome in outcomes:
-            if outcome is None:
-                failures += 1
-                continue
-            for method, t in outcome.items():
-                picks[method].append(t)
-        for method in methods:
-            cells[(method, count)] = CellStats.from_picks(picks[method])
-    return TrialSummary(cells=cells, trials=trials, failures=failures)
+    return _tabulate(_draw, sample_counts, trials, methods, t_max, variance_fraction, threads)
 
 
 def _landmark_indices(n: int, landmark: int) -> tuple[np.ndarray, np.ndarray]:
@@ -351,13 +337,8 @@ def lmmse_curve(
     k = n // 2
     X = shape_set.as_matrix()
 
-    folds = []
-    min_rank = n
-    for fold in range(m):
-        keep = [i for i in range(m) if i != fold]
-        model = fit_pdm(shape_set.subset(keep))
-        min_rank = min(min_rank, model.positive_rank())
-        folds.append(model)
+    folds = [fit_pdm(shape_set.subset(np.delete(np.arange(m), fold))) for fold in range(m)]
+    min_rank = min(model.positive_rank() for model in folds)
     t_cap = min(n - 4, m - 2)
     if min_rank > 0:
         t_cap = min(t_cap, min_rank - 1)

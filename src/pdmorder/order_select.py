@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import TooFewSamples, ZeroVariance
 from .pdm import PdmModel, TruncatedPdm, fit_pdm, project_constrained, truncate
-from .shapes import ShapeSet, mean_shape
+from .shapes import ShapeSet
 
 # Noise variances are kept above this fraction of the mean data power so
 # logarithms and inverses stay finite even for exact fits.
@@ -85,7 +85,7 @@ def split_data(
     m1 = (m + 1) // 2
     x1 = shape_set.subset(indices[:m1])
     x2 = shape_set.subset(indices[m1:])
-    mu = mean_shape(x1 if mean_source == "x1" else x2).coords
+    mu = (x1 if mean_source == "x1" else x2).as_matrix().mean(axis=1)
     y = x2.as_matrix() - mu[:, None]
     return SplitData(x1=x1, x2=x2, y=y, mean_source=mean_source)
 

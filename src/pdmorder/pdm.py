@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
     SingularSystem,
 )
-from .shapes import ShapeSet, mean_shape
+from .shapes import ShapeSet, _data_lines
 
 # Relative eigenvalue threshold below which a direction counts as rank noise.
 RANK_REL_TOL = 1e-12
@@ -308,23 +308,21 @@ def load_pdm(path: str | Path) -> PdmModel | TruncatedPdm:
     """Read a model container written by save_pdm.
 
     Returns a PdmModel when all modes are present, otherwise a TruncatedPdm.
+
+    Raises:
+        ParseError: unreadable file, malformed header, rows or numbers.
     """
     path = Path(path)
-    rows: list[list[str]] = []
-    for line in path.read_text().splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append(stripped.split(","))
+    rows = [line.split(",") for _, line in _data_lines(path)]
     if not rows:
         raise ParseError(f"{path}: empty model file")
     header = rows[0]
-    if len(header) != 3:
-        raise ParseError(f"{path}: header must be N,t,M1")
     try:
         n, t, n_train = (int(v) for v in header)
     except ValueError as exc:
-        raise ParseError(f"{path}: malformed header {header!r}") from exc
+        raise ParseError(f"{path}: header {header!r} is not N,t,M1") from exc
+    if not 1 <= t <= n or n_train < 0:
+        raise ParseError(f"{path}: header {header!r} needs 1 <= t <= N and M1 >= 0")
     if len(rows) != 2 + 1 + t:
         raise ParseError(f"{path}: expected {3 + t} rows, found {len(rows)}")
 
@@ -333,18 +331,16 @@ def load_pdm(path: str | Path) -> PdmModel | TruncatedPdm:
             values = np.array([float(v) for v in fields])
         except ValueError as exc:
             raise ParseError(f"{path}: malformed number in {what}") from exc
-        if values.size != count:
-            raise ParseError(f"{path}: {what} must have {count} entries")
+        if values.size != count or not np.all(np.isfinite(values)):
+            raise ParseError(f"{path}: {what} must have {count} finite entries")
         return values
 
     mean = _floats(rows[1], "mean row", n)
     lambdas = _floats(rows[2], "eigenvalue row", t)
-    basis = np.column_stack(
-        [_floats(rows[3 + k], f"eigenvector row {k}", n) for k in range(t)]
-    )
-    if t == n:
-        return PdmModel(mean=mean, eigvecs=basis, eigvals=lambdas, n_train=n_train)
+    basis = np.column_stack([_floats(rows[3 + k], f"eigenvector row {k}", n) for k in range(t)])
     try:
+        if t == n:
+            return PdmModel(mean=mean, eigvecs=basis, eigvals=lambdas, n_train=n_train)
         return TruncatedPdm(mean=mean, basis=basis, lambdas=lambdas, order=t)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc

@@ -31,8 +31,28 @@ def _as_complex(coords: np.ndarray) -> np.ndarray:
     return coords[0::2] + 1j * coords[1::2]
 
 
+def _frozen_coords(coords: np.ndarray) -> np.ndarray:
+    """Check coordinates (one shape per column) and make them read-only."""
+    if coords.shape[0] < 4 or coords.shape[0] % 2 != 0:
+        raise ParseError(f"shape needs an even number of coordinates >= 4, got {coords.shape[0]}")
+    if not np.all(np.isfinite(coords)):
+        raise ParseError("shape coordinates must all be finite")
+    coords.flags.writeable = False
+    return coords
+
+
+def _stack(vectors: Sequence[np.ndarray], where: str = "") -> np.ndarray:
+    """Equal-length coordinate vectors as the columns of one matrix."""
+    for idx, vector in enumerate(vectors):
+        if vector.size != vectors[0].size:
+            raise InconsistentDimension(
+                f"{where}shape {idx} has {vector.size} coordinates, expected {vectors[0].size}"
+            )
+    return np.column_stack(vectors) if vectors else np.empty((0, 0))
+
+
 def _as_coords(z: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * z.size, dtype=float)
+    out = np.empty((2 * z.shape[0], *z.shape[1:]))
     out[0::2] = z.real
     out[1::2] = z.imag
     return out
@@ -50,14 +70,7 @@ class Shape:
     coords: np.ndarray
 
     def __post_init__(self) -> None:
-        coords = np.array(self.coords, dtype=float, copy=True).ravel()
-        if coords.size < 4 or coords.size % 2 != 0:
-            raise ParseError(
-                f"shape needs an even number of coordinates >= 4, got {coords.size}"
-            )
-        if not np.all(np.isfinite(coords)):
-            raise ParseError("shape coordinates must all be finite")
-        coords.flags.writeable = False
+        coords = _frozen_coords(np.array(self.coords, dtype=float, copy=True).ravel())
         object.__setattr__(self, "coords", coords)
 
     @property
@@ -92,62 +105,77 @@ class AlignmentReport:
     final_change: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ShapeSet:
-    """An ordered collection of shapes with a common landmark count.
+    """An immutable (n_coords, n_shapes) array of shapes, one column per shape.
+
+    Building it from shapes or from a matrix checks it once: at least two
+    shapes, an even coordinate count >= 4, finite entries, and for aligned
+    sets the mean centroid at the origin.
 
     Attributes:
-        shapes: tuple of Shape, all with the same coordinate count.
         aligned: whether the set is the output of Procrustes alignment.
         alignment_report: statistics of the aligning run, if any.
     """
 
-    shapes: tuple[Shape, ...]
-    aligned: bool = False
-    alignment_report: AlignmentReport | None = None
+    _matrix: np.ndarray
+    aligned: bool
+    alignment_report: AlignmentReport | None
 
-    def __post_init__(self) -> None:
-        shapes = tuple(self.shapes)
-        if len(shapes) < 2:
-            raise TooFewSamples(f"a shape set needs at least 2 shapes, got {len(shapes)}")
-        n = shapes[0].n_coords
-        for idx, shape in enumerate(shapes):
-            if shape.n_coords != n:
-                raise InconsistentDimension(
-                    f"shape {idx} has {shape.n_coords} coordinates, expected {n}"
-                )
-        object.__setattr__(self, "shapes", shapes)
-        if self.aligned:
-            mean_centroid = np.mean([s.centroid() for s in shapes], axis=0)
-            if np.any(np.abs(mean_centroid) > 1e-9):
-                raise NotAligned(
-                    "aligned set must have its mean centroid at the origin"
-                )
+    def __init__(
+        self,
+        shapes: Iterable[Shape],
+        aligned: bool = False,
+        alignment_report: AlignmentReport | None = None,
+    ) -> None:
+        self._set_matrix(_stack([shape.coords for shape in shapes]), aligned, alignment_report)
+
+    def _set_matrix(
+        self, matrix: np.ndarray, aligned: bool, alignment_report: AlignmentReport | None
+    ) -> None:
+        if matrix.ndim != 2:
+            raise ParseError(f"a shape matrix must be 2-D, got {matrix.ndim}-D")
+        if matrix.shape[1] < 2:
+            raise TooFewSamples(f"a shape set needs at least 2 shapes, got {matrix.shape[1]}")
+        _frozen_coords(matrix)
+        if aligned and max(abs(matrix[0::2].mean()), abs(matrix[1::2].mean())) > 1e-9:
+            raise NotAligned("aligned set must have its mean centroid at the origin")
+        self.__dict__.update(_matrix=matrix, aligned=aligned, alignment_report=alignment_report)
+
+    @property
+    def shapes(self) -> tuple[Shape, ...]:
+        """The shapes in order, built from the matrix columns on each call."""
+        return tuple(Shape(column) for column in self._matrix.T)
 
     @property
     def n_shapes(self) -> int:
-        return len(self.shapes)
+        return self._matrix.shape[1]
 
     @property
     def n_coords(self) -> int:
-        return self.shapes[0].n_coords
+        return self._matrix.shape[0]
 
     @property
     def n_landmarks(self) -> int:
-        return self.shapes[0].n_landmarks
+        return self._matrix.shape[0] // 2
 
     def as_matrix(self) -> np.ndarray:
-        """Stack the set as an (n_coords, n_shapes) column-per-shape matrix."""
-        return np.column_stack([s.coords for s in self.shapes])
+        """The read-only (n_coords, n_shapes) column-per-shape matrix."""
+        return self._matrix
 
     def complex_matrix(self) -> np.ndarray:
-        """Stack the set as an (n_shapes, n_landmarks) complex matrix."""
-        return np.vstack([s.as_complex() for s in self.shapes])
+        """The set as an (n_shapes, n_landmarks) complex matrix."""
+        return np.ascontiguousarray(_as_complex(self._matrix).T)
 
     def subset(self, indices: Iterable[int]) -> "ShapeSet":
         """A new set holding the selected shapes, alignment flag preserved."""
-        picked = tuple(self.shapes[i] for i in indices)
-        return ShapeSet(picked, aligned=self.aligned)
+        picked = np.take(self._matrix, np.fromiter(indices, dtype=np.intp), axis=1)
+        if picked.shape[1] < 2:
+            raise TooFewSamples(f"a shape set needs at least 2 shapes, got {picked.shape[1]}")
+        picked.flags.writeable = False
+        subset = object.__new__(ShapeSet)
+        subset.__dict__.update(_matrix=picked, aligned=self.aligned, alignment_report=None)
+        return subset
 
     @staticmethod
     def from_matrix(
@@ -155,8 +183,10 @@ class ShapeSet:
         aligned: bool = False,
         alignment_report: AlignmentReport | None = None,
     ) -> "ShapeSet":
-        shapes = tuple(Shape(matrix[:, m]) for m in range(matrix.shape[1]))
-        return ShapeSet(shapes, aligned=aligned, alignment_report=alignment_report)
+        """A set holding a checked copy of an (n_coords, n_shapes) matrix."""
+        shape_set = object.__new__(ShapeSet)
+        shape_set._set_matrix(np.array(matrix, dtype=float, order="C"), aligned, alignment_report)
+        return shape_set
 
 
 def _parse_row(fields: Sequence[str], where: str) -> np.ndarray:
@@ -171,16 +201,14 @@ def _parse_row(fields: Sequence[str], where: str) -> np.ndarray:
             raise ParseError(f"{where}: non-finite value {text!r}")
         values.append(value)
     if len(values) < 4 or len(values) % 2 != 0:
-        raise ParseError(
-            f"{where}: expected an even number of coordinates >= 4, got {len(values)}"
-        )
+        raise ParseError(f"{where}: expected an even number of coordinates >= 4, got {len(values)}")
     return np.array(values)
 
 
 def _data_lines(path: Path) -> list[tuple[int, str]]:
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     lines = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -216,29 +244,17 @@ def load_shape_set(path: str | Path, fmt: str = "csv_rows") -> ShapeSet:
     elif fmt == "directory_of_files":
         if not path.is_dir():
             raise ParseError(f"{path} is not a directory")
-        files = sorted(
-            p for p in path.iterdir() if p.is_file() and not p.name.startswith(".")
-        )
+        files = sorted(p for p in path.iterdir() if p.is_file() and not p.name.startswith("."))
         for file in files:
             lines = _data_lines(file)
             if len(lines) != 1:
-                raise ParseError(
-                    f"{file}: expected exactly one data row, found {len(lines)}"
-                )
+                raise ParseError(f"{file}: expected exactly one data row, found {len(lines)}")
             lineno, line = lines[0]
             rows.append(_parse_row(line.split(","), f"{file}:{lineno}"))
     else:
         raise ValueError(f"unknown shape set format {fmt!r}")
 
-    if len(rows) < 2:
-        raise TooFewSamples(f"{path}: found {len(rows)} shapes, need at least 2")
-    n = rows[0].size
-    for idx, row in enumerate(rows):
-        if row.size != n:
-            raise InconsistentDimension(
-                f"{path}: shape {idx} has {row.size} coordinates, expected {n}"
-            )
-    return ShapeSet(tuple(Shape(r) for r in rows))
+    return ShapeSet.from_matrix(_stack(rows, f"{path}: "))
 
 
 def _centered(z: np.ndarray) -> np.ndarray:
@@ -345,11 +361,8 @@ def generalized_procrustes(
         if change < tol:
             break
 
-    matrix = np.empty((shape_set.n_coords, shape_set.n_shapes))
-    for m in range(aligned.shape[0]):
-        matrix[:, m] = _as_coords(aligned[m])
     return ShapeSet.from_matrix(
-        matrix,
+        _as_coords(aligned.T),
         aligned=True,
         alignment_report=AlignmentReport(iterations=iterations, final_change=change),
     )
@@ -362,19 +375,11 @@ def mean_shape(shapes: ShapeSet | Sequence[Shape]) -> Shape:
     (yielding itself).
     """
     if isinstance(shapes, ShapeSet):
-        seq = shapes.shapes
-    else:
-        seq = tuple(shapes)
-        if not seq:
-            raise TooFewSamples("cannot average an empty collection of shapes")
-        n = seq[0].n_coords
-        for idx, shape in enumerate(seq):
-            if shape.n_coords != n:
-                raise InconsistentDimension(
-                    f"shape {idx} has {shape.n_coords} coordinates, expected {n}"
-                )
-    stacked = np.vstack([s.coords for s in seq])
-    return Shape(stacked.mean(axis=0))
+        return Shape(shapes.as_matrix().mean(axis=1))
+    matrix = _stack([shape.coords for shape in shapes])
+    if matrix.size == 0:
+        raise TooFewSamples("cannot average an empty collection of shapes")
+    return Shape(matrix.mean(axis=1))
 
 
 def rmsd(a: Shape, b: Shape) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import OrderOutOfRange
 from .pdm import TruncatedPdm, _fix_signs
-from .shapes import Shape, ShapeSet, generalized_procrustes, _as_complex, _as_coords
+from .shapes import ShapeSet, generalized_procrustes, _as_complex, _as_coords
 
 
 @dataclass(frozen=True)

@@ -301,3 +301,46 @@ class TestArtifacts:
         monkeypatch.setenv("PDM_ORDER_THREADS", "many")
         rc = main(["select", "--input", str(small_csv)])
         assert rc == 1
+
+
+
+_MC = (
+    "montecarlo --landmarks 12 --order 3 --beta-db 20 --samples 10 --trials 1 --seed 1 "
+    "--out {out}"
+)
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        ("select --input {csv} --method variance --out {out}", 1),
+        (_MC + " --trials 0", 1),
+        (_MC + " --trials two", 1),
+        (_MC + " --methods foo", 1),
+        (_MC + " --methods proposed,", 1),
+        (_MC + " --spectrum bogus", 1),
+        (_MC + " --spectrum list:4,2", 1),
+        (_MC + " --fraction 2", 1),
+        (_MC + " --fraction nan", 1),
+        (_MC + " --samples 1", 2),
+        (_MC + " --seed-model {tmp}/missing.pdm", 2),
+        (_MC + " --seed-model {bad_pdm}", 2),
+    ],
+    ids=[
+        "select-variance-out", "trials-0", "trials-text", "unknown-method", "empty-method",
+        "bogus-spectrum", "spectrum-order-mismatch", "fraction-2", "fraction-nan",
+        "samples-1", "missing-seed-model", "negative-mode-count",
+    ],
+)
+def test_bad_flags_exit_with_one_line(
+    small_csv: Path, tmp_path: Path, capsys: pytest.CaptureFixture, command: str, code: int
+) -> None:
+    bad_pdm = tmp_path / "bad.pdm"
+    bad_pdm.write_text("4,-1,3\n0,0,0,0\n")
+    out = tmp_path / "out.csv"
+    argv = command.format(csv=small_csv, out=out, tmp=tmp_path, bad_pdm=bad_pdm).split()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert not out.exists()

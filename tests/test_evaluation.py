@@ -131,6 +131,23 @@ class TestTrialSummary:
         summary = TrialSummary(cells={("proposed", 10): cell}, trials=2, failures=1)
         assert summary.failures == 1
 
+    def test_failures_must_match_missing_picks(self) -> None:
+        cell = CellStats.from_picks([4])
+        with pytest.raises(ValueError):
+            TrialSummary(cells={("proposed", 10): cell}, trials=2, failures=5)
+
+    def test_failures_count_across_cells(self) -> None:
+        cells = {
+            ("proposed", 10): CellStats.from_picks([4]),
+            ("proposed", 20): CellStats.from_picks([4, 5]),
+            ("variance", 10): CellStats.from_picks([3, 3]),
+            ("variance", 20): CellStats.from_picks([6]),
+        }
+        assert TrialSummary(cells=cells, trials=2, failures=1).failures == 1
+        cells[("variance", 20)] = CellStats.from_picks([6, 6])
+        with pytest.raises(ValueError):
+            TrialSummary(cells=cells, trials=2, failures=1)
+
 
 class TestMcConfig:
     def test_rejects_zero_trials(self) -> None:
@@ -214,6 +231,14 @@ class TestMonteCarloOrder:
         assert cell.var_t == 0.0
         assert cell.hist == {10: 10}
 
+    def test_count_below_two_raises(self) -> None:
+        cfg = McConfig(
+            seed_pdm=_seed_model(), beta_db=20.0, sample_counts=(1,), trials=1,
+            rng_seed=405,
+        )
+        with pytest.raises(TooFewSamples):
+            monte_carlo_order(cfg)
+
     def test_noisy_regime_stays_near_truth(self) -> None:
         # 5 dB with 40 samples: slight underestimation, mean close to 9.
         cfg = McConfig(
@@ -270,6 +295,19 @@ class TestOrderSweep:
         with pytest.raises(ValueError):
             order_sweep(base_set, sample_counts=(12,), trials=1, rng_seed=1,
                         mode="bootstrap")
+
+    @pytest.mark.parametrize("count", [1, 0])
+    def test_count_below_two_raises(self, base_set: ShapeSet, count: int) -> None:
+        with pytest.raises(TooFewSamples):
+            order_sweep(base_set, sample_counts=(12, count), trials=1, rng_seed=1)
+
+    def test_threads_do_not_change_results(self, base_set: ShapeSet) -> None:
+        serial = order_sweep(base_set, sample_counts=(8, 12), trials=3, rng_seed=6)
+        parallel = order_sweep(base_set, sample_counts=(8, 12), trials=3, rng_seed=6,
+                               threads=3)
+        assert serial.cells.keys() == parallel.cells.keys()
+        for key in serial.cells:
+            assert serial.cells[key].hist == parallel.cells[key].hist
 
 
 class TestLmmseEstimateLandmark:

@@ -449,3 +449,38 @@ class TestSerialization:
         p.write_text("\n".join(lines[:-1]))
         with pytest.raises(ParseError):
             load_pdm(p)
+
+
+class TestLoadFailsLoudly:
+    @pytest.mark.parametrize("n, t, m1", [(4, -1, 3), (4, 0, 3), (4, 5, 3), (4, 2, -1)])
+    def test_header_out_of_range(self, tmp_path, n, t, m1):
+        # Every row count matches the header, so only the range check can fail.
+        rows = [f"{n},{t},{m1}", ",".join(["0"] * n)]
+        if t > 0:
+            rows.append(",".join(str(2.0 ** -k) for k in range(t)))
+            rows += [",".join(["0.5"] * n)] * t
+        p = tmp_path / "bad.pdm"
+        p.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ParseError):
+            load_pdm(p)
+
+    @pytest.mark.parametrize("row, value", [(1, "nan"), (2, "inf"), (3, "-inf"), (4, "nan")])
+    def test_non_finite_numbers(self, tmp_path, row, value):
+        rows = ["4,2,3", "0,0,0,0", "2,1", "1,0,0,0", "0,1,0,0"]
+        fields = rows[row].split(",")
+        fields[0] = value
+        rows[row] = ",".join(fields)
+        p = tmp_path / "bad.pdm"
+        p.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ParseError):
+            load_pdm(p)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ParseError):
+            load_pdm(tmp_path / "absent.pdm")
+
+    def test_unsorted_full_model(self, tmp_path):
+        p = tmp_path / "bad.pdm"
+        p.write_text("2,2,3\n0,0\n1,2\n1,0\n0,1\n")
+        with pytest.raises(ParseError):
+            load_pdm(p)

@@ -352,3 +352,51 @@ def test_rmsd_symmetry_and_zero():
     b = _random_shape(rng)
     assert rmsd(a, b) == pytest.approx(rmsd(b, a))
     assert rmsd(a, a) == 0.0
+
+
+class TestShapeSetArray:
+    def test_from_matrix_copies_its_input(self):
+        mat = np.arange(12.0).reshape(4, 3)
+        ss = ShapeSet.from_matrix(mat)
+        mat[0, 0] = 99.0
+        assert ss.as_matrix()[0, 0] == 0.0
+
+    def test_as_matrix_is_read_only(self):
+        ss = ShapeSet.from_matrix(np.arange(12.0).reshape(4, 3))
+        with pytest.raises(ValueError):
+            ss.as_matrix()[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ss.shapes[0].coords[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "mat, error",
+        [
+            (np.zeros(8), ParseError),
+            (np.ones((5, 3)), ParseError),
+            (np.ones((2, 3)), ParseError),
+            (np.array([[1.0, 2.0], [np.nan, 1.0], [0.0, 1.0], [2.0, 3.0]]), ParseError),
+            (np.array([[1.0, 2.0], [np.inf, 1.0], [0.0, 1.0], [2.0, 3.0]]), ParseError),
+            (np.ones((4, 1)), TooFewSamples),
+            (np.ones((4, 0)), TooFewSamples),
+        ],
+        ids=["1-d", "odd-n", "n-below-4", "nan", "inf", "one-shape", "no-shapes"],
+    )
+    def test_from_matrix_rejects(self, mat, error):
+        with pytest.raises(error):
+            ShapeSet.from_matrix(mat)
+
+    def test_subset_of_aligned_set_stays_aligned(self):
+        rng = np.random.default_rng(17)
+        shapes = [_similarity(_random_shape(rng), 0.3 * k, 1.0, 0.5j * k) for k in range(6)]
+        aligned = generalized_procrustes(ShapeSet(tuple(shapes)))
+        sub = aligned.subset([4, 0, 2])
+        assert sub.aligned
+        np.testing.assert_array_equal(sub.as_matrix(), aligned.as_matrix()[:, [4, 0, 2]])
+
+    def test_shapes_match_the_columns(self):
+        rng = np.random.default_rng(18)
+        mat = rng.standard_normal((6, 4))
+        ss = ShapeSet.from_matrix(mat)
+        assert len(ss.shapes) == 4
+        for m, shape in enumerate(ss.shapes):
+            np.testing.assert_array_equal(shape.coords, mat[:, m])
