@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -173,6 +174,9 @@ def _checked(parse, valid, expected: str):
 
 _counts = _checked(str, lambda v: len(_parse_counts(v)) > 0, "comma-separated integers")
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_sample_count = _checked(int, lambda v: v >= 2, "an integer of at least 2")
+_landmark_count = _checked(int, lambda v: v >= 4, "an integer of at least 4")
+_decibels = _checked(float, lambda v: not math.isnan(v), "a number (dB) other than NaN")
 _fraction = _checked(float, lambda v: 0.0 < v < 1.0, "a number strictly between 0 and 1")
 _methods = _checked(str, lambda v: set(v.split(",")) <= set(METHODS), "proposed and/or variance")
 _spectrum = _checked(
@@ -183,11 +187,11 @@ _spectrum = _checked(
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--landmarks", type=int, required=True)
+    parser.add_argument("--landmarks", type=_landmark_count, required=True)
     parser.add_argument("--order", type=int, required=True)
     parser.add_argument("--spectrum", type=_spectrum, default="geometric:0.7")
     parser.add_argument("--seed-model", default=None, help="use a stored model as the seed")
-    parser.add_argument("--beta-db", type=float, required=True, dest="beta_db")
+    parser.add_argument("--beta-db", type=_decibels, required=True, dest="beta_db")
     parser.add_argument(
         "--b-dist", choices=("uniform", "gaussian"), default="uniform", dest="b_dist"
     )
@@ -199,7 +203,7 @@ def _add_trial_flags(parser: argparse.ArgumentParser, samples_help: str) -> None
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--methods", type=_methods, default="proposed,variance")
     parser.add_argument("--fraction", type=_fraction, default=0.95)
-    parser.add_argument("--t-max", type=int, default=None, dest="t_max")
+    parser.add_argument("--t-max", type=_positive_int, default=None, dest="t_max")
     parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--out", required=True)
 
@@ -407,7 +411,7 @@ def build_parser() -> _Parser:
     _add_input_flags(p)
     p.add_argument("--out", required=True)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=200, dest="max_iter")
+    p.add_argument("--max-iter", type=_positive_int, default=200, dest="max_iter")
     p.add_argument("--rigid", action="store_true", help="rotation and translation only")
     p.add_argument("--report", action="store_true", help="print key=value alignment stats")
     p.set_defaults(func=cmd_align)
@@ -425,9 +429,9 @@ def build_parser() -> _Parser:
     p.add_argument("--fraction", type=_fraction, default=0.95)
     p.add_argument("--split", choices=("first-half", "shuffled"), default="first-half")
     p.add_argument("--seed", type=int, default=None, help="shuffled-split seed")
-    p.add_argument("--t-max", type=int, default=None, dest="t_max")
+    p.add_argument("--t-max", type=_positive_int, default=None, dest="t_max")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=100, dest="max_iter")
+    p.add_argument("--max-iter", type=_positive_int, default=100, dest="max_iter")
     p.add_argument("--mean", choices=("x1", "x2"), default="x1")
     p.add_argument("--clamp", choices=("clip", "scale"), default="clip")
     p.add_argument("--warm-start", action="store_true", dest="warm_start")
@@ -438,7 +442,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="generate one synthetic shape set")
     _add_model_flags(p)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_sample_count, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--rot-range", type=float, default=float(np.pi), dest="rot_range")
     p.add_argument("--log-scale-range", type=float, default=0.2, dest="log_scale_range")
@@ -462,9 +466,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("lmmse", help="leave-one-out hidden-landmark error curve")
     _add_input_flags(p)
-    p.add_argument("--t-max", type=int, default=None, dest="t_max")
+    p.add_argument("--t-max", type=_positive_int, default=None, dest="t_max")
     p.add_argument("--estimator", choices=("ridge", "pinv"), default="ridge")
-    p.add_argument("--selector-t-max", type=int, default=None, dest="selector_t_max")
+    p.add_argument(
+        "--selector-t-max", type=_positive_int, default=None, dest="selector_t_max"
+    )
     p.add_argument("--no-align", action="store_true", dest="no_align")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_lmmse)

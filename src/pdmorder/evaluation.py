@@ -209,10 +209,40 @@ def order_sweep(
     return _tabulate(_draw, sample_counts, trials, methods, t_max, variance_fraction, threads)
 
 
-def _landmark_indices(n: int, landmark: int) -> tuple[np.ndarray, np.ndarray]:
-    miss = np.array([2 * landmark, 2 * landmark + 1])
-    avail = np.setdiff1d(np.arange(n), miss)
-    return miss, avail
+def _predict_landmarks(
+    basis: np.ndarray, lambdas: np.ndarray, y: np.ndarray, estimator: str
+) -> np.ndarray:
+    """Predict every landmark of y from the other landmarks; returns (K, 2).
+
+    With A = basis diag(sqrt(lambdas)), R = A A^T.  The visible rows A_a
+    are gathered rather than downdated out of A^T A, which cancels when a
+    mode lives on one landmark.  By the push-through identity the ridge
+    estimate R_ia (R_aa + rho I)^-1 y_a is A_i (A_a^T A_a + rho I)^-1 A_a^T y_a,
+    a t x t system; only a model with more than N - 2 modes solves the
+    (N - 2) x (N - 2) side instead.  "pinv" gives A_i pinv(A_a) y_a, which
+    is R_ia pinv(R_aa) y_a.
+    """
+    n, t = basis.shape
+    k = n // 2
+    a = basis * np.sqrt(lambdas)
+    avail = np.nonzero(~np.repeat(np.eye(k, dtype=bool), 2, axis=1))[1].reshape(k, n - 2)
+    a_a = a[avail]
+    a_at = a_a.transpose(0, 2, 1)
+    y_a = y[avail][:, :, None]
+    if estimator == "pinv":
+        coef = np.linalg.pinv(a_a) @ y_a
+    elif estimator == "ridge":
+        wide = t > n - 2
+        gram = a_a @ a_at if wide else a_at @ a_a
+        traces = np.trace(gram, axis1=1, axis2=2)
+        # Visible rows without variance predict zero, which any positive ridge gives.
+        rho = np.where(traces > 0.0, RIDGE_REL * traces / (n - 2), 1.0)
+        systems = gram + rho[:, None, None] * np.eye(gram.shape[1])
+        solved = np.linalg.solve(systems, y_a if wide else a_at @ y_a)
+        coef = a_at @ solved if wide else solved
+    else:
+        raise ValueError(f"unknown estimator {estimator!r}")
+    return (a.reshape(k, 2, t) @ coef)[:, :, 0]
 
 
 def lmmse_estimate_landmark(
@@ -224,11 +254,12 @@ def lmmse_estimate_landmark(
     """Linear minimum mean squared error estimate of one hidden landmark.
 
     The truncated model induces the low-rank covariance
-    R = basis diag(lambdas) basis^T; the estimate is the conditional-mean
-    formula R_ia solve(R_aa, y_available) with a small ridge
-    RIDGE_REL * trace(R_aa) / (N - 2) keeping the reduced system solvable
-    when R is rank deficient.  "pinv" replaces the ridge solve with a
-    pseudo-inverse.
+    R = basis diag(lambdas) basis^T, and the estimate is the conditional
+    mean R_ia (R_aa + rho I)^-1 y_available with the small ridge
+    rho = RIDGE_REL * trace(R_aa) / (N - 2) that keeps a rank-deficient
+    R_aa solvable.  It is solved as a t x t system, or as an
+    (N - 2) x (N - 2) one when the model keeps more modes than that.
+    "pinv" gives the pseudo-inverse estimate R_ia pinv(R_aa) y_available.
 
     Args:
         pdm: truncated model of the aligned population.
@@ -246,18 +277,8 @@ def lmmse_estimate_landmark(
     y_available = np.asarray(y_available, dtype=float)
     if y_available.shape != (n - 2,):
         raise DimensionMismatch(f"expected {n - 2} visible coordinates")
-    cov = (pdm.basis * pdm.lambdas) @ pdm.basis.T
-    miss, avail = _landmark_indices(n, landmark)
-    r_aa = cov[np.ix_(avail, avail)]
-    r_ia = cov[np.ix_(miss, avail)]
-    if estimator == "ridge":
-        rho = RIDGE_REL * float(np.trace(r_aa)) / (n - 2)
-        solved = np.linalg.solve(r_aa + rho * np.eye(n - 2), y_available)
-    elif estimator == "pinv":
-        solved = np.linalg.pinv(r_aa) @ y_available
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}")
-    return r_ia @ solved
+    y = np.insert(y_available, 2 * landmark, [0.0, 0.0])
+    return _predict_landmarks(pdm.basis, pdm.lambdas, y, estimator)[landmark]
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,30 +294,6 @@ class LmmseResult:
             raise ValueError("argmin_t must index into the error table")
 
 
-def _predict_all_landmarks(
-    cov: np.ndarray,
-    y: np.ndarray,
-    avail_idx: np.ndarray,
-    miss_idx: np.ndarray,
-    estimator: str,
-) -> np.ndarray:
-    """Predict every landmark of one sample at once; returns (K, 2)."""
-    n = cov.shape[0]
-    r_aa = cov[avail_idx[:, :, None], avail_idx[:, None, :]]
-    r_ia = cov[miss_idx[:, :, None], avail_idx[:, None, :]]
-    y_a = y[avail_idx]
-    if estimator == "ridge":
-        traces = r_aa.diagonal(axis1=1, axis2=2).sum(axis=1)
-        if not np.any(traces > 0.0):
-            return np.zeros((avail_idx.shape[0], 2))
-        rho = RIDGE_REL * traces / (n - 2)
-        systems = r_aa + rho[:, None, None] * np.eye(n - 2)[None, :, :]
-        solved = np.linalg.solve(systems, y_a[:, :, None])
-    else:
-        solved = np.linalg.pinv(r_aa) @ y_a[:, :, None]
-    return (r_ia @ solved)[:, :, 0]
-
-
 def lmmse_curve(
     shape_set: ShapeSet,
     t_max: int | None = None,
@@ -309,8 +306,11 @@ def lmmse_curve(
     aligned once up front if needed; folds do not re-run Procrustes) and
     every landmark of the held-out sample is predicted from the others.
     The error at order t averages the squared prediction distance over all
-    samples and landmarks.  Orders run from 1 to min(N - 4, M - 2), further
-    capped below the positive rank of every fold and by t_max.
+    samples and landmarks; each prediction is the lmmse_estimate_landmark
+    estimate from the fold's leading t modes, a t x t solve since every
+    order scored here stays below N - 2.  Orders run from 1 to
+    min(N - 4, M - 2), further capped below the positive rank of every fold
+    and by t_max.
 
     The cap stays strictly under the fold ranks on purpose.  Similarity
     alignment confines every sample, noise included, to a common shape
@@ -351,20 +351,12 @@ def lmmse_curve(
         # curve: the zero model predicts the fold mean, so keep one order.
         t_cap = 1
 
-    avail_idx = np.empty((k, n - 2), dtype=int)
-    miss_idx = np.empty((k, 2), dtype=int)
-    for landmark in range(k):
-        miss_idx[landmark], avail_idx[landmark] = _landmark_indices(n, landmark)
-
     sums = np.zeros(t_cap + 1)
     for fold, model in enumerate(folds):
         y = X[:, fold] - model.mean
-        cov = np.zeros((n, n))
+        actual = y.reshape(k, 2)
         for t in range(1, t_cap + 1):
-            vec = model.eigvecs[:, t - 1]
-            cov = cov + model.eigvals[t - 1] * np.outer(vec, vec)
-            predicted = _predict_all_landmarks(cov, y, avail_idx, miss_idx, estimator)
-            actual = np.column_stack([y[0::2], y[1::2]])
+            predicted = _predict_landmarks(model.eigvecs[:, :t], model.eigvals[:t], y, estimator)
             sums[t] += float(np.sum((predicted - actual) ** 2))
 
     errors = {t: sums[t] / (m * k) for t in range(1, t_cap + 1)}

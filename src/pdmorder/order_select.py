@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TooFewSamples, ZeroVariance
+from .errors import NumericalError, TooFewSamples, ZeroVariance
 from .pdm import PdmModel, TruncatedPdm, fit_pdm, project_constrained, truncate
 from .shapes import ShapeSet
 
@@ -261,8 +261,8 @@ def select_order_proposed(
     covariance's positive rank, at M1 - 1, and at N.  Every candidate gets
     a cold-started alternating fit unless warm_start reuses the previous
     order's noise estimate (a speed option that must not change the
-    selection).  Orders whose fit fails numerically are excluded from the
-    scores and reported in the diagnostics.
+    selection).  Orders whose fit raises a NumericalError are excluded from
+    the scores and reported in the diagnostics; any other error propagates.
 
     Args:
         shape_set: aligned set with at least 4 shapes.
@@ -305,7 +305,7 @@ def select_order_proposed(
         for order in orders:
             try:
                 fit = _fit(order, previous_sigma if warm_start else None)
-            except Exception as exc:  # noqa: BLE001 - failed orders are reported
+            except NumericalError as exc:
                 diagnostics.setdefault(order, []).append(f"fit failed: {exc}")
                 continue
             fits[order] = fit
@@ -349,7 +349,7 @@ def select_order_proposed(
 def _run_quiet(fn, order):
     try:
         return fn(order, None), None
-    except Exception as exc:  # noqa: BLE001
+    except NumericalError as exc:
         return None, exc
 
 

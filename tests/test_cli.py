@@ -308,6 +308,7 @@ _MC = (
     "montecarlo --landmarks 12 --order 3 --beta-db 20 --samples 10 --trials 1 --seed 1 "
     "--out {out}"
 )
+_SIM = "simulate --order 3 --beta-db 20 --seed 1 --out {out}"
 
 
 @pytest.mark.parametrize(
@@ -325,11 +326,22 @@ _MC = (
         (_MC + " --samples 1", 2),
         (_MC + " --seed-model {tmp}/missing.pdm", 2),
         (_MC + " --seed-model {bad_pdm}", 2),
+        (_SIM + " --landmarks 12 --samples 1", 1),
+        (_SIM + " --landmarks 3 --samples 5", 1),
+        (_MC + " --beta-db nan", 1),
+        (_MC + " --t-max 0", 1),
+        ("lmmse --input {csv} --out {out} --t-max 0", 1),
+        ("lmmse --input {csv} --out {out} --selector-t-max 0", 1),
+        ("select --input {csv} --max-iter 0", 1),
+        ("select --input {csv} --t-max 0", 1),
+        ("align --input {csv} --out {out} --max-iter 0", 1),
     ],
     ids=[
         "select-variance-out", "trials-0", "trials-text", "unknown-method", "empty-method",
         "bogus-spectrum", "spectrum-order-mismatch", "fraction-2", "fraction-nan",
-        "samples-1", "missing-seed-model", "negative-mode-count",
+        "samples-1", "missing-seed-model", "negative-mode-count", "simulate-samples-1",
+        "landmarks-3", "beta-db-nan", "t-max-0", "lmmse-t-max-0", "selector-t-max-0",
+        "select-max-iter-0", "select-t-max-0", "align-max-iter-0",
     ],
 )
 def test_bad_flags_exit_with_one_line(

@@ -1,17 +1,21 @@
 """Tests for the evaluation harnesses: Monte Carlo runs, subsample sweeps,
 and the leave-one-out hidden-landmark error curve.
 
-The LMMSE checks are anchored by two independently coded oracles: the
-textbook conditional-mean formula with an explicit matrix inverse, and a
-plain nested-loop rewrite of the leave-one-out bookkeeping.
+The LMMSE checks are anchored by independently coded oracles: the
+textbook conditional-mean formula with an explicit matrix inverse, the
+ridge conditional mean solved in exact rational arithmetic, and a plain
+nested-loop rewrite of the leave-one-out bookkeeping on top of it.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdmorder import (
     McConfig,
@@ -68,6 +72,43 @@ def _conditional_mean_oracle(
     return r_ia @ np.linalg.inv(r_aa) @ y_avail
 
 
+def _exact_solve(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
+    """Gauss-Jordan elimination in exact rational arithmetic."""
+    n = len(b)
+    rows = [row + [rhs] for row, rhs in zip(a, b)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [x - factor * p for x, p in zip(rows[r], rows[col])]
+    return [rows[r][n] / rows[r][r] for r in range(n)]
+
+
+def _exact_ridge(
+    basis: np.ndarray, lambdas: np.ndarray, y_avail: np.ndarray, landmark: int
+) -> np.ndarray:
+    """Ridge conditional mean R_ia (R_aa + rho I)^-1 y_a, solved exactly.
+
+    The float model and observation are converted to fractions without
+    rounding, so the only rounding is the final conversion back to float.
+    """
+    n = basis.shape[0]
+    vecs = [[Fraction(v) for v in row] for row in basis.tolist()]
+    lam = [Fraction(v) for v in lambdas.tolist()]
+    cov = [
+        [sum(w * vi * vj for w, vi, vj in zip(lam, vecs[i], vecs[j])) for j in range(n)]
+        for i in range(n)
+    ]
+    miss = [2 * landmark, 2 * landmark + 1]
+    avail = [i for i in range(n) if i not in miss]
+    rho = Fraction(RIDGE_REL) * sum(cov[i][i] for i in avail) / (n - 2)
+    r_aa = [[cov[i][j] + (rho if i == j else 0) for j in avail] for i in avail]
+    solved = _exact_solve(r_aa, [Fraction(v) for v in y_avail.tolist()])
+    return np.array([float(sum(cov[i][j] * z for j, z in zip(avail, solved))) for i in miss])
+
+
 def _curve_oracle(mat: np.ndarray, t_cap: int) -> dict[int, float]:
     """Nested-loop leave-one-out error, rebuilt from the definition."""
     n, m = mat.shape
@@ -83,16 +124,10 @@ def _curve_oracle(mat: np.ndarray, t_cap: int) -> dict[int, float]:
         w, v = w[order], v[:, order]
         y = mat[:, fold] - mu
         for t in range(1, t_cap + 1):
-            cov = np.zeros((n, n))
-            for j in range(t):
-                cov = cov + w[j] * np.outer(v[:, j], v[:, j])
             for lm in range(k):
                 miss = [2 * lm, 2 * lm + 1]
                 avail = [i for i in range(n) if i not in miss]
-                r_aa = cov[np.ix_(avail, avail)]
-                r_ia = cov[np.ix_(miss, avail)]
-                rho = RIDGE_REL * np.trace(r_aa) / (n - 2)
-                pred = r_ia @ np.linalg.solve(r_aa + rho * np.eye(n - 2), y[avail])
+                pred = _exact_ridge(v[:, :t], w[:t], y[avail], lm)
                 sums[t] += float(np.sum((pred - y[miss]) ** 2))
     return {t: sums[t] / (m * k) for t in sums}
 
@@ -349,6 +384,62 @@ class TestLmmseEstimateLandmark:
             avail = [i for i in range(12) if i not in miss]
             est = lmmse_estimate_landmark(model, y_full[avail], landmark)
             np.testing.assert_allclose(est, y_full[miss], atol=1e-8)
+
+    def test_rank_deficient_model_matches_exact_solve(self) -> None:
+        rng = np.random.default_rng(10)
+        full = _full_rank_model(rng, k=4)
+        model = TruncatedPdm(
+            mean=np.zeros(8), basis=full.basis[:, :3], lambdas=full.lambdas[:3], order=3,
+        )
+        y = rng.normal(size=8)
+        for landmark in range(4):
+            avail = [i for i in range(8) if i not in (2 * landmark, 2 * landmark + 1)]
+            want = _exact_ridge(model.basis, model.lambdas, y[avail], landmark)
+            got = lmmse_estimate_landmark(model, y[avail], landmark)
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(3, 6),
+        estimator=st.sampled_from(["ridge", "pinv"]),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_in_span_recovery_and_oracle(
+        self, seed: int, k: int, estimator: str, data: st.DataObject
+    ) -> None:
+        # Orders up to N - 2 take the t x t solve, where a sample in the
+        # model span determines its hidden landmark; larger orders take the
+        # (N - 2) x (N - 2) solve and must give the textbook conditional mean.
+        n = 2 * k
+        t = data.draw(st.integers(1, n), label="t")
+        landmark = data.draw(st.integers(0, k - 1), label="landmark")
+        rng = np.random.default_rng(seed)
+        full = _full_rank_model(rng, k)
+        model = TruncatedPdm(
+            mean=np.zeros(n), basis=full.basis[:, :t], lambdas=full.lambdas[:t], order=t,
+        )
+        y = model.basis @ (rng.normal(size=t) * np.sqrt(model.lambdas))
+        miss = [2 * landmark, 2 * landmark + 1]
+        avail = [i for i in range(n) if i not in miss]
+        if t <= n - 2:
+            want = y[miss]
+        else:
+            cov = (model.basis * model.lambdas) @ model.basis.T
+            want = _conditional_mean_oracle(cov, y[avail], landmark)
+        # The ridge bias and the rounding both grow with cond(R_aa) = cond(A_a)**2.
+        cond = np.linalg.cond(np.delete(model.basis * np.sqrt(model.lambdas), miss, axis=0))
+        got = lmmse_estimate_landmark(model, y[avail], landmark, estimator=estimator)
+        np.testing.assert_allclose(got, want, atol=1e-9 * cond**2 * np.abs(y).max())
+
+    def test_mode_on_the_hidden_landmark_alone_predicts_zero(self) -> None:
+        # The visible rows carry no variance, so they say nothing about it.
+        basis = np.zeros((8, 1))
+        basis[2, 0] = 1.0
+        model = TruncatedPdm(mean=np.zeros(8), basis=basis, lambdas=np.array([2.0]), order=1)
+        for estimator in ("ridge", "pinv"):
+            est = lmmse_estimate_landmark(model, np.arange(6.0), 1, estimator=estimator)
+            assert np.array_equal(est, np.zeros(2))
 
     def test_zero_observation_gives_zero_estimate(self) -> None:
         rng = np.random.default_rng(6)

@@ -12,6 +12,7 @@ from pdmorder import (
     RegressionFit,
     ShapeSet,
     SimConfig,
+    SingularSystem,
     TooFewSamples,
     TruncatedPdm,
     ZeroVariance,
@@ -20,6 +21,7 @@ from pdmorder import (
     fit_pdm,
     make_seed_pdm_procedural,
     mean_shape,
+    order_select,
     sample_shapes,
     select_order_proposed,
     select_order_variance,
@@ -331,6 +333,29 @@ class TestSelectOrderProposed:
         four = select_order_proposed(ss, threads=4)
         assert one.scores == four.scores
         assert one.t_star == four.t_star
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_programming_errors_propagate(self, monkeypatch, threads):
+        def broken(*args, **kwargs):
+            raise TypeError("not a numerical failure")
+
+        monkeypatch.setattr(order_select, "alternating_ml", broken)
+        with pytest.raises(TypeError):
+            select_order_proposed(self._noiseless_rank3(), threads=threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_numerical_failure_becomes_a_note(self, monkeypatch, threads):
+        def singular_at_two(Y, pdm, **kwargs):
+            if pdm.order == 2:
+                raise SingularSystem("weighted normal matrix is numerically singular")
+            return alternating_ml(Y, pdm, **kwargs)
+
+        monkeypatch.setattr(order_select, "alternating_ml", singular_at_two)
+        result = select_order_proposed(self._noiseless_rank3(), threads=threads)
+        assert set(result.scores) == {1, 3}
+        assert result.diagnostics[2] == (
+            "fit failed: weighted normal matrix is numerically singular",
+        )
 
     def test_t_max_caps_search(self):
         result = select_order_proposed(self._noiseless_rank3(), t_max=2)
