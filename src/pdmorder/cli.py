@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -45,6 +44,22 @@ class UsageError(Exception):
 
 
 METHODS = ("proposed", "variance")
+DEFAULT_SPECTRUM = "geometric:0.7"
+# The select flags only one method uses, with their defaults.  They parse
+# with a None default so that a flag given to the other method is seen.
+SELECT_FLAGS = {
+    "proposed": {
+        "split": "first-half",
+        "seed": None,
+        "t_max": None,
+        "tol": 1e-8,
+        "max_iter": 100,
+        "mean": "x1",
+        "clamp": "clip",
+        "out": None,
+    },
+    "variance": {"fraction": 0.95},
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,10 +105,10 @@ def write_shapes_csv(path: Path, shape_set: ShapeSet) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_scores_csv(path: Path, result, fits) -> None:
+def write_scores_csv(path: Path, result) -> None:
     lines = ["t,score,iterations,converged"]
     for order in sorted(result.scores):
-        fit = fits[order]
+        fit = result.per_order_fits[order]
         lines.append(
             f"{order},{_fmt(result.scores[order])},{fit.iterations},{str(fit.converged).lower()}"
         )
@@ -177,6 +192,7 @@ _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 _sample_count = _checked(int, lambda v: v >= 2, "an integer of at least 2")
 _landmark_count = _checked(int, lambda v: v >= 4, "an integer of at least 4")
 _decibels = _checked(float, lambda v: not math.isnan(v), "a number (dB) other than NaN")
+_non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 _fraction = _checked(float, lambda v: 0.0 < v < 1.0, "a number strictly between 0 and 1")
 _methods = _checked(str, lambda v: set(v.split(",")) <= set(METHODS), "proposed and/or variance")
 _spectrum = _checked(
@@ -189,7 +205,7 @@ _spectrum = _checked(
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--landmarks", type=_landmark_count, required=True)
     parser.add_argument("--order", type=int, required=True)
-    parser.add_argument("--spectrum", type=_spectrum, default="geometric:0.7")
+    parser.add_argument("--spectrum", type=_spectrum, default=None)
     parser.add_argument("--seed-model", default=None, help="use a stored model as the seed")
     parser.add_argument("--beta-db", type=_decibels, required=True, dest="beta_db")
     parser.add_argument(
@@ -204,28 +220,29 @@ def _add_trial_flags(parser: argparse.ArgumentParser, samples_help: str) -> None
     parser.add_argument("--methods", type=_methods, default="proposed,variance")
     parser.add_argument("--fraction", type=_fraction, default=0.95)
     parser.add_argument("--t-max", type=_positive_int, default=None, dest="t_max")
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--threads", type=_positive_int, default=1)
     parser.add_argument("--out", required=True)
 
 
-def _threads(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("PDM_ORDER_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise UsageError(f"PDM_ORDER_THREADS is not an integer: {env!r}") from exc
-    return 1
-
-
 def _seed_pdm_for(args: argparse.Namespace) -> SeedPdm:
-    if getattr(args, "seed_model", None):
+    if args.seed_model:
+        if args.spectrum is not None:
+            raise UsageError("--spectrum has no effect with --seed-model")
         loaded = load_pdm(args.seed_model)
+        if args.landmarks != loaded.n_coords // 2:
+            raise UsageError(
+                f"--landmarks {args.landmarks} disagrees with the "
+                f"{loaded.n_coords // 2} landmarks of --seed-model"
+            )
         if isinstance(loaded, PdmModel):
             loaded = truncate(loaded, args.order)
+        elif args.order != loaded.order:
+            raise UsageError(
+                f"--order {args.order} disagrees with the {loaded.order} modes of --seed-model"
+            )
         return seed_pdm_from_model(loaded, source=f"from_data:{args.seed_model}")
+    if args.spectrum is None:
+        args.spectrum = DEFAULT_SPECTRUM
     if _spectrum_order(args.spectrum, args.order) != args.order:
         raise UsageError(f"--spectrum {args.spectrum!r} does not give {args.order} values")
     return make_seed_pdm_procedural(args.landmarks, args.order, args.spectrum, args.seed)
@@ -261,8 +278,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_select(args: argparse.Namespace) -> int:
     started = _utc_now()
-    if args.out and args.method != "proposed":
-        raise UsageError("select: --out writes per-order scores, which only --method proposed has")
+    for method, defaults in SELECT_FLAGS.items():
+        for dest, default in defaults.items():
+            if method != args.method and getattr(args, dest) is not None:
+                flag = "--" + dest.replace("_", "-")
+                raise UsageError(f"select: {flag} applies only to --method {method}")
+            if method == args.method and getattr(args, dest) is None:
+                setattr(args, dest, default)
     shape_set = _ensure_aligned(_load_input(args), args, "select")
     if args.method == "proposed":
         result = select_order_proposed(
@@ -274,14 +296,11 @@ def cmd_select(args: argparse.Namespace) -> int:
             max_iter=args.max_iter,
             mean_source=args.mean,
             clamp_mode=args.clamp,
-            warm_start=args.warm_start,
-            keep_fits=args.out is not None,
-            threads=_threads(args),
         )
         t_star = result.t_star
         if args.out:
             out = Path(args.out)
-            write_scores_csv(out, result, result.per_order_fits)
+            write_scores_csv(out, result)
             write_manifest(out, "select", args, started)
     else:
         t_star = select_order_variance(fit_pdm(shape_set), fraction=args.fraction)
@@ -335,7 +354,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         selector_t_max=args.t_max,
         b_dist=args.b_dist,
     )
-    return _write_trials(monte_carlo_order(cfg, threads=_threads(args)), args, started)
+    return _write_trials(monte_carlo_order(cfg, threads=args.threads), args, started)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -350,7 +369,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         mode=args.mode,
         t_max=args.t_max,
         variance_fraction=args.fraction,
-        threads=_threads(args),
+        threads=args.threads,
     )
     return _write_trials(summary, args, started)
 
@@ -410,7 +429,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("align", parents=[], help="Procrustes-align a shape set")
     _add_input_flags(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_non_negative, default=1e-9)
     p.add_argument("--max-iter", type=_positive_int, default=200, dest="max_iter")
     p.add_argument("--rigid", action="store_true", help="rotation and translation only")
     p.add_argument("--report", action="store_true", help="print key=value alignment stats")
@@ -426,17 +445,15 @@ def build_parser() -> _Parser:
     p = sub.add_parser("select", help="select the model order")
     _add_input_flags(p)
     p.add_argument("--method", choices=METHODS, default="proposed")
-    p.add_argument("--fraction", type=_fraction, default=0.95)
-    p.add_argument("--split", choices=("first-half", "shuffled"), default="first-half")
+    p.add_argument("--fraction", type=_fraction, default=None)
+    p.add_argument("--split", choices=("first-half", "shuffled"), default=None)
     p.add_argument("--seed", type=int, default=None, help="shuffled-split seed")
     p.add_argument("--t-max", type=_positive_int, default=None, dest="t_max")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=_positive_int, default=100, dest="max_iter")
-    p.add_argument("--mean", choices=("x1", "x2"), default="x1")
-    p.add_argument("--clamp", choices=("clip", "scale"), default="clip")
-    p.add_argument("--warm-start", action="store_true", dest="warm_start")
+    p.add_argument("--tol", type=_non_negative, default=None)
+    p.add_argument("--max-iter", type=_positive_int, default=None, dest="max_iter")
+    p.add_argument("--mean", choices=("x1", "x2"), default=None)
+    p.add_argument("--clamp", choices=("clip", "scale"), default=None)
     p.add_argument("--no-align", action="store_true", dest="no_align")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", default=None, help="write per-order scores CSV")
     p.set_defaults(func=cmd_select)
 
@@ -444,9 +461,11 @@ def build_parser() -> _Parser:
     _add_model_flags(p)
     p.add_argument("--samples", type=_sample_count, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--rot-range", type=float, default=float(np.pi), dest="rot_range")
-    p.add_argument("--log-scale-range", type=float, default=0.2, dest="log_scale_range")
-    p.add_argument("--translation-range", type=float, default=0.5, dest="translation_range")
+    p.add_argument("--rot-range", type=_non_negative, default=float(np.pi), dest="rot_range")
+    p.add_argument("--log-scale-range", type=_non_negative, default=0.2, dest="log_scale_range")
+    p.add_argument(
+        "--translation-range", type=_non_negative, default=0.5, dest="translation_range"
+    )
     p.add_argument("--no-realign", action="store_true", dest="no_realign")
     p.add_argument("--out", required=True)
     p.add_argument("--out-truth", default=None, dest="out_truth")

@@ -13,7 +13,6 @@ white-noise criterion would.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,15 +123,14 @@ def alternating_ml(
     max_iter: int = 100,
     sigma_floor: float | None = None,
     clamp_mode: str = "clip",
-    init_sigma: np.ndarray | None = None,
 ) -> RegressionFit:
     """Alternate box-constrained projection with diagonal noise estimation.
 
-    Starting from unit noise variances (or init_sigma for a warm start),
-    each sweep projects the data onto the modes under the current weights
-    and then re-estimates each coordinate's noise variance from the fresh
-    residuals, floored from below.  Sweeps stop when the relative change of
-    the objective drops under tol.  Running out of sweeps is not an error:
+    Starting from unit noise variances, each sweep projects the data onto
+    the modes under the current weights and then re-estimates each
+    coordinate's noise variance from the fresh residuals, floored from
+    below.  Sweeps stop when the relative change of the objective drops
+    under tol.  Running out of sweeps is not an error:
     the fit is returned as-is with converged False.
 
     The default clamp is per-coordinate truncation.  Coefficients fitted to
@@ -151,7 +149,6 @@ def alternating_ml(
             SIGMA_FLOOR_REL times the mean per-coordinate power of Y.
         clamp_mode: "clip" (per-coordinate truncation, default) or "scale"
             (uniform column scaling), passed through to the projection.
-        init_sigma: warm-start noise variances instead of ones.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
@@ -163,11 +160,7 @@ def alternating_ml(
         sigma_floor = SIGMA_FLOOR_REL * float(np.mean(Y * Y))
     sigma_floor = max(sigma_floor, 1e-300)
 
-    if init_sigma is None:
-        sigma = np.ones(n)
-    else:
-        sigma = np.maximum(np.asarray(init_sigma, dtype=float).copy(), sigma_floor)
-
+    sigma = np.ones(n)
     trace: list[float] = []
     coeffs = np.zeros((pdm.order, m2))
     residuals = Y.copy()
@@ -232,14 +225,14 @@ class OrderSelectionResult:
         method: "proposed" or "variance".
         diagnostics: per-order notes, e.g. underdetermined fits, fit
             failures (failed orders carry no score), sweep exhaustion.
-        per_order_fits: regression fits by order when requested.
+        per_order_fits: the regression fit of every scored order.
     """
 
     t_star: int
     scores: dict[int, float]
     method: str
     diagnostics: dict[int, tuple[str, ...]] = field(default_factory=dict)
-    per_order_fits: dict[int, RegressionFit] | None = None
+    per_order_fits: dict[int, RegressionFit] = field(default_factory=dict)
 
 
 def select_order_proposed(
@@ -251,27 +244,21 @@ def select_order_proposed(
     max_iter: int = 100,
     mean_source: str = "x1",
     clamp_mode: str = "clip",
-    warm_start: bool = False,
-    keep_fits: bool = False,
-    threads: int = 1,
 ) -> OrderSelectionResult:
     """Select the model order by the split-data information criterion.
 
     The candidate range is 1..t_max with t_max capped at the training
-    covariance's positive rank, at M1 - 1, and at N.  Every candidate gets
-    a cold-started alternating fit unless warm_start reuses the previous
-    order's noise estimate (a speed option that must not change the
-    selection).  Orders whose fit raises a NumericalError are excluded from
-    the scores and reported in the diagnostics; any other error propagates.
+    covariance's positive rank, at M1 - 1, and at N.  One serial loop
+    gives every candidate its own cold-started alternating fit, so each
+    score depends on its order alone.  Orders whose fit raises a
+    NumericalError are excluded from the scores and reported in the
+    diagnostics; any other error propagates.
 
     Args:
         shape_set: aligned set with at least 4 shapes.
         t_max: optional cap on the candidate range.
         split_policy, split_seed, mean_source: see split_data.
         tol, max_iter, clamp_mode: see alternating_ml.
-        warm_start: reuse the previous order's noise variances.
-        keep_fits: attach the per-order fits to the result.
-        threads: worker threads for the independent per-order fits.
     """
     split = split_data(shape_set, policy=split_policy, seed=split_seed, mean_source=mean_source)
     model = fit_pdm(split.x1)
@@ -285,40 +272,20 @@ def select_order_proposed(
         raise TooFewSamples("not enough training shapes for even one mode")
     sigma_floor = SIGMA_FLOOR_REL * float(np.sum(model.eigvals)) / model.n_coords
 
-    orders = list(range(1, t_hi + 1))
     fits: dict[int, RegressionFit] = {}
     diagnostics: dict[int, list[str]] = {}
-
-    def _fit(order: int, init_sigma: np.ndarray | None) -> RegressionFit:
-        return alternating_ml(
-            split.y,
-            truncate(model, order),
-            tol=tol,
-            max_iter=max_iter,
-            sigma_floor=sigma_floor,
-            clamp_mode=clamp_mode,
-            init_sigma=init_sigma,
-        )
-
-    if warm_start or threads <= 1:
-        previous_sigma: np.ndarray | None = None
-        for order in orders:
-            try:
-                fit = _fit(order, previous_sigma if warm_start else None)
-            except NumericalError as exc:
-                diagnostics.setdefault(order, []).append(f"fit failed: {exc}")
-                continue
-            fits[order] = fit
-            if warm_start:
-                previous_sigma = fit.sigma_diag
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = pool.map(lambda t: _run_quiet(_fit, t), orders)
-        for order, (fit, error) in zip(orders, outcomes):
-            if fit is None:
-                diagnostics.setdefault(order, []).append(f"fit failed: {error}")
-            else:
-                fits[order] = fit
+    for order in range(1, t_hi + 1):
+        try:
+            fits[order] = alternating_ml(
+                split.y,
+                truncate(model, order),
+                tol=tol,
+                max_iter=max_iter,
+                sigma_floor=sigma_floor,
+                clamp_mode=clamp_mode,
+            )
+        except NumericalError as exc:
+            diagnostics.setdefault(order, []).append(f"fit failed: {exc}")
 
     if not fits:
         raise ZeroVariance("every candidate order failed to fit")
@@ -342,15 +309,8 @@ def select_order_proposed(
         scores=scores,
         method="proposed",
         diagnostics={k: tuple(v) for k, v in diagnostics.items()},
-        per_order_fits=fits if keep_fits else None,
+        per_order_fits=fits,
     )
-
-
-def _run_quiet(fn, order):
-    try:
-        return fn(order, None), None
-    except NumericalError as exc:
-        return None, exc
 
 
 def select_order_variance(model: PdmModel, fraction: float = 0.95) -> int:

@@ -181,17 +181,13 @@ def clamp_to_box(coeffs: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
     """
     b = np.asarray(coeffs, dtype=float)
     lam = np.asarray(lambdas, dtype=float)
-    if b.shape != lam.shape:
-        raise DimensionMismatch("coefficients and eigenvalues disagree on length")
-    mags = np.abs(b)
-    with np.errstate(divide="ignore"):
-        ratios = np.where(mags > 0, np.sqrt(lam) / np.where(mags > 0, mags, 1.0), np.inf)
-    s = min(1.0, float(np.min(ratios)))
-    return b * s
+    if b.ndim != 1 or b.shape != lam.shape:
+        raise DimensionMismatch("coefficients and eigenvalues must be vectors of one length")
+    return _clamp_columns_scale(b[:, None], lam)[:, 0]
 
 
 def _clamp_columns_scale(B: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
-    """Column-wise uniform scaling into the box (vectorized clamp_to_box)."""
+    """Column-wise uniform scaling into the box (clamp_to_box per column)."""
     mags = np.abs(B)
     limits = np.sqrt(lambdas)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -125,7 +125,7 @@ def test_criterion_6_score_matches_brute_force() -> None:
         m = int(rng.integers(8, 17))          # M <= 16
         t_max = int(rng.integers(1, 5))       # t_max <= 4
         shape_set = _aligned_random_set(rng, k, m)
-        result = select_order_proposed(shape_set, t_max=t_max, keep_fits=True)
+        result = select_order_proposed(shape_set, t_max=t_max)
         m2 = m - math.ceil(m / 2)
         brute = {}
         for order, fit in result.per_order_fits.items():

@@ -22,7 +22,7 @@ from pdmorder import (
 )
 from pdmorder.cli import main
 from pdmorder.errors import SingularSystem
-from pdmorder.pdm import load_pdm
+from pdmorder.pdm import load_pdm, save_pdm
 
 SUBCOMMANDS = (
     "align", "fit", "select", "simulate", "montecarlo", "sweep", "lmmse", "mean-shape",
@@ -42,6 +42,16 @@ def small_csv(tmp_path_factory: pytest.TempPathFactory) -> Path:
     path = tmp_path_factory.mktemp("cli") / "small.csv"
     _simulate_small(path)
     return path
+
+
+@pytest.fixture(scope="module")
+def seed_models(small_csv: Path) -> dict[str, Path]:
+    """The small set's full model and its two-mode truncation, as model files."""
+    model = fit_pdm(generalized_procrustes(load_shape_set(small_csv)))
+    paths = {"full": small_csv.with_name("full.pdm"), "order2": small_csv.with_name("order2.pdm")}
+    save_pdm(model, paths["full"])
+    save_pdm(model, paths["order2"], order=2)
+    return paths
 
 
 class TestDispatch:
@@ -285,22 +295,18 @@ class TestArtifacts:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_threads_env_var(self, tmp_path: Path, monkeypatch: pytest.MonkeyPatch) -> None:
-        monkeypatch.setenv("PDM_ORDER_THREADS", "2")
-        out = tmp_path / "env.csv"
+    @pytest.mark.parametrize("model, order", [("full", "3"), ("order2", "2")])
+    def test_seed_model_runs(
+        self, seed_models: dict[str, Path], tmp_path: Path, model: str, order: str
+    ) -> None:
+        out = tmp_path / "mc.csv"
         rc = main([
-            "montecarlo", "--landmarks", "12", "--order", "3", "--beta-db", "20",
-            "--samples", "12", "--trials", "2", "--seed", "5", "--out", str(out),
+            "montecarlo", "--seed-model", str(seed_models[model]), "--landmarks", "12",
+            "--order", order, "--beta-db", "20", "--samples", "10", "--trials", "1",
+            "--seed", "1", "--out", str(out),
         ])
         assert rc == 0
-
-    def test_threads_env_var_rejects_garbage(
-        self, tmp_path: Path, monkeypatch: pytest.MonkeyPatch, small_csv: Path,
-        capsys: pytest.CaptureFixture,
-    ) -> None:
-        monkeypatch.setenv("PDM_ORDER_THREADS", "many")
-        rc = main(["select", "--input", str(small_csv)])
-        assert rc == 1
+        assert out.exists()
 
 
 
@@ -335,6 +341,25 @@ _SIM = "simulate --order 3 --beta-db 20 --seed 1 --out {out}"
         ("select --input {csv} --max-iter 0", 1),
         ("select --input {csv} --t-max 0", 1),
         ("align --input {csv} --out {out} --max-iter 0", 1),
+        ("select --input {csv} --method variance --split shuffled", 1),
+        ("select --input {csv} --method variance --seed 3", 1),
+        ("select --input {csv} --method variance --t-max 2", 1),
+        ("select --input {csv} --method variance --tol 1e-6", 1),
+        ("select --input {csv} --method variance --max-iter 5", 1),
+        ("select --input {csv} --method variance --mean x2", 1),
+        ("select --input {csv} --method variance --clamp scale", 1),
+        ("select --input {csv} --method proposed --fraction 0.5", 1),
+        ("select --input {csv} --warm-start", 1),
+        ("select --input {csv} --threads 2", 1),
+        (_MC + " --seed-model {full} --landmarks 40", 1),
+        (_MC + " --seed-model {full} --spectrum geometric:0.2", 1),
+        (_MC + " --seed-model {order2}", 1),
+        ("select --input {csv} --tol -1", 1),
+        ("align --input {csv} --out {out} --tol nan", 1),
+        (_SIM + " --landmarks 12 --samples 5 --rot-range nan", 1),
+        (_SIM + " --landmarks 12 --samples 5 --log-scale-range inf", 1),
+        (_SIM + " --landmarks 12 --samples 5 --translation-range -1", 1),
+        (_MC + " --threads -4", 1),
     ],
     ids=[
         "select-variance-out", "trials-0", "trials-text", "unknown-method", "empty-method",
@@ -342,15 +367,22 @@ _SIM = "simulate --order 3 --beta-db 20 --seed 1 --out {out}"
         "samples-1", "missing-seed-model", "negative-mode-count", "simulate-samples-1",
         "landmarks-3", "beta-db-nan", "t-max-0", "lmmse-t-max-0", "selector-t-max-0",
         "select-max-iter-0", "select-t-max-0", "align-max-iter-0",
+        "variance-split", "variance-seed", "variance-t-max", "variance-tol",
+        "variance-max-iter", "variance-mean", "variance-clamp", "proposed-fraction",
+        "select-warm-start", "select-threads", "seed-model-landmarks", "seed-model-spectrum",
+        "seed-model-order", "select-tol-negative", "align-tol-nan", "rot-range-nan",
+        "log-scale-range-inf", "translation-range-negative", "threads-negative",
     ],
 )
 def test_bad_flags_exit_with_one_line(
-    small_csv: Path, tmp_path: Path, capsys: pytest.CaptureFixture, command: str, code: int
+    small_csv: Path, seed_models: dict[str, Path], tmp_path: Path,
+    capsys: pytest.CaptureFixture, command: str, code: int,
 ) -> None:
     bad_pdm = tmp_path / "bad.pdm"
     bad_pdm.write_text("4,-1,3\n0,0,0,0\n")
     out = tmp_path / "out.csv"
-    argv = command.format(csv=small_csv, out=out, tmp=tmp_path, bad_pdm=bad_pdm).split()
+    fields = dict(csv=small_csv, out=out, tmp=tmp_path, bad_pdm=bad_pdm, **seed_models)
+    argv = command.format(**fields).split()
     assert main(argv) == code
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1

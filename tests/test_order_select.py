@@ -295,7 +295,7 @@ class TestSelectOrderProposed:
         assert set(result.scores) == {1, 2, 3}
 
     def test_scores_match_independent_recomputation(self):
-        result = select_order_proposed(self._noiseless_rank3(), keep_fits=True)
+        result = select_order_proposed(self._noiseless_rank3())
         ss = self._noiseless_rank3()
         split = split_data(ss)
         for order, fit in result.per_order_fits.items():
@@ -320,38 +320,22 @@ class TestSelectOrderProposed:
                 t for t, s in result.scores.items() if s == best
             )
 
-    def test_warm_start_agrees_with_cold(self):
-        ss = self._noiseless_rank3()
-        cold = select_order_proposed(ss)
-        warm = select_order_proposed(ss, warm_start=True)
-        assert warm.t_star == cold.t_star
-
-    def test_threads_do_not_change_scores(self):
-        rng = np.random.default_rng(17)
-        ss = _aligned_random_set(rng, 10, 16)
-        one = select_order_proposed(ss, threads=1)
-        four = select_order_proposed(ss, threads=4)
-        assert one.scores == four.scores
-        assert one.t_star == four.t_star
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_programming_errors_propagate(self, monkeypatch, threads):
+    def test_programming_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("not a numerical failure")
 
         monkeypatch.setattr(order_select, "alternating_ml", broken)
         with pytest.raises(TypeError):
-            select_order_proposed(self._noiseless_rank3(), threads=threads)
+            select_order_proposed(self._noiseless_rank3())
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_numerical_failure_becomes_a_note(self, monkeypatch, threads):
+    def test_numerical_failure_becomes_a_note(self, monkeypatch):
         def singular_at_two(Y, pdm, **kwargs):
             if pdm.order == 2:
                 raise SingularSystem("weighted normal matrix is numerically singular")
             return alternating_ml(Y, pdm, **kwargs)
 
         monkeypatch.setattr(order_select, "alternating_ml", singular_at_two)
-        result = select_order_proposed(self._noiseless_rank3(), threads=threads)
+        result = select_order_proposed(self._noiseless_rank3())
         assert set(result.scores) == {1, 3}
         assert result.diagnostics[2] == (
             "fit failed: weighted normal matrix is numerically singular",

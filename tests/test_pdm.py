@@ -180,6 +180,11 @@ class TestClampToBox:
         with pytest.raises(DimensionMismatch):
             clamp_to_box(np.zeros(3), np.ones(2))
 
+    @pytest.mark.parametrize("shape", [(), (2, 2)], ids=["scalar", "matrix"])
+    def test_non_vector_rejected(self, shape):
+        with pytest.raises(DimensionMismatch):
+            clamp_to_box(np.ones(shape), np.ones(shape))
+
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_membership_direction_idempotence(self, seed):
