@@ -320,24 +320,32 @@ class TestSelectOrderProposed:
                 t for t, s in result.scores.items() if s == best
             )
 
-    def test_programming_errors_propagate(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise TypeError("not a numerical failure")
+    @pytest.mark.parametrize("failing_order", [1, 2])
+    def test_programming_errors_propagate(self, monkeypatch, failing_order):
+        # A bug is raised whether it hits the first order or one after
+        # orders that fitted cleanly.
+        def broken(Y, pdm, **kwargs):
+            if pdm.order == failing_order:
+                raise TypeError("not a numerical failure")
+            return alternating_ml(Y, pdm, **kwargs)
 
         monkeypatch.setattr(order_select, "alternating_ml", broken)
         with pytest.raises(TypeError):
             select_order_proposed(self._noiseless_rank3())
 
-    def test_numerical_failure_becomes_a_note(self, monkeypatch):
-        def singular_at_two(Y, pdm, **kwargs):
-            if pdm.order == 2:
+    @pytest.mark.parametrize("failing_order", [1, 2])
+    def test_numerical_failure_becomes_a_note(self, monkeypatch, failing_order):
+        def singular_at(Y, pdm, **kwargs):
+            if pdm.order == failing_order:
                 raise SingularSystem("weighted normal matrix is numerically singular")
             return alternating_ml(Y, pdm, **kwargs)
 
-        monkeypatch.setattr(order_select, "alternating_ml", singular_at_two)
+        monkeypatch.setattr(order_select, "alternating_ml", singular_at)
         result = select_order_proposed(self._noiseless_rank3())
-        assert set(result.scores) == {1, 3}
-        assert result.diagnostics[2] == (
+        assert set(result.scores) == {1, 2, 3} - {failing_order}
+        assert failing_order not in result.per_order_fits
+        assert result.t_star == 3
+        assert result.diagnostics[failing_order] == (
             "fit failed: weighted normal matrix is numerically singular",
         )
 
