@@ -204,7 +204,7 @@ _spectrum = _checked(
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--landmarks", type=_landmark_count, required=True)
-    parser.add_argument("--order", type=int, required=True)
+    parser.add_argument("--order", type=_positive_int, required=True)
     parser.add_argument("--spectrum", type=_spectrum, default=None)
     parser.add_argument("--seed-model", default=None, help="use a stored model as the seed")
     parser.add_argument("--beta-db", type=_decibels, required=True, dest="beta_db")
@@ -285,6 +285,8 @@ def cmd_select(args: argparse.Namespace) -> int:
                 raise UsageError(f"select: {flag} applies only to --method {method}")
             if method == args.method and getattr(args, dest) is None:
                 setattr(args, dest, default)
+    if args.split == "shuffled" and args.seed is None:
+        raise UsageError("select: --split shuffled needs --seed")
     shape_set = _ensure_aligned(_load_input(args), args, "select")
     if args.method == "proposed":
         result = select_order_proposed(
@@ -298,6 +300,8 @@ def cmd_select(args: argparse.Namespace) -> int:
             clamp_mode=args.clamp,
         )
         t_star = result.t_star
+        for order, notes in sorted(result.diagnostics.items()):
+            print(f"note: t={order}: {'; '.join(notes)}", file=sys.stderr)
         if args.out:
             out = Path(args.out)
             write_scores_csv(out, result)
@@ -438,7 +442,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fit", help="fit and store an eigenmodel")
     _add_input_flags(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--order", type=int, default=None, help="store only the leading modes")
+    p.add_argument(
+        "--order", type=_positive_int, default=None, help="store only the leading modes"
+    )
     p.add_argument("--no-align", action="store_true", dest="no_align")
     p.set_defaults(func=cmd_fit)
 

@@ -13,17 +13,31 @@ white-noise criterion would.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, TooFewSamples, ZeroVariance
-from .pdm import PdmModel, TruncatedPdm, fit_pdm, project_constrained, truncate
+from .errors import DimensionMismatch, NumericalError, TooFewSamples, ZeroVariance
+from .pdm import PdmModel, TruncatedPdm, _project_stacked, fit_pdm, truncate
 from .shapes import ShapeSet
 
 # Noise variances are kept above this fraction of the mean data power so
 # logarithms and inverses stay finite even for exact fits.
 SIGMA_FLOOR_REL = 1e-12
+
+# The selector fits this many neighbouring orders at a time in one stacked
+# kernel (_fit_orders).  A block spreads numpy's per-call overhead, which
+# dominates the small systems of a selection, over its orders, but pays for
+# the padding of its lower orders.  Medians of 5 runs, one BLAS thread,
+# 2-core host: 90 selections on subsets of 10/20/40 of one 400-shape set /
+# 15 simulated sets of M = 10..200 at 5 dB (N = 80 throughout), against
+# 2.21 / 1.74 s when each order was fitted on its own:
+#   block 1:  2.00 / 1.72 s      block 16:        0.90 / 1.33 s
+#   block 4:  1.12 / 1.35 s      block 32:        0.91 / 1.40 s
+#   block 8:  1.06 / 1.20 s      all orders (80): 0.93 / 2.30 s
+# Wider blocks help the small sets a little and cost the large ones more.
+ORDER_BLOCK = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,6 +130,11 @@ def _objective(sigma: np.ndarray, residuals: np.ndarray, m2: int) -> float:
     return float(m2 * np.sum(np.log(sigma)) + np.sum(residuals * residuals / sigma[:, None]))
 
 
+def _weighted_column_norms(squares: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """(K, M) sums over i of squares[k, i, m] / sigma[k, i], for (K, N, M) squares."""
+    return np.matmul((1.0 / sigma)[:, None, :], squares)[:, 0, :]
+
+
 def alternating_ml(
     Y: np.ndarray,
     pdm: TruncatedPdm,
@@ -133,6 +152,10 @@ def alternating_ml(
     under tol.  Running out of sweeps is not an error:
     the fit is returned as-is with converged False.
 
+    This is the selector's lockstep kernel (`select_order_proposed`) run
+    on a block that holds the one order of pdm, so a standalone fit and
+    the selector's fit of the same order follow the same sweeps.
+
     The default clamp is per-coordinate truncation.  Coefficients fitted to
     held-out data routinely poke past the box edge learned from the training
     half; truncation only touches the offending coordinates, whereas uniform
@@ -144,7 +167,7 @@ def alternating_ml(
         Y: (N, M2) mean-removed data.
         pdm: truncated model to regress onto.
         tol: relative objective change that counts as converged.
-        max_iter: sweep budget.
+        max_iter: sweep budget, at least 1.
         sigma_floor: lower bound for the noise variances; defaults to
             SIGMA_FLOOR_REL times the mean per-coordinate power of Y.
         clamp_mode: "clip" (per-coordinate truncation, default) or "scale"
@@ -153,52 +176,101 @@ def alternating_ml(
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
         raise ValueError("Y must be a 2-D matrix with one column per sample")
-    n, m2 = Y.shape
-    if m2 < 2:
-        raise TooFewSamples(f"regression needs at least 2 held-out samples, got {m2}")
+    if Y.shape[0] != pdm.n_coords:
+        raise DimensionMismatch("data matrix rows must match model coordinates")
+    if Y.shape[1] < 2:
+        raise TooFewSamples(f"regression needs at least 2 held-out samples, got {Y.shape[1]}")
     if sigma_floor is None:
         sigma_floor = SIGMA_FLOOR_REL * float(np.mean(Y * Y))
-    sigma_floor = max(sigma_floor, 1e-300)
+    return _fit_orders(Y, pdm, [pdm.order], tol, max_iter, sigma_floor, clamp_mode)[0]
 
-    sigma = np.ones(n)
-    trace: list[float] = []
-    coeffs = np.zeros((pdm.order, m2))
-    residuals = Y.copy()
-    converged = False
-    iterations = 0
-    for _ in range(max_iter):
-        iterations += 1
-        candidate = project_constrained(pdm, Y, sigma, clamp_mode=clamp_mode)
-        cand_residuals = Y - pdm.basis @ candidate
+
+def _fit_orders(
+    Y: np.ndarray,
+    pdm: TruncatedPdm,
+    orders: Sequence[int],
+    tol: float,
+    max_iter: int,
+    sigma_floor: float,
+    clamp_mode: str,
+) -> list[RegressionFit]:
+    """Alternating fits of the leading `order` modes of pdm, for every order, in lockstep.
+
+    orders must ascend and end at pdm.order.  Every order's basis is
+    zero-padded to pdm.order and the orders are swept together as stacked
+    arrays, which spreads numpy's per-call overhead over the block.  Each
+    order keeps its own sweeps, descent guard, objective trace and stopping
+    rule: an order that converges leaves the stack, so its iteration count
+    is its own.  A NumericalError at any order aborts the whole block.
+
+    Returns:
+        One fit per order, in the order of `orders`.
+    """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    sigma_floor = max(sigma_floor, 1e-300)
+    m2 = Y.shape[1]
+    top = pdm.order
+    live = np.arange(top) < np.asarray(orders)[:, None]
+    basis = pdm.basis * live[:, None, :]
+    lambdas = np.where(live, pdm.lambdas, 1.0)
+    pad = (~live).astype(float)
+    slots = np.arange(len(orders))
+
+    sigma = np.ones((slots.size, Y.shape[0]))
+    coeffs = np.zeros((slots.size, top, m2))
+    residuals = np.broadcast_to(Y, (slots.size, *Y.shape))
+    # The weighted column norms of the current residuals under the current
+    # sigma: the descent guard's baseline, which the objective already sums.
+    norms = _weighted_column_norms(residuals * residuals, sigma)
+    traces: list[list[float]] = [[] for _ in orders]
+    fits: list[RegressionFit | None] = [None] * len(orders)
+    for sweep in range(1, max_iter + 1):
+        candidate = _project_stacked(basis, lambdas, Y, sigma, pad, clamp_mode)
+        cand_residuals = np.matmul(basis, candidate)
+        np.subtract(Y, cand_residuals, out=cand_residuals)
         # The clamp makes the projection approximate, so a column can come
         # back worse than the one it replaces.  Keeping the better column
         # under the current weights makes every sweep a descent step, which
         # the convergence test relies on.
-        weights = 1.0 / sigma[:, None]
-        worse = np.sum(cand_residuals * cand_residuals * weights, axis=0) > np.sum(
-            residuals * residuals * weights, axis=0
-        )
+        squares = cand_residuals * cand_residuals
+        worse = _weighted_column_norms(squares, sigma) > norms
         if np.any(worse):
-            candidate[:, worse] = coeffs[:, worse]
-            cand_residuals[:, worse] = residuals[:, worse]
+            np.copyto(candidate, coeffs, where=worse[:, None, :])
+            np.copyto(cand_residuals, residuals, where=worse[:, None, :])
+            np.multiply(cand_residuals, cand_residuals, out=squares)
         coeffs = candidate
         residuals = cand_residuals
-        sigma = np.maximum(np.mean(residuals * residuals, axis=1), sigma_floor)
-        objective = _objective(sigma, residuals, m2)
-        trace.append(objective)
-        if len(trace) >= 2:
-            previous = trace[-2]
-            if abs(previous - objective) <= tol * max(1.0, abs(previous)):
-                converged = True
-                break
-    return RegressionFit(
-        coeffs=coeffs,
-        sigma_diag=sigma,
-        residuals=residuals,
-        iterations=iterations,
-        objective_trace=tuple(trace),
-        converged=converged,
-    )
+        sigma = np.maximum(np.mean(squares, axis=2), sigma_floor)
+        norms = _weighted_column_norms(squares, sigma)
+        objectives = m2 * np.sum(np.log(sigma), axis=1) + np.sum(norms, axis=1)
+
+        finished = []
+        for row, (slot, objective) in enumerate(zip(slots.tolist(), objectives.tolist())):
+            trace = traces[slot]
+            trace.append(objective)
+            converged = len(trace) >= 2 and (
+                abs(trace[-2] - objective) <= tol * max(1.0, abs(trace[-2]))
+            )
+            if converged or sweep == max_iter:
+                finished.append(row)
+                fits[slot] = RegressionFit(
+                    coeffs=coeffs[row, : orders[slot]].copy(),
+                    sigma_diag=sigma[row].copy(),
+                    residuals=residuals[row].copy(),
+                    iterations=sweep,
+                    objective_trace=tuple(trace),
+                    converged=converged,
+                )
+        if len(finished) == slots.size:
+            break
+        if finished:
+            stay = np.ones(slots.size, dtype=bool)
+            stay[finished] = False
+            basis, lambdas, pad, slots, sigma, coeffs, residuals, norms = (
+                a[stay] for a in (basis, lambdas, pad, slots, sigma, coeffs, residuals, norms)
+            )
+    return fits
 
 
 def aic_score(fit: RegressionFit, order: int, m2: int, n: int) -> float:
@@ -248,11 +320,16 @@ def select_order_proposed(
     """Select the model order by the split-data information criterion.
 
     The candidate range is 1..t_max with t_max capped at the training
-    covariance's positive rank, at M1 - 1, and at N.  One serial loop
-    gives every candidate its own cold-started alternating fit, so each
-    score depends on its order alone.  Orders whose fit raises a
-    NumericalError are excluded from the scores and reported in the
-    diagnostics; any other error propagates.
+    covariance's positive rank, at M1 - 1, and at N.  Every candidate gets
+    its own cold-started alternating fit, so each score depends on its
+    order alone.  The fits run in lockstep blocks of ORDER_BLOCK
+    neighbouring orders: one stacked kernel sweeps the block, each order
+    zero-padded to the block's top order and leaving the block when it
+    converges, which matches alternating_ml order by order up to rounding.
+    A block that raises a NumericalError is refitted one order at a time
+    through alternating_ml; orders whose own fit fails are excluded from
+    the scores and reported in the diagnostics.  Any other error
+    propagates.
 
     Args:
         shape_set: aligned set with at least 4 shapes.
@@ -274,18 +351,18 @@ def select_order_proposed(
 
     fits: dict[int, RegressionFit] = {}
     diagnostics: dict[int, list[str]] = {}
-    for order in range(1, t_hi + 1):
+    fit_args = dict(tol=tol, max_iter=max_iter, sigma_floor=sigma_floor, clamp_mode=clamp_mode)
+    for lo in range(1, t_hi + 1, ORDER_BLOCK):
+        orders = range(lo, min(lo + ORDER_BLOCK - 1, t_hi) + 1)
         try:
-            fits[order] = alternating_ml(
-                split.y,
-                truncate(model, order),
-                tol=tol,
-                max_iter=max_iter,
-                sigma_floor=sigma_floor,
-                clamp_mode=clamp_mode,
-            )
-        except NumericalError as exc:
-            diagnostics.setdefault(order, []).append(f"fit failed: {exc}")
+            block = _fit_orders(split.y, truncate(model, orders[-1]), orders, **fit_args)
+            fits.update(zip(orders, block))
+        except NumericalError:
+            for order in orders:
+                try:
+                    fits[order] = alternating_ml(split.y, truncate(model, order), **fit_args)
+                except NumericalError as exc:
+                    diagnostics.setdefault(order, []).append(f"fit failed: {exc}")
 
     if not fits:
         raise ZeroVariance("every candidate order failed to fit")

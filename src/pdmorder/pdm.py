@@ -187,18 +187,21 @@ def clamp_to_box(coeffs: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
 
 
 def _clamp_columns_scale(B: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
-    """Column-wise uniform scaling into the box (clamp_to_box per column)."""
+    """Column-wise uniform scaling into the box (clamp_to_box per column).
+
+    B is (..., order, M) and lambdas (..., order); leading axes are stacks.
+    """
     mags = np.abs(B)
-    limits = np.sqrt(lambdas)[:, None]
+    limits = np.sqrt(lambdas)[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(mags > 0, limits / mags, np.inf)
-    s = np.minimum(1.0, ratios.min(axis=0))
-    return B * s[None, :]
+    s = np.minimum(1.0, ratios.min(axis=-2))
+    return B * s[..., None, :]
 
 
 def _clamp_columns_clip(B: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
     """Independent per-coordinate clipping into the box."""
-    limits = np.sqrt(lambdas)[:, None]
+    limits = np.sqrt(lambdas)[..., None]
     return np.clip(B, -limits, limits)
 
 
@@ -236,21 +239,54 @@ def project_constrained(
         raise DimensionMismatch("sigma_diag must have one entry per coordinate")
     if np.any(sigma <= 0):
         raise ValueError("sigma_diag entries must be strictly positive")
+    no_pad = np.zeros((1, pdm.order))
+    stacked = _project_stacked(
+        pdm.basis[None], pdm.lambdas[None], Y, sigma[None], no_pad, clamp_mode
+    )
+    return stacked[0]
 
+
+def _project_stacked(
+    basis: np.ndarray,
+    lambdas: np.ndarray,
+    Y: np.ndarray,
+    sigma: np.ndarray,
+    pad: np.ndarray,
+    clamp_mode: str,
+) -> np.ndarray:
+    """project_constrained for a stack of K models sharing the data Y.
+
+    Args:
+        basis: (K, N, T) mode columns; a model with fewer than T modes has
+            zero columns after its own.
+        lambdas: (K, T) box widths; padded entries must be positive.
+        Y: (N, M) data shared by every model.
+        sigma: (K, N) noise variances, one row per model.
+        pad: (K, T) 1.0 at every padded mode and 0.0 elsewhere.  It is added
+            to the diagonal of the weighted normal matrix, which makes that
+            matrix [G 0; 0 I]: padded coefficients solve to exactly zero and
+            the Cholesky probe tests G alone.
+        clamp_mode: "scale" or "clip".
+
+    Returns:
+        (K, T, M) coefficients inside each model's box, zero at padded modes.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        weighted = pdm.basis / sigma[:, None]
-        gram = pdm.basis.T @ weighted
+        weighted = basis / sigma[:, :, None]
+        gram = np.matmul(basis.transpose(0, 2, 1), weighted)
     if not np.all(np.isfinite(gram)):
         raise SingularSystem("weighted normal matrix is not finite")
+    diagonal = np.arange(gram.shape[-1])
+    gram[:, diagonal, diagonal] += pad
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("weighted normal matrix is numerically singular") from exc
-    B = np.linalg.solve(gram, weighted.T @ Y)
+    B = np.linalg.solve(gram, np.matmul(weighted.transpose(0, 2, 1), Y))
     if clamp_mode == "scale":
-        return _clamp_columns_scale(B, pdm.lambdas)
+        return _clamp_columns_scale(B, lambdas)
     if clamp_mode == "clip":
-        return _clamp_columns_clip(B, pdm.lambdas)
+        return _clamp_columns_clip(B, lambdas)
     raise ValueError(f"unknown clamp mode {clamp_mode!r}")
 
 

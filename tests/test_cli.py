@@ -165,6 +165,20 @@ class TestEndToEnd:
             assert converged in ("true", "false")
         assert min(scores, key=lambda t: (scores[t], t)) == t_star
 
+    def test_select_prints_each_note_to_stderr(
+        self, small_csv: Path, tmp_path: Path, capsys: pytest.CaptureFixture
+    ) -> None:
+        # One sweep leaves every order's budget exhausted; the notes go to
+        # stderr, one line per order, and stdout keeps its single line.
+        out = tmp_path / "scores.csv"
+        rc = main(["select", "--input", str(small_csv), "--max-iter", "1", "--out", str(out)])
+        assert rc == 0
+        captured = capsys.readouterr()
+        orders = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        notes = [line for line in captured.err.splitlines() if line.startswith("note: ")]
+        assert notes == [f"note: t={t}: sweep budget exhausted" for t in orders]
+        assert len(captured.out.splitlines()) == 1 and captured.out.startswith("t_star=")
+
     def test_variance_method_forwards_fraction(
         self, small_csv: Path, capsys: pytest.CaptureFixture
     ) -> None:
@@ -360,6 +374,10 @@ _SIM = "simulate --order 3 --beta-db 20 --seed 1 --out {out}"
         (_SIM + " --landmarks 12 --samples 5 --log-scale-range inf", 1),
         (_SIM + " --landmarks 12 --samples 5 --translation-range -1", 1),
         (_MC + " --threads -4", 1),
+        ("select --input {csv} --split shuffled", 1),
+        (_SIM + " --landmarks 12 --samples 5 --order 0", 1),
+        (_MC + " --order -2", 1),
+        ("fit --input {csv} --out {out} --order 0", 1),
     ],
     ids=[
         "select-variance-out", "trials-0", "trials-text", "unknown-method", "empty-method",
@@ -372,6 +390,7 @@ _SIM = "simulate --order 3 --beta-db 20 --seed 1 --out {out}"
         "select-warm-start", "select-threads", "seed-model-landmarks", "seed-model-spectrum",
         "seed-model-order", "select-tol-negative", "align-tol-nan", "rot-range-nan",
         "log-scale-range-inf", "translation-range-negative", "threads-negative",
+        "shuffled-without-seed", "simulate-order-0", "montecarlo-order-negative", "fit-order-0",
     ],
 )
 def test_bad_flags_exit_with_one_line(

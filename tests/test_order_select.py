@@ -322,25 +322,29 @@ class TestSelectOrderProposed:
 
     @pytest.mark.parametrize("failing_order", [1, 2])
     def test_programming_errors_propagate(self, monkeypatch, failing_order):
-        # A bug is raised whether it hits the first order or one after
-        # orders that fitted cleanly.
-        def broken(Y, pdm, **kwargs):
-            if pdm.order == failing_order:
-                raise TypeError("not a numerical failure")
-            return alternating_ml(Y, pdm, **kwargs)
+        # A bug is raised whether it hits the first order of a block or a
+        # later one, and is never retried order by order.
+        fit_orders = order_select._fit_orders
 
-        monkeypatch.setattr(order_select, "alternating_ml", broken)
+        def broken(Y, pdm, orders, *args, **kwargs):
+            if failing_order in orders:
+                raise TypeError("not a numerical failure")
+            return fit_orders(Y, pdm, orders, *args, **kwargs)
+
+        monkeypatch.setattr(order_select, "_fit_orders", broken)
         with pytest.raises(TypeError):
             select_order_proposed(self._noiseless_rank3())
 
     @pytest.mark.parametrize("failing_order", [1, 2])
     def test_numerical_failure_becomes_a_note(self, monkeypatch, failing_order):
-        def singular_at(Y, pdm, **kwargs):
-            if pdm.order == failing_order:
-                raise SingularSystem("weighted normal matrix is numerically singular")
-            return alternating_ml(Y, pdm, **kwargs)
+        fit_orders = order_select._fit_orders
 
-        monkeypatch.setattr(order_select, "alternating_ml", singular_at)
+        def singular_at(Y, pdm, orders, *args, **kwargs):
+            if failing_order in orders:
+                raise SingularSystem("weighted normal matrix is numerically singular")
+            return fit_orders(Y, pdm, orders, *args, **kwargs)
+
+        monkeypatch.setattr(order_select, "_fit_orders", singular_at)
         result = select_order_proposed(self._noiseless_rank3())
         assert set(result.scores) == {1, 2, 3} - {failing_order}
         assert failing_order not in result.per_order_fits
@@ -348,6 +352,58 @@ class TestSelectOrderProposed:
         assert result.diagnostics[failing_order] == (
             "fit failed: weighted normal matrix is numerically singular",
         )
+
+    def test_singular_order_inside_a_block_is_the_only_one_noted(self, monkeypatch):
+        # The projection breaks down at order 5 alone: the block of orders
+        # 1..8 fails as a whole, is refitted order by order, and only order 5
+        # loses its score.
+        seed = make_seed_pdm_procedural(20, 6, "geometric:0.7", rng_seed=41)
+        ss = sample_shapes(seed, SimConfig(n_samples=30, beta_db=5.0, rng_seed=42))
+        clean = select_order_proposed(ss)
+        assert max(clean.scores) > order_select.ORDER_BLOCK
+        project_stacked = order_select._project_stacked
+
+        def singular_at_5(basis, lambdas, Y, sigma, pad, clamp_mode):
+            if 5 in basis.shape[2] - pad.sum(axis=1):
+                raise SingularSystem("weighted normal matrix is numerically singular")
+            return project_stacked(basis, lambdas, Y, sigma, pad, clamp_mode)
+
+        monkeypatch.setattr(order_select, "_project_stacked", singular_at_5)
+        result = select_order_proposed(ss)
+        failed = {
+            t for t, notes in result.diagnostics.items() if any("fit failed" in n for n in notes)
+        }
+        assert failed == {5}
+        assert set(result.scores) == set(clean.scores) - {5}
+        for order, score in result.scores.items():
+            assert score == pytest.approx(clean.scores[order], rel=1e-9)
+            assert result.per_order_fits[order].iterations == clean.per_order_fits[order].iterations
+
+    @pytest.mark.parametrize("clamp_mode", ["clip", "scale"])
+    @pytest.mark.parametrize("n_samples, t_max", [(30, None), (60, 11), (14, None)])
+    def test_block_fits_match_standalone_fits(self, clamp_mode, n_samples, t_max):
+        seed = make_seed_pdm_procedural(20, 6, "geometric:0.7", rng_seed=43)
+        ss = sample_shapes(seed, SimConfig(n_samples=n_samples, beta_db=5.0, rng_seed=44))
+        result = select_order_proposed(ss, t_max=t_max, clamp_mode=clamp_mode)
+        split = split_data(ss)
+        model = fit_pdm(split.x1)
+        floor = order_select.SIGMA_FLOOR_REL * float(np.sum(model.eigvals)) / model.n_coords
+        t_hi = max(result.scores)
+        assert t_hi % order_select.ORDER_BLOCK != 0
+        assert set(result.scores) == set(range(1, t_hi + 1))
+        scores = {}
+        for order in range(1, t_hi + 1):
+            alone = alternating_ml(
+                split.y, truncate(model, order), sigma_floor=floor, clamp_mode=clamp_mode
+            )
+            scores[order] = aic_score(alone, order, split.m2, model.n_coords)
+            fit = result.per_order_fits[order]
+            assert fit.coeffs.shape == (order, split.m2)
+            assert fit.iterations == alone.iterations
+            assert fit.converged == alone.converged
+            assert result.scores[order] == pytest.approx(scores[order], rel=1e-9)
+            np.testing.assert_allclose(fit.coeffs, alone.coeffs, rtol=1e-7, atol=1e-12)
+        assert result.t_star == min(scores, key=lambda t: (scores[t], t))
 
     def test_t_max_caps_search(self):
         result = select_order_proposed(self._noiseless_rank3(), t_max=2)
