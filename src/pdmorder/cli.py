@@ -32,9 +32,8 @@ from .simgen import (
     SimConfig,
     TransformRanges,
     make_seed_pdm_procedural,
-    sample_shapes,
+    sample_shapes_with_truth,
     seed_pdm_from_model,
-    noise_variance,
     parse_spectrum,
 )
 
@@ -287,6 +286,8 @@ def cmd_select(args: argparse.Namespace) -> int:
                 setattr(args, dest, default)
     if args.split == "shuffled" and args.seed is None:
         raise UsageError("select: --split shuffled needs --seed")
+    if args.split != "shuffled" and args.seed is not None:
+        raise UsageError("select: --seed applies only to --split shuffled")
     shape_set = _ensure_aligned(_load_input(args), args, "select")
     if args.method == "proposed":
         result = select_order_proposed(
@@ -327,21 +328,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         realign=not args.no_realign,
         b_dist=args.b_dist,
     )
-    shape_set = sample_shapes(seed_pdm, config)
+    shape_set, truth = sample_shapes_with_truth(seed_pdm, config)
     out = Path(args.out)
     write_shapes_csv(out, shape_set)
     write_manifest(out, "simulate", args, started)
     if args.out_truth:
-        model = seed_pdm.underlying
-        truth = {
-            "order": model.order,
-            "sigma2": noise_variance(model.lambdas, args.beta_db),
-            "beta_db": args.beta_db,
-            "lambdas": [float(v) for v in model.lambdas],
-            "rng_seed": args.seed,
+        record = {
+            "order": truth.order,
+            "sigma2": truth.sigma2,
+            "beta_db": truth.beta_db,
+            "lambdas": [float(v) for v in truth.lambdas],
+            "rng_seed": truth.rng_seed,
             "source": seed_pdm.source,
         }
-        Path(args.out_truth).write_text(json.dumps(truth, indent=2, sort_keys=True) + "\n")
+        Path(args.out_truth).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -185,8 +185,9 @@ def order_sweep(
     Args:
         shape_set: aligned input set.
         sample_counts: subset sizes, each from 2 up to the set size.
-        trials: independent random subsets per size (prefix mode collapses
-            to identical subsets, kept for sequential-acquisition studies).
+        trials: independent random subsets per size.  Every prefix trial
+            draws the same subset, so prefix mode selects once per size and
+            counts that pick `trials` times.
         rng_seed: master seed for the subset draws.
         methods: selectors to run on every subset.
         mode: "random" draws subsets without replacement; "prefix" takes
@@ -206,7 +207,14 @@ def order_sweep(
         rng = np.random.default_rng(_trial_seed(rng_seed, count, trial))
         return shape_set.subset(np.sort(rng.choice(m, size=count, replace=False)))
 
-    return _tabulate(_draw, sample_counts, trials, methods, t_max, variance_fraction, threads)
+    if mode == "random":
+        return _tabulate(_draw, sample_counts, trials, methods, t_max, variance_fraction, threads)
+    once = _tabulate(_draw, sample_counts, 1, methods, t_max, variance_fraction, threads)
+    cells = {
+        key: CellStats(cell.mean_t, cell.var_t, {t: trials * n for t, n in cell.hist.items()})
+        for key, cell in once.cells.items()
+    }
+    return TrialSummary(cells=cells, trials=trials, failures=trials * once.failures)
 
 
 def _predict_landmarks(

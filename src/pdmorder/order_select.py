@@ -12,13 +12,12 @@ white-noise criterion would.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalError, TooFewSamples, ZeroVariance
+from .errors import DimensionMismatch, SingularSystem, TooFewSamples, ZeroVariance
 from .pdm import PdmModel, TruncatedPdm, _project_stacked, fit_pdm, truncate
 from .shapes import ShapeSet
 
@@ -126,10 +125,6 @@ class RegressionFit:
     converged: bool
 
 
-def _objective(sigma: np.ndarray, residuals: np.ndarray, m2: int) -> float:
-    return float(m2 * np.sum(np.log(sigma)) + np.sum(residuals * residuals / sigma[:, None]))
-
-
 def _weighted_column_norms(squares: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """(K, M) sums over i of squares[k, i, m] / sigma[k, i], for (K, N, M) squares."""
     return np.matmul((1.0 / sigma)[:, None, :], squares)[:, 0, :]
@@ -182,7 +177,10 @@ def alternating_ml(
         raise TooFewSamples(f"regression needs at least 2 held-out samples, got {Y.shape[1]}")
     if sigma_floor is None:
         sigma_floor = SIGMA_FLOOR_REL * float(np.mean(Y * Y))
-    return _fit_orders(Y, pdm, [pdm.order], tol, max_iter, sigma_floor, clamp_mode)[0]
+    fit = _fit_orders(Y, pdm, [pdm.order], tol, max_iter, sigma_floor, clamp_mode)[0]
+    if isinstance(fit, SingularSystem):
+        raise fit
+    return fit
 
 
 def _fit_orders(
@@ -193,18 +191,19 @@ def _fit_orders(
     max_iter: int,
     sigma_floor: float,
     clamp_mode: str,
-) -> list[RegressionFit]:
+) -> list[RegressionFit | SingularSystem]:
     """Alternating fits of the leading `order` modes of pdm, for every order, in lockstep.
 
     orders must ascend and end at pdm.order.  Every order's basis is
     zero-padded to pdm.order and the orders are swept together as stacked
     arrays, which spreads numpy's per-call overhead over the block.  Each
     order keeps its own sweeps, descent guard, objective trace and stopping
-    rule: an order that converges leaves the stack, so its iteration count
-    is its own.  A NumericalError at any order aborts the whole block.
+    rule.  An order leaves the stack when it converges, runs out of sweeps
+    or its projection fails, and the others sweep on as if it were gone.
 
     Returns:
-        One fit per order, in the order of `orders`.
+        One fit per order, in the order of `orders`, or the SingularSystem
+        of an order whose projection failed.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -224,9 +223,9 @@ def _fit_orders(
     # sigma: the descent guard's baseline, which the objective already sums.
     norms = _weighted_column_norms(residuals * residuals, sigma)
     traces: list[list[float]] = [[] for _ in orders]
-    fits: list[RegressionFit | None] = [None] * len(orders)
+    fits: list[RegressionFit | SingularSystem | None] = [None] * len(orders)
     for sweep in range(1, max_iter + 1):
-        candidate = _project_stacked(basis, lambdas, Y, sigma, pad, clamp_mode)
+        candidate, failed = _project_stacked(basis, lambdas, Y, sigma, pad, clamp_mode)
         cand_residuals = np.matmul(basis, candidate)
         np.subtract(Y, cand_residuals, out=cand_residuals)
         # The clamp makes the projection approximate, so a column can come
@@ -252,9 +251,9 @@ def _fit_orders(
             converged = len(trace) >= 2 and (
                 abs(trace[-2] - objective) <= tol * max(1.0, abs(trace[-2]))
             )
-            if converged or sweep == max_iter:
+            if row in failed or converged or sweep == max_iter:
                 finished.append(row)
-                fits[slot] = RegressionFit(
+                fits[slot] = failed.get(row) or RegressionFit(
                     coeffs=coeffs[row, : orders[slot]].copy(),
                     sigma_diag=sigma[row].copy(),
                     residuals=residuals[row].copy(),
@@ -283,7 +282,8 @@ def aic_score(fit: RegressionFit, order: int, m2: int, n: int) -> float:
     """
     if fit.sigma_diag.shape != (n,) or fit.residuals.shape != (n, m2):
         raise ValueError("fit dimensions disagree with the stated n and m2")
-    datafit = _objective(fit.sigma_diag, fit.residuals, m2)
+    sigma, residuals = fit.sigma_diag, fit.residuals
+    datafit = m2 * np.sum(np.log(sigma)) + np.sum(residuals * residuals / sigma[:, None])
     return float(datafit + 2.0 * m2 * order)
 
 
@@ -326,10 +326,10 @@ def select_order_proposed(
     neighbouring orders: one stacked kernel sweeps the block, each order
     zero-padded to the block's top order and leaving the block when it
     converges, which matches alternating_ml order by order up to rounding.
-    A block that raises a NumericalError is refitted one order at a time
-    through alternating_ml; orders whose own fit fails are excluded from
-    the scores and reported in the diagnostics.  Any other error
-    propagates.
+    An order whose projection breaks down leaves its block the same way:
+    it gets no score and a "fit failed" note, and the other orders of the
+    block keep exactly the fits they would get without it.  Any other
+    error propagates.
 
     Args:
         shape_set: aligned set with at least 4 shapes.
@@ -354,15 +354,12 @@ def select_order_proposed(
     fit_args = dict(tol=tol, max_iter=max_iter, sigma_floor=sigma_floor, clamp_mode=clamp_mode)
     for lo in range(1, t_hi + 1, ORDER_BLOCK):
         orders = range(lo, min(lo + ORDER_BLOCK - 1, t_hi) + 1)
-        try:
-            block = _fit_orders(split.y, truncate(model, orders[-1]), orders, **fit_args)
-            fits.update(zip(orders, block))
-        except NumericalError:
-            for order in orders:
-                try:
-                    fits[order] = alternating_ml(split.y, truncate(model, order), **fit_args)
-                except NumericalError as exc:
-                    diagnostics.setdefault(order, []).append(f"fit failed: {exc}")
+        block = _fit_orders(split.y, truncate(model, orders[-1]), orders, **fit_args)
+        for order, fit in zip(orders, block):
+            if isinstance(fit, SingularSystem):
+                diagnostics[order] = [f"fit failed: {fit}"]
+            else:
+                fits[order] = fit
 
     if not fits:
         raise ZeroVariance("every candidate order failed to fit")
@@ -375,14 +372,8 @@ def select_order_proposed(
         if not fit.converged:
             diagnostics.setdefault(order, []).append("sweep budget exhausted")
 
-    best = math.inf
-    t_star = min(scores)
-    for order in sorted(scores):
-        if scores[order] < best:
-            best = scores[order]
-            t_star = order
     return OrderSelectionResult(
-        t_star=t_star,
+        t_star=min(scores, key=lambda t: (scores[t], t)),
         scores=scores,
         method="proposed",
         diagnostics={k: tuple(v) for k, v in diagnostics.items()},

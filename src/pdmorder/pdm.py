@@ -160,9 +160,7 @@ def truncate(model: PdmModel, order: int) -> TruncatedPdm:
     """
     rank = model.positive_rank()
     if not 1 <= order <= rank:
-        raise OrderOutOfRange(
-            f"order {order} outside the usable range 1..{rank}"
-        )
+        raise OrderOutOfRange(f"order {order} outside the usable range 1..{rank}")
     return TruncatedPdm(
         mean=model.mean,
         basis=model.eigvecs[:, :order],
@@ -239,11 +237,23 @@ def project_constrained(
         raise DimensionMismatch("sigma_diag must have one entry per coordinate")
     if np.any(sigma <= 0):
         raise ValueError("sigma_diag entries must be strictly positive")
-    no_pad = np.zeros((1, pdm.order))
-    stacked = _project_stacked(
-        pdm.basis[None], pdm.lambdas[None], Y, sigma[None], no_pad, clamp_mode
+    stacked, failed = _project_stacked(
+        pdm.basis[None], pdm.lambdas[None], Y, sigma[None], np.zeros((1, pdm.order)), clamp_mode
     )
+    if failed:
+        raise failed[0]
     return stacked[0]
+
+
+def _probe(gram: np.ndarray) -> str | None:
+    """Why a weighted normal matrix (or a stack of them) is unusable, or None."""
+    if not np.all(np.isfinite(gram)):
+        return "weighted normal matrix is not finite"
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return "weighted normal matrix is numerically singular"
+    return None
 
 
 def _project_stacked(
@@ -253,8 +263,11 @@ def _project_stacked(
     sigma: np.ndarray,
     pad: np.ndarray,
     clamp_mode: str,
-) -> np.ndarray:
+) -> tuple[np.ndarray, dict[int, SingularSystem]]:
     """project_constrained for a stack of K models sharing the data Y.
+
+    One probe tests the whole stack; only when it fails is each model probed
+    on its own, and each failing model gets zero coefficients.
 
     Args:
         basis: (K, N, T) mode columns; a model with fewer than T modes has
@@ -265,39 +278,35 @@ def _project_stacked(
         pad: (K, T) 1.0 at every padded mode and 0.0 elsewhere.  It is added
             to the diagonal of the weighted normal matrix, which makes that
             matrix [G 0; 0 I]: padded coefficients solve to exactly zero and
-            the Cholesky probe tests G alone.
+            the probe tests G alone.
         clamp_mode: "scale" or "clip".
 
     Returns:
-        (K, T, M) coefficients inside each model's box, zero at padded modes.
+        (K, T, M) coefficients inside each model's box, zero at padded modes,
+        and {index in the stack: SingularSystem} of the failing models.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         weighted = basis / sigma[:, :, None]
         gram = np.matmul(basis.transpose(0, 2, 1), weighted)
-    if not np.all(np.isfinite(gram)):
-        raise SingularSystem("weighted normal matrix is not finite")
     diagonal = np.arange(gram.shape[-1])
     gram[:, diagonal, diagonal] += pad
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("weighted normal matrix is numerically singular") from exc
+    failed = {}
+    if _probe(gram) is not None:
+        failed = {k: SingularSystem(why) for k, g in enumerate(gram) if (why := _probe(g))}
+        rows = list(failed)
+        gram[rows] = np.eye(gram.shape[-1])
+        weighted[rows] = 0.0
+    clamp = {"scale": _clamp_columns_scale, "clip": _clamp_columns_clip}.get(clamp_mode)
+    if clamp is None:
+        raise ValueError(f"unknown clamp mode {clamp_mode!r}")
     B = np.linalg.solve(gram, np.matmul(weighted.transpose(0, 2, 1), Y))
-    if clamp_mode == "scale":
-        return _clamp_columns_scale(B, lambdas)
-    if clamp_mode == "clip":
-        return _clamp_columns_clip(B, lambdas)
-    raise ValueError(f"unknown clamp mode {clamp_mode!r}")
+    return clamp(B, lambdas), failed
 
 
 def reconstruct(pdm: TruncatedPdm, coeffs: np.ndarray) -> np.ndarray:
     """Deformation part basis @ coeffs; the mean is not added back."""
     B = np.asarray(coeffs, dtype=float)
-    if B.ndim == 1:
-        if B.shape != (pdm.order,):
-            raise DimensionMismatch("coefficient vector length must equal the order")
-        return pdm.basis @ B
-    if B.ndim != 2 or B.shape[0] != pdm.order:
+    if B.ndim not in (1, 2) or B.shape[0] != pdm.order:
         raise DimensionMismatch("coefficient rows must equal the order")
     return pdm.basis @ B
 

@@ -48,8 +48,6 @@ class SimConfig:
     transform_ranges: TransformRanges = field(default_factory=TransformRanges)
     realign: bool = True
     b_dist: str = "uniform"
-    align_tol: float = 1e-9
-    align_max_iter: int = 200
 
     def __post_init__(self) -> None:
         if self.n_samples < 2:
@@ -289,11 +287,7 @@ def sample_shapes_with_truth(seed_pdm: SeedPdm, config: SimConfig) -> tuple[Shap
         matrix[:, sample] = _as_coords(z)
 
     raw = ShapeSet.from_matrix(matrix, aligned=False)
-    out = (
-        generalized_procrustes(raw, tol=config.align_tol, max_iter=config.align_max_iter)
-        if config.realign
-        else raw
-    )
+    out = generalized_procrustes(raw) if config.realign else raw
     truth = SimTruth(
         order=model.order,
         lambdas=model.lambdas.copy(),

@@ -242,6 +242,20 @@ class TestArtifacts:
             noise_variance(np.array(truth["lambdas"]), 15.0), rel=1e-12
         )
 
+    def test_simulate_gaussian_truth_sidecar(self, tmp_path: Path) -> None:
+        # The truth records the noise the generator drew for the gaussian
+        # coefficient law, not the uniform law's.
+        rc = main([
+            "simulate", "--landmarks", "12", "--order", "3", "--beta-db", "10",
+            "--samples", "16", "--seed", "1", "--b-dist", "gaussian",
+            "--out", str(tmp_path / "s.csv"), "--out-truth", str(tmp_path / "truth.json"),
+        ])
+        assert rc == 0
+        truth = json.loads((tmp_path / "truth.json").read_text())
+        lambdas = np.array(truth["lambdas"])
+        assert truth["sigma2"] == noise_variance(lambdas, 10.0, "gaussian")
+        assert truth["sigma2"] != noise_variance(lambdas, 10.0)
+
     def test_simulate_rerun_byte_identical(self, tmp_path: Path) -> None:
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
         _simulate_small(first)
@@ -378,6 +392,7 @@ _SIM = "simulate --order 3 --beta-db 20 --seed 1 --out {out}"
         (_SIM + " --landmarks 12 --samples 5 --order 0", 1),
         (_MC + " --order -2", 1),
         ("fit --input {csv} --out {out} --order 0", 1),
+        ("select --input {csv} --seed 3", 1),
     ],
     ids=[
         "select-variance-out", "trials-0", "trials-text", "unknown-method", "empty-method",
@@ -391,6 +406,7 @@ _SIM = "simulate --order 3 --beta-db 20 --seed 1 --out {out}"
         "seed-model-order", "select-tol-negative", "align-tol-nan", "rot-range-nan",
         "log-scale-range-inf", "translation-range-negative", "threads-negative",
         "shuffled-without-seed", "simulate-order-0", "montecarlo-order-negative", "fit-order-0",
+        "seed-without-shuffled",
     ],
 )
 def test_bad_flags_exit_with_one_line(

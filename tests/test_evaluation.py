@@ -33,6 +33,7 @@ from pdmorder import (
     select_order_proposed,
     select_order_variance,
 )
+from pdmorder import evaluation
 from pdmorder.errors import DimensionMismatch, TooFewSamples
 from pdmorder.evaluation import CellStats, TrialSummary
 from pdmorder.pdm import TruncatedPdm
@@ -305,6 +306,30 @@ class TestOrderSweep:
             want_v = select_order_variance(fit_pdm(subset))
             assert summary.cells[("proposed", count)].hist == {want_p: 1}
             assert summary.cells[("variance", count)].hist == {want_v: 1}
+
+    def test_prefix_mode_selects_once_per_count(self, base_set: ShapeSet, monkeypatch) -> None:
+        # Every prefix trial draws the same subset: one selection per count
+        # is counted `trials` times, and a count that fails fails every trial.
+        calls = []
+
+        def counting(shape_set, **kwargs):
+            calls.append(shape_set.n_shapes)
+            return select_order_proposed(shape_set, **kwargs)
+
+        monkeypatch.setattr(evaluation, "select_order_proposed", counting)
+        summary = order_sweep(
+            base_set, sample_counts=(3, 12, 18), trials=4, rng_seed=7, mode="prefix",
+            methods=("proposed",),
+        )
+        assert sorted(calls) == [3, 12, 18]
+        assert summary.trials == 4
+        assert summary.failures == 4
+        assert summary.cells[("proposed", 3)].hist == {}
+        for count in (12, 18):
+            want = select_order_proposed(base_set.subset(list(range(count)))).t_star
+            cell = summary.cells[("proposed", count)]
+            assert cell.hist == {want: 4}
+            assert (cell.mean_t, cell.var_t) == (want, 0.0)
 
     def test_full_count_draws_the_whole_set(self, base_set: ShapeSet) -> None:
         # Sampling M of M without replacement can only return the full set.

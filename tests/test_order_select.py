@@ -95,6 +95,20 @@ def _scaling_path_alternation(
     return trace[-1]
 
 
+def _singular_projection_at(failing_order: int):
+    """The stacked projection, except that every model of the given order fails."""
+    project_stacked = order_select._project_stacked
+
+    def project(basis, lambdas, Y, sigma, pad, clamp_mode):
+        coeffs, failed = project_stacked(basis, lambdas, Y, sigma, pad, clamp_mode)
+        orders = basis.shape[2] - pad.sum(axis=1)
+        for row in np.flatnonzero(orders == failing_order).tolist():
+            failed[row] = SingularSystem("weighted normal matrix is numerically singular")
+        return coeffs, failed
+
+    return project
+
+
 class TestSplitData:
     def test_even_split(self):
         rng = np.random.default_rng(0)
@@ -238,6 +252,43 @@ class TestAlternatingMl:
             alternating_ml(np.zeros((8, 1)), pdm)
 
 
+class TestFitOrdersKernelExit:
+    # Columns of a 16 x 16 Hadamard matrix scaled to unit length: every Gram
+    # entry is exact, so a repeated column makes the weighted normal matrix
+    # exactly singular on the first sweep.
+    H2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+    HADAMARD = np.kron(np.kron(H2, H2), np.kron(H2, H2)) / 4.0
+    LAMBDAS = np.array([3.0, 2.0, 1.5, 1.0, 0.7, 0.5])
+
+    def _block(self, fifth_mode: int) -> TruncatedPdm:
+        basis = self.HADAMARD[:, [1, 2, 3, 4, fifth_mode, 6]]
+        return TruncatedPdm(mean=np.zeros(16), basis=basis, lambdas=self.LAMBDAS, order=6)
+
+    @pytest.mark.parametrize("clamp_mode", ["clip", "scale"])
+    def test_only_orders_holding_both_copies_fail(self, clamp_mode):
+        Y = np.random.default_rng(19).normal(0.0, 0.5, (16, 10))
+        args = (1e-8, 100, 1e-12, clamp_mode)
+        orders = range(1, 7)
+        clean = order_select._fit_orders(Y, self._block(5), orders, *args)
+        # The fifth mode repeats the third, so orders 5 and 6 hold both copies.
+        broken = order_select._fit_orders(Y, self._block(3), orders, *args)
+        assert all(isinstance(fit, RegressionFit) for fit in clean)
+        for fit in broken[4:]:
+            assert isinstance(fit, SingularSystem)
+            assert str(fit) == "weighted normal matrix is numerically singular"
+        for alone, fit in zip(clean[:4], broken[:4]):
+            assert isinstance(fit, RegressionFit)
+            assert fit.iterations == alone.iterations > 1
+            assert fit.converged == alone.converged
+            assert fit.objective_trace == alone.objective_trace
+            for name in ("coeffs", "sigma_diag", "residuals"):
+                np.testing.assert_array_equal(getattr(fit, name), getattr(alone, name))
+
+    def test_standalone_fit_raises(self):
+        with pytest.raises(SingularSystem):
+            alternating_ml(np.ones((16, 4)), self._block(3))
+
+
 class TestAicScore:
     def _fit(self, sigma, residuals) -> RegressionFit:
         sigma = np.asarray(sigma, dtype=float)
@@ -337,14 +388,9 @@ class TestSelectOrderProposed:
 
     @pytest.mark.parametrize("failing_order", [1, 2])
     def test_numerical_failure_becomes_a_note(self, monkeypatch, failing_order):
-        fit_orders = order_select._fit_orders
-
-        def singular_at(Y, pdm, orders, *args, **kwargs):
-            if failing_order in orders:
-                raise SingularSystem("weighted normal matrix is numerically singular")
-            return fit_orders(Y, pdm, orders, *args, **kwargs)
-
-        monkeypatch.setattr(order_select, "_fit_orders", singular_at)
+        monkeypatch.setattr(
+            order_select, "_project_stacked", _singular_projection_at(failing_order)
+        )
         result = select_order_proposed(self._noiseless_rank3())
         assert set(result.scores) == {1, 2, 3} - {failing_order}
         assert failing_order not in result.per_order_fits
@@ -354,21 +400,14 @@ class TestSelectOrderProposed:
         )
 
     def test_singular_order_inside_a_block_is_the_only_one_noted(self, monkeypatch):
-        # The projection breaks down at order 5 alone: the block of orders
-        # 1..8 fails as a whole, is refitted order by order, and only order 5
-        # loses its score.
+        # The projection breaks down at order 5 alone: order 5 leaves the
+        # block of orders 1..8 without a score, and the other orders of the
+        # block sweep on to exactly the fits of the clean run.
         seed = make_seed_pdm_procedural(20, 6, "geometric:0.7", rng_seed=41)
         ss = sample_shapes(seed, SimConfig(n_samples=30, beta_db=5.0, rng_seed=42))
         clean = select_order_proposed(ss)
         assert max(clean.scores) > order_select.ORDER_BLOCK
-        project_stacked = order_select._project_stacked
-
-        def singular_at_5(basis, lambdas, Y, sigma, pad, clamp_mode):
-            if 5 in basis.shape[2] - pad.sum(axis=1):
-                raise SingularSystem("weighted normal matrix is numerically singular")
-            return project_stacked(basis, lambdas, Y, sigma, pad, clamp_mode)
-
-        monkeypatch.setattr(order_select, "_project_stacked", singular_at_5)
+        monkeypatch.setattr(order_select, "_project_stacked", _singular_projection_at(5))
         result = select_order_proposed(ss)
         failed = {
             t for t, notes in result.diagnostics.items() if any("fit failed" in n for n in notes)
@@ -376,8 +415,9 @@ class TestSelectOrderProposed:
         assert failed == {5}
         assert set(result.scores) == set(clean.scores) - {5}
         for order, score in result.scores.items():
-            assert score == pytest.approx(clean.scores[order], rel=1e-9)
+            assert score == clean.scores[order]
             assert result.per_order_fits[order].iterations == clean.per_order_fits[order].iterations
+            assert result.per_order_fits[order].converged == clean.per_order_fits[order].converged
 
     @pytest.mark.parametrize("clamp_mode", ["clip", "scale"])
     @pytest.mark.parametrize("n_samples, t_max", [(30, None), (60, 11), (14, None)])
