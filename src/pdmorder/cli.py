@@ -1,9 +1,11 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
-Every output artifact gets a sibling manifest <artifact>.manifest.json
-recording the command, its canonicalized flags, a hash of them, and the
-tool version, so a run can be reproduced or audited later.  All numbers in
+Exit codes: 0 success, 1 usage error, 2 data error (an unreadable input or
+an output that cannot be written), 3 numerical failure.  Each command returns
+its artifact's path, and main then writes the sibling manifest
+<artifact>.manifest.json after the command's last file, recording the
+command, its canonicalized flags, a hash of them, and the tool version, so a
+run can be reproduced or audited later.  All numbers in
 data files carry 17 significant digits, which round-trips doubles exactly;
 rerunning a command with identical flags and inputs produces byte-identical
 data files.
@@ -70,38 +72,39 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _canonical_config(args: argparse.Namespace) -> dict:
-    config = {}
-    for key, value in sorted(vars(args).items()):
-        if key in ("func", "command"):
-            continue
-        config[key] = value
-    return config
-
-
 def config_hash(command: str, config: dict) -> str:
     canonical = json.dumps({"command": command, "config": config}, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def write_manifest(artifact: Path, command: str, args: argparse.Namespace, started: str) -> None:
-    config = _canonical_config(args)
+def _write_lines(path: Path | None, lines: list[str]) -> None:
+    """Write lines, each ending in a newline, to path, or to stdout if None."""
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        path.write_text(text)
+
+
+def _write_json(path: Path, record: dict) -> None:
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+
+
+def write_manifest(artifact: Path, args: argparse.Namespace, started: str) -> None:
+    config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command")}
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
-        "config_hash": config_hash(command, config),
+        "config_hash": config_hash(args.command, config),
         "rng_seed": config.get("seed"),
         "tool_version": __version__,
         "timestamps": {"started": started, "finished": _utc_now()},
     }
-    Path(str(artifact) + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    _write_json(Path(str(artifact) + ".manifest.json"), manifest)
 
 
 def write_shapes_csv(path: Path, shape_set: ShapeSet) -> None:
-    lines = [",".join(_fmt(v) for v in row) for row in shape_set.as_matrix().T]
-    path.write_text("\n".join(lines) + "\n")
+    _write_lines(path, [",".join(_fmt(v) for v in row) for row in shape_set.as_matrix().T])
 
 
 def write_scores_csv(path: Path, result) -> None:
@@ -111,47 +114,46 @@ def write_scores_csv(path: Path, result) -> None:
         lines.append(
             f"{order},{_fmt(result.scores[order])},{fit.iterations},{str(fit.converged).lower()}"
         )
-    path.write_text("\n".join(lines) + "\n")
-
-
-def write_summary_csv(path: Path, summary: TrialSummary) -> None:
-    lines = ["method,M,mean_t,var_t"]
-    for (method, count), cell in sorted(summary.cells.items()):
-        lines.append(f"{method},{count},{_fmt(cell.mean_t)},{_fmt(cell.var_t)}")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def write_hist_csv(path: Path, summary: TrialSummary) -> None:
-    lines = ["method,M,t,count"]
-    for (method, count), cell in sorted(summary.cells.items()):
-        for t, tally in sorted(cell.hist.items()):
-            lines.append(f"{method},{count},{t},{tally}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_lmmse_csv(path: Path, result) -> None:
     lines = ["t,e_lmmse"]
     for t in sorted(result.errors):
         lines.append(f"{t},{_fmt(result.errors[t])}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
-def _load_input(args: argparse.Namespace) -> ShapeSet:
+def _load_input(args: argparse.Namespace, **procrustes) -> ShapeSet:
+    """The --input set, aligned.
+
+    Under --no-align the input is used as it stands, and refused if its
+    mean centroid is off the origin.  align passes its own Procrustes
+    options; every other command aligns with the defaults and says so.
+    """
     fmt = "directory_of_files" if args.format == "directory" else "csv_rows"
-    return load_shape_set(args.input, fmt=fmt)
-
-
-def _ensure_aligned(shape_set: ShapeSet, args: argparse.Namespace, command: str) -> ShapeSet:
-    if shape_set.aligned:
-        return shape_set
+    shape_set = load_shape_set(args.input, fmt=fmt)
     if getattr(args, "no_align", False):
-        raise NotAligned(f"{command}: input is not aligned and --no-align was given")
-    print(f"{command}: input not aligned; running Procrustes alignment first", file=sys.stderr)
-    return generalized_procrustes(shape_set)
+        try:
+            return ShapeSet.from_matrix(shape_set.as_matrix(), aligned=True)
+        except NotAligned as exc:
+            raise NotAligned(
+                f"{args.command}: input is not aligned and --no-align was given ({exc})"
+            ) from exc
+    if not procrustes:
+        print(
+            f"{args.command}: input not aligned; running Procrustes alignment first",
+            file=sys.stderr,
+        )
+    return generalized_procrustes(shape_set, **procrustes)
 
 
-def _add_input_flags(parser: argparse.ArgumentParser) -> None:
+def _add_input_flags(parser: argparse.ArgumentParser, no_align: bool = True) -> None:
     parser.add_argument("--input", required=True, help="shape data path")
+    if no_align:
+        parser.add_argument(
+            "--no-align", action="store_true", dest="no_align", help="input is already aligned"
+        )
     parser.add_argument(
         "--format",
         choices=("csv-rows", "directory"),
@@ -188,6 +190,7 @@ def _checked(parse, valid, expected: str):
 
 _counts = _checked(str, lambda v: len(_parse_counts(v)) > 0, "comma-separated integers")
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _sample_count = _checked(int, lambda v: v >= 2, "an integer of at least 2")
 _landmark_count = _checked(int, lambda v: v >= 4, "an integer of at least 4")
 _decibels = _checked(float, lambda v: not math.isnan(v), "a number (dB) other than NaN")
@@ -215,7 +218,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 def _add_trial_flags(parser: argparse.ArgumentParser, samples_help: str) -> None:
     parser.add_argument("--samples", type=_counts, required=True, help=samples_help)
     parser.add_argument("--trials", type=_positive_int, required=True)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=_seed, required=True)
     parser.add_argument("--methods", type=_methods, default="proposed,variance")
     parser.add_argument("--fraction", type=_fraction, default=0.95)
     parser.add_argument("--t-max", type=_positive_int, default=None, dest="t_max")
@@ -224,7 +227,7 @@ def _add_trial_flags(parser: argparse.ArgumentParser, samples_help: str) -> None
 
 
 def _seed_pdm_for(args: argparse.Namespace) -> SeedPdm:
-    if args.seed_model:
+    if args.seed_model is not None:
         if args.spectrum is not None:
             raise UsageError("--spectrum has no effect with --seed-model")
         loaded = load_pdm(args.seed_model)
@@ -247,36 +250,26 @@ def _seed_pdm_for(args: argparse.Namespace) -> SeedPdm:
     return make_seed_pdm_procedural(args.landmarks, args.order, args.spectrum, args.seed)
 
 
-def cmd_align(args: argparse.Namespace) -> int:
-    started = _utc_now()
-    aligned = generalized_procrustes(
-        _load_input(args),
-        tol=args.tol,
-        max_iter=args.max_iter,
-        allow_scaling=not args.rigid,
+def cmd_align(args: argparse.Namespace) -> Path:
+    aligned = _load_input(
+        args, tol=args.tol, max_iter=args.max_iter, allow_scaling=not args.rigid
     )
     out = Path(args.out)
     write_shapes_csv(out, aligned)
-    write_manifest(out, "align", args, started)
     if args.report:
         report = aligned.alignment_report
         print(f"iterations={report.iterations}")
         print(f"final_change={_fmt(report.final_change)}")
-    return 0
+    return out
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
-    started = _utc_now()
-    shape_set = _ensure_aligned(_load_input(args), args, "fit")
-    model = fit_pdm(shape_set)
+def cmd_fit(args: argparse.Namespace) -> Path:
     out = Path(args.out)
-    save_pdm(model, out, order=args.order)
-    write_manifest(out, "fit", args, started)
-    return 0
+    save_pdm(fit_pdm(_load_input(args)), out, order=args.order)
+    return out
 
 
-def cmd_select(args: argparse.Namespace) -> int:
-    started = _utc_now()
+def cmd_select(args: argparse.Namespace) -> Path | None:
     for method, defaults in SELECT_FLAGS.items():
         for dest, default in defaults.items():
             if method != args.method and getattr(args, dest) is not None:
@@ -288,7 +281,8 @@ def cmd_select(args: argparse.Namespace) -> int:
         raise UsageError("select: --split shuffled needs --seed")
     if args.split != "shuffled" and args.seed is not None:
         raise UsageError("select: --seed applies only to --split shuffled")
-    shape_set = _ensure_aligned(_load_input(args), args, "select")
+    shape_set = _load_input(args)
+    out = None if args.out is None else Path(args.out)
     if args.method == "proposed":
         result = select_order_proposed(
             shape_set,
@@ -303,18 +297,15 @@ def cmd_select(args: argparse.Namespace) -> int:
         t_star = result.t_star
         for order, notes in sorted(result.diagnostics.items()):
             print(f"note: t={order}: {'; '.join(notes)}", file=sys.stderr)
-        if args.out:
-            out = Path(args.out)
+        if out is not None:
             write_scores_csv(out, result)
-            write_manifest(out, "select", args, started)
     else:
         t_star = select_order_variance(fit_pdm(shape_set), fraction=args.fraction)
     print(f"t_star={t_star}")
-    return 0
+    return out
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    started = _utc_now()
+def cmd_simulate(args: argparse.Namespace) -> Path:
     seed_pdm = _seed_pdm_for(args)
     config = SimConfig(
         n_samples=args.samples,
@@ -331,8 +322,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     shape_set, truth = sample_shapes_with_truth(seed_pdm, config)
     out = Path(args.out)
     write_shapes_csv(out, shape_set)
-    write_manifest(out, "simulate", args, started)
-    if args.out_truth:
+    if args.out_truth is not None:
         record = {
             "order": truth.order,
             "sigma2": truth.sigma2,
@@ -341,12 +331,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "rng_seed": truth.rng_seed,
             "source": seed_pdm.source,
         }
-        Path(args.out_truth).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return 0
+        _write_json(Path(args.out_truth), record)
+    return out
 
 
-def cmd_montecarlo(args: argparse.Namespace) -> int:
-    started = _utc_now()
+def cmd_montecarlo(args: argparse.Namespace) -> Path:
     cfg = McConfig(
         seed_pdm=_seed_pdm_for(args),
         beta_db=args.beta_db,
@@ -358,14 +347,12 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         selector_t_max=args.t_max,
         b_dist=args.b_dist,
     )
-    return _write_trials(monte_carlo_order(cfg, threads=args.threads), args, started)
+    return _write_trials(monte_carlo_order(cfg, threads=args.threads), args)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    started = _utc_now()
-    shape_set = _ensure_aligned(_load_input(args), args, "sweep")
+def cmd_sweep(args: argparse.Namespace) -> Path:
     summary = order_sweep(
-        shape_set,
+        _load_input(args),
         sample_counts=_parse_counts(args.samples),
         trials=args.trials,
         rng_seed=args.seed,
@@ -375,55 +362,41 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         variance_fraction=args.fraction,
         threads=args.threads,
     )
-    return _write_trials(summary, args, started)
+    return _write_trials(summary, args)
 
 
-def _write_trials(summary: TrialSummary, args: argparse.Namespace, started: str) -> int:
+def _write_trials(summary: TrialSummary, args: argparse.Namespace) -> Path:
     out = Path(args.out)
-    write_summary_csv(out, summary)
-    write_hist_csv(out.with_name(out.stem + "_hist" + out.suffix), summary)
-    write_manifest(out, args.command, args, started)
+    rows, hist = ["method,M,mean_t,var_t"], ["method,M,t,count"]
+    for (method, count), cell in sorted(summary.cells.items()):
+        rows.append(f"{method},{count},{_fmt(cell.mean_t)},{_fmt(cell.var_t)}")
+        hist += [f"{method},{count},{t},{tally}" for t, tally in sorted(cell.hist.items())]
+    _write_lines(out, rows)
+    _write_lines(out.with_name(out.stem + "_hist" + out.suffix), hist)
     if summary.failures:
         print(f"failures={summary.failures}", file=sys.stderr)
-    return 0
+    return out
 
 
-def cmd_lmmse(args: argparse.Namespace) -> int:
-    started = _utc_now()
-    shape_set = _ensure_aligned(_load_input(args), args, "lmmse")
+def cmd_lmmse(args: argparse.Namespace) -> Path:
     result = lmmse_curve(
-        shape_set,
+        _load_input(args),
         t_max=args.t_max,
         estimator=args.estimator,
         selector_t_max=args.selector_t_max,
     )
     out = Path(args.out)
     write_lmmse_csv(out, result)
-    sidecar = out.with_suffix(".selected.json")
-    sidecar.write_text(
-        json.dumps(
-            {"argmin_t": result.argmin_t, "selected_orders": result.selected_orders},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
-    write_manifest(out, "lmmse", args, started)
-    return 0
+    selected = {"argmin_t": result.argmin_t, "selected_orders": result.selected_orders}
+    _write_json(out.with_suffix(".selected.json"), selected)
+    return out
 
 
-def cmd_mean_shape(args: argparse.Namespace) -> int:
-    started = _utc_now()
-    shape_set = _ensure_aligned(_load_input(args), args, "mean-shape")
-    landmarks = mean_shape(shape_set).coords.reshape(-1, 2)
-    text = "\n".join(["x,y"] + [f"{_fmt(x)},{_fmt(y)}" for x, y in landmarks]) + "\n"
-    if args.out:
-        out = Path(args.out)
-        out.write_text(text)
-        write_manifest(out, "mean-shape", args, started)
-    else:
-        sys.stdout.write(text)
-    return 0
+def cmd_mean_shape(args: argparse.Namespace) -> Path | None:
+    landmarks = mean_shape(_load_input(args)).coords.reshape(-1, 2)
+    out = None if args.out is None else Path(args.out)
+    _write_lines(out, ["x,y"] + [f"{_fmt(x)},{_fmt(y)}" for x, y in landmarks])
+    return out
 
 
 def build_parser() -> _Parser:
@@ -431,7 +404,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("align", parents=[], help="Procrustes-align a shape set")
-    _add_input_flags(p)
+    _add_input_flags(p, no_align=False)
     p.add_argument("--out", required=True)
     p.add_argument("--tol", type=_non_negative, default=1e-9)
     p.add_argument("--max-iter", type=_positive_int, default=200, dest="max_iter")
@@ -445,7 +418,6 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--order", type=_positive_int, default=None, help="store only the leading modes"
     )
-    p.add_argument("--no-align", action="store_true", dest="no_align")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("select", help="select the model order")
@@ -453,20 +425,19 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=METHODS, default="proposed")
     p.add_argument("--fraction", type=_fraction, default=None)
     p.add_argument("--split", choices=("first-half", "shuffled"), default=None)
-    p.add_argument("--seed", type=int, default=None, help="shuffled-split seed")
+    p.add_argument("--seed", type=_seed, default=None, help="shuffled-split seed")
     p.add_argument("--t-max", type=_positive_int, default=None, dest="t_max")
     p.add_argument("--tol", type=_non_negative, default=None)
     p.add_argument("--max-iter", type=_positive_int, default=None, dest="max_iter")
     p.add_argument("--mean", choices=("x1", "x2"), default=None)
     p.add_argument("--clamp", choices=("clip", "scale"), default=None)
-    p.add_argument("--no-align", action="store_true", dest="no_align")
     p.add_argument("--out", default=None, help="write per-order scores CSV")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("simulate", help="generate one synthetic shape set")
     _add_model_flags(p)
     p.add_argument("--samples", type=_sample_count, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--rot-range", type=_non_negative, default=float(np.pi), dest="rot_range")
     p.add_argument("--log-scale-range", type=_non_negative, default=0.2, dest="log_scale_range")
     p.add_argument(
@@ -486,7 +457,6 @@ def build_parser() -> _Parser:
     _add_input_flags(p)
     _add_trial_flags(p, "comma-separated subset sizes")
     p.add_argument("--mode", choices=("random", "prefix"), default="random")
-    p.add_argument("--no-align", action="store_true", dest="no_align")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("lmmse", help="leave-one-out hidden-landmark error curve")
@@ -496,13 +466,11 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--selector-t-max", type=_positive_int, default=None, dest="selector_t_max"
     )
-    p.add_argument("--no-align", action="store_true", dest="no_align")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_lmmse)
 
     p = sub.add_parser("mean-shape", help="average shape of an aligned set")
     _add_input_flags(p)
-    p.add_argument("--no-align", action="store_true", dest="no_align")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_mean_shape)
 
@@ -513,11 +481,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        started = _utc_now()
+        artifact = args.func(args)
+        if artifact is not None:
+            write_manifest(artifact, args, started)
+        return 0
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

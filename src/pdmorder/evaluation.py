@@ -83,13 +83,18 @@ class McConfig:
     b_dist: str = "uniform"
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("at least one trial is required")
-        if not self.sample_counts:
-            raise ValueError("at least one sample count is required")
-        for method in self.methods:
-            if method not in ("proposed", "variance"):
-                raise ValueError(f"unknown selection method {method!r}")
+        _check_trials(self.sample_counts, self.trials, self.methods)
+
+
+def _check_trials(sample_counts: tuple[int, ...], trials: int, methods: tuple[str, ...]) -> None:
+    """Refuse a trial table with no trials, no sample counts or an unknown method."""
+    if trials < 1:
+        raise ValueError("at least one trial is required")
+    if not sample_counts:
+        raise ValueError("at least one sample count is required")
+    for method in methods:
+        if method not in ("proposed", "variance"):
+            raise ValueError(f"unknown selection method {method!r}")
 
 
 def _trial_seed(master: int, count: int, trial: int) -> int:
@@ -195,6 +200,7 @@ def order_sweep(
         t_max, variance_fraction: selector options.
         threads: worker threads across trials.
     """
+    _check_trials(sample_counts, trials, methods)
     m = shape_set.n_shapes
     if max(sample_counts) > m:
         raise TooFewSamples(f"subset size {max(sample_counts)} exceeds the {m} available shapes")

@@ -7,10 +7,13 @@ output can be asserted without spawning subprocesses.
 from __future__ import annotations
 
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pdmorder import (
     fit_pdm,
@@ -66,12 +69,35 @@ class TestDispatch:
         assert "data error" in capsys.readouterr().err
 
     def test_no_align_on_raw_input_exits_2(
-        self, small_csv: Path, capsys: pytest.CaptureFixture
+        self, tmp_path: Path, capsys: pytest.CaptureFixture
     ) -> None:
-        # CSV input carries no aligned flag, so --no-align must refuse it.
-        rc = main(["select", "--input", str(small_csv), "--no-align"])
+        # A set left in its random poses is off the origin, so --no-align
+        # must refuse it rather than use it as aligned.
+        raw = tmp_path / "raw.csv"
+        rc = main([
+            "simulate", "--landmarks", "12", "--order", "3", "--beta-db", "15",
+            "--samples", "16", "--seed", "9", "--no-realign", "--out", str(raw),
+        ])
+        assert rc == 0
+        rc = main(["select", "--input", str(raw), "--no-align"])
         assert rc == 2
         assert "not aligned" in capsys.readouterr().err
+
+    def test_no_align_uses_aligned_input_as_is(
+        self, small_csv: Path, tmp_path: Path, capsys: pytest.CaptureFixture
+    ) -> None:
+        # A rigid alignment keeps each shape's size; --no-align must not
+        # re-align it with scaling.
+        rigid = tmp_path / "rigid.csv"
+        assert main(["align", "--input", str(small_csv), "--out", str(rigid), "--rigid"]) == 0
+        capsys.readouterr()
+        rc = main(["mean-shape", "--input", str(rigid), "--no-align"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(got.ravel(), mean_shape(load_shape_set(rigid)).coords)
 
     def test_numerical_failure_exits_3(
         self, small_csv: Path, capsys: pytest.CaptureFixture, monkeypatch: pytest.MonkeyPatch
@@ -393,6 +419,10 @@ _SIM = "simulate --order 3 --beta-db 20 --seed 1 --out {out}"
         (_MC + " --order -2", 1),
         ("fit --input {csv} --out {out} --order 0", 1),
         ("select --input {csv} --seed 3", 1),
+        (_SIM + " --landmarks 12 --samples 5 --seed -1", 1),
+        (_MC + " --seed -5", 1),
+        ("sweep --input {csv} --samples 10 --trials 1 --seed -5 --out {out}", 1),
+        ("select --input {csv} --split shuffled --seed -3", 1),
     ],
     ids=[
         "select-variance-out", "trials-0", "trials-text", "unknown-method", "empty-method",
@@ -406,7 +436,8 @@ _SIM = "simulate --order 3 --beta-db 20 --seed 1 --out {out}"
         "seed-model-order", "select-tol-negative", "align-tol-nan", "rot-range-nan",
         "log-scale-range-inf", "translation-range-negative", "threads-negative",
         "shuffled-without-seed", "simulate-order-0", "montecarlo-order-negative", "fit-order-0",
-        "seed-without-shuffled",
+        "seed-without-shuffled", "simulate-seed-negative", "montecarlo-seed-negative",
+        "sweep-seed-negative", "select-seed-negative",
     ],
 )
 def test_bad_flags_exit_with_one_line(
@@ -423,3 +454,52 @@ def test_bad_flags_exit_with_one_line(
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# A small valid run of every subcommand, with every value-taking flag it
+# has.  Runs stay tiny: at most 12 landmarks, 20 samples, 3 trials and 2
+# threads, and the edge values below never make them larger.
+_VALID_ARGV = {
+    "align": "align --input {csv} --out o.csv --tol 1e-9 --max-iter 50",
+    "fit": "fit --input {csv} --out o.pdm --order 2",
+    "select": (
+        "select --input {csv} --split shuffled --seed 3 --t-max 4 --tol 1e-8 --max-iter 20 "
+        "--mean x2 --clamp scale --out o.csv"
+    ),
+    "simulate": (
+        "simulate --landmarks 12 --order 3 --spectrum geometric:0.7 --beta-db 15 --samples 20 "
+        "--seed 1 --rot-range 1 --log-scale-range 0.2 --translation-range 0.5 --out o.csv "
+        "--out-truth t.json"
+    ),
+    "montecarlo": (
+        "montecarlo --seed-model {model} --landmarks 12 --order 3 --beta-db 20 --samples 10,12 "
+        "--trials 2 --seed 1 --methods proposed,variance --fraction 0.9 --t-max 4 --threads 2 "
+        "--out o.csv"
+    ),
+    "sweep": (
+        "sweep --input {csv} --samples 10 --trials 3 --seed 1 --fraction 0.9 --t-max 4 "
+        "--threads 2 --mode random --out o.csv"
+    ),
+    "lmmse": "lmmse --input {csv} --t-max 4 --estimator pinv --selector-t-max 4 --out o.csv",
+    "mean-shape": "mean-shape --input {csv} --format csv-rows --out o.csv",
+}
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_edge_flag_values_exit_with_a_code(
+    small_csv: Path, seed_models: dict[str, Path], tmp_path: Path,
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture, data: st.DataObject,
+) -> None:
+    # One flag of a valid run takes an edge value: the run still ends with
+    # one of the four exit codes, never with an exception or a traceback.
+    command = data.draw(st.sampled_from(sorted(_VALID_ARGV)))
+    argv = _VALID_ARGV[command].format(csv=small_csv, model=seed_models["full"]).split()
+    slots = [i for i in range(1, len(argv)) if argv[i - 1].startswith("--")]
+    value = data.draw(st.sampled_from(["0", "-1", "nan", "inf", ""]))
+    argv[data.draw(st.sampled_from(slots))] = value
+    monkeypatch.chdir(tempfile.mkdtemp(dir=tmp_path))
+    assert main(argv) in (0, 1, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err

@@ -331,6 +331,22 @@ class TestOrderSweep:
             assert cell.hist == {want: 4}
             assert (cell.mean_t, cell.var_t) == (want, 0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(trials=0), "at least one trial"),
+            (dict(sample_counts=()), "at least one sample count"),
+            (dict(methods=("bogus",)), "unknown selection method"),
+        ],
+        ids=["zero-trials", "empty-sample-counts", "unknown-method"],
+    )
+    def test_refuses_what_monte_carlo_refuses(
+        self, base_set: ShapeSet, kwargs: dict, message: str
+    ) -> None:
+        call = dict(sample_counts=(12,), trials=1, rng_seed=5) | kwargs
+        with pytest.raises(ValueError, match=message):
+            order_sweep(base_set, **call)
+
     def test_full_count_draws_the_whole_set(self, base_set: ShapeSet) -> None:
         # Sampling M of M without replacement can only return the full set.
         m = base_set.n_shapes
