@@ -142,7 +142,8 @@ def _load_input(args: argparse.Namespace, **procrustes) -> ShapeSet:
             ) from exc
     if not procrustes:
         print(
-            f"{args.command}: input not aligned; running Procrustes alignment first",
+            f"{args.command}: aligning the input with Procrustes"
+            " (pass --no-align if it is already aligned)",
             file=sys.stderr,
         )
     return generalized_procrustes(shape_set, **procrustes)
@@ -380,10 +381,7 @@ def _write_trials(summary: TrialSummary, args: argparse.Namespace) -> Path:
 
 def cmd_lmmse(args: argparse.Namespace) -> Path:
     result = lmmse_curve(
-        _load_input(args),
-        t_max=args.t_max,
-        estimator=args.estimator,
-        selector_t_max=args.selector_t_max,
+        _load_input(args), t_max=args.t_max, selector_t_max=args.selector_t_max
     )
     out = Path(args.out)
     write_lmmse_csv(out, result)
@@ -462,7 +460,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("lmmse", help="leave-one-out hidden-landmark error curve")
     _add_input_flags(p)
     p.add_argument("--t-max", type=_positive_int, default=None, dest="t_max")
-    p.add_argument("--estimator", choices=("ridge", "pinv"), default="ridge")
     p.add_argument(
         "--selector-t-max", type=_positive_int, default=None, dest="selector_t_max"
     )

@@ -15,9 +15,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, PdmOrderError, TooFewSamples, ZeroVariance
+from .errors import DimensionMismatch, OrderOutOfRange, PdmOrderError, TooFewSamples, ZeroVariance
 from .order_select import select_order_proposed, select_order_variance
-from .pdm import TruncatedPdm, fit_pdm, truncate
+from .pdm import TruncatedPdm, fit_pdm
 from .shapes import ShapeSet, generalized_procrustes
 from .simgen import SeedPdm, SimConfig, TransformRanges, sample_shapes
 
@@ -224,46 +224,42 @@ def order_sweep(
 
 
 def _predict_landmarks(
-    basis: np.ndarray, lambdas: np.ndarray, y: np.ndarray, estimator: str
+    eigvecs: np.ndarray, eigvals: np.ndarray, y: np.ndarray, t_cap: int
 ) -> np.ndarray:
-    """Predict every landmark of y from the other landmarks; returns (K, 2).
+    """Predict every landmark of y from the others at every order 1..t_cap.
 
-    With A = basis diag(sqrt(lambdas)), R = A A^T.  The visible rows A_a
-    are gathered rather than downdated out of A^T A, which cancels when a
-    mode lives on one landmark.  By the push-through identity the ridge
-    estimate R_ia (R_aa + rho I)^-1 y_a is A_i (A_a^T A_a + rho I)^-1 A_a^T y_a,
-    a t x t system; only a model with more than N - 2 modes solves the
-    (N - 2) x (N - 2) side instead.  "pinv" gives A_i pinv(A_a) y_a, which
-    is R_ia pinv(R_aa) y_a.
+    eigvecs is a full (N, N) orthonormal basis P with eigenvalues eigvals
+    (a zero one acts as a mode outside the model), and y a mean-removed (N,)
+    sample.  With p_j the hidden landmark's two rows of column j,
+    c_j = p_aj^T y_a its visible projection,
+    rho_t = RIDGE_REL * sum_{j<=t} lambda_j |p_aj|^2 / (N - 2)
+    (1 where that sum is 0, so visible rows without variance predict zero)
+    and u_j = rho_t / (lambda_j + rho_t) for j <= t and 1 beyond, the
+    estimate is x_t = -(sum_j u_j p_j p_j^T)^-1 sum_j u_j c_j p_j.  That is
+    the conditional mean R_ia (R_aa + rho_t I)^-1 y_a under R_t + rho_t I in
+    precision form, one 2 x 2 solve per landmark and order.  The matrix is a
+    sum of PSD terms, so it does not cancel when a mode sits on one landmark;
+    it stays well conditioned while two columns of weight 1 remain, that is
+    for t <= N - 2.  Returns (K, t_cap, 2).
     """
-    n, t = basis.shape
+    n = eigvecs.shape[0]
     k = n // 2
-    a = basis * np.sqrt(lambdas)
-    avail = np.nonzero(~np.repeat(np.eye(k, dtype=bool), 2, axis=1))[1].reshape(k, n - 2)
-    a_a = a[avail]
-    a_at = a_a.transpose(0, 2, 1)
-    y_a = y[avail][:, :, None]
-    if estimator == "pinv":
-        coef = np.linalg.pinv(a_a) @ y_a
-    elif estimator == "ridge":
-        wide = t > n - 2
-        gram = a_a @ a_at if wide else a_at @ a_a
-        traces = np.trace(gram, axis1=1, axis2=2)
-        # Visible rows without variance predict zero, which any positive ridge gives.
-        rho = np.where(traces > 0.0, RIDGE_REL * traces / (n - 2), 1.0)
-        systems = gram + rho[:, None, None] * np.eye(gram.shape[1])
-        solved = np.linalg.solve(systems, y_a if wide else a_at @ y_a)
-        coef = a_at @ solved if wide else solved
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}")
-    return (a.reshape(k, 2, t) @ coef)[:, :, 0]
+    hidden = eigvecs.reshape(k, 2, n)
+    # Exact zeros on each hidden pair: c and mass sum the visible rows, no cancelling.
+    visible = 1.0 - np.repeat(np.eye(k), 2, axis=1)
+    c = (visible * y) @ eigvecs
+    mass = np.cumsum(eigvals[:t_cap] * (visible @ eigvecs[:, :t_cap] ** 2), axis=1)
+    rho = np.where(mass > 0.0, RIDGE_REL * mass / (n - 2), 1.0)[:, :, None]
+    within = np.arange(n) < np.arange(1, t_cap + 1)[:, None]
+    u = np.where(within, rho / (eigvals + rho), 1.0)
+    outer = (hidden[:, :, None, :] * hidden[:, None, :, :]).reshape(k, 4, n)
+    systems = (u @ outer.transpose(0, 2, 1)).reshape(k, t_cap, 2, 2)
+    rhs = u @ (c[:, None, :] * hidden).transpose(0, 2, 1)
+    return -np.linalg.solve(systems, rhs[..., None])[..., 0]
 
 
 def lmmse_estimate_landmark(
-    pdm: TruncatedPdm,
-    y_available: np.ndarray,
-    landmark: int,
-    estimator: str = "ridge",
+    pdm: TruncatedPdm, y_available: np.ndarray, landmark: int
 ) -> np.ndarray:
     """Linear minimum mean squared error estimate of one hidden landmark.
 
@@ -271,28 +267,34 @@ def lmmse_estimate_landmark(
     R = basis diag(lambdas) basis^T, and the estimate is the conditional
     mean R_ia (R_aa + rho I)^-1 y_available with the small ridge
     rho = RIDGE_REL * trace(R_aa) / (N - 2) that keeps a rank-deficient
-    R_aa solvable.  It is solved as a t x t system, or as an
-    (N - 2) x (N - 2) one when the model keeps more modes than that.
-    "pinv" gives the pseudo-inverse estimate R_ia pinv(R_aa) y_available.
+    R_aa solvable.  The basis is completed to a full orthonormal one by a
+    complete QR and handed to the kernel lmmse_curve uses.
 
     Args:
-        pdm: truncated model of the aligned population.
+        pdm: truncated model of the aligned population, at most N - 2 modes.
         y_available: (N - 2,) mean-removed coordinates of the visible
             landmarks, in coordinate order with the hidden pair removed.
         landmark: index of the hidden landmark.
-        estimator: "ridge" (default) or "pinv".
 
     Returns:
         (2,) mean-removed estimate of the hidden coordinates.
+
+    Raises:
+        OrderOutOfRange: the model keeps more than N - 2 modes.
     """
-    n = pdm.n_coords
+    n, t = pdm.n_coords, pdm.order
     if not 0 <= landmark < n // 2:
         raise DimensionMismatch(f"landmark {landmark} outside 0..{n // 2 - 1}")
     y_available = np.asarray(y_available, dtype=float)
     if y_available.shape != (n - 2,):
         raise DimensionMismatch(f"expected {n - 2} visible coordinates")
+    if t > n - 2:
+        raise OrderOutOfRange(f"order {t} above N - 2 = {n - 2} for a hidden landmark")
     y = np.insert(y_available, 2 * landmark, [0.0, 0.0])
-    return _predict_landmarks(pdm.basis, pdm.lambdas, y, estimator)[landmark]
+    complement = np.linalg.qr(pdm.basis, mode="complete")[0][:, t:]
+    eigvecs = np.hstack([pdm.basis, complement])
+    eigvals = np.concatenate([pdm.lambdas, np.zeros(n - t)])
+    return _predict_landmarks(eigvecs, eigvals, y, t)[landmark, -1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,7 +313,6 @@ class LmmseResult:
 def lmmse_curve(
     shape_set: ShapeSet,
     t_max: int | None = None,
-    estimator: str = "ridge",
     selector_t_max: int | None = None,
 ) -> LmmseResult:
     """Leave-one-out hidden-landmark error as a function of model order.
@@ -321,8 +322,9 @@ def lmmse_curve(
     every landmark of the held-out sample is predicted from the others.
     The error at order t averages the squared prediction distance over all
     samples and landmarks; each prediction is the lmmse_estimate_landmark
-    estimate from the fold's leading t modes, a t x t solve since every
-    order scored here stays below N - 2.  Orders run from 1 to
+    estimate from the fold's leading t modes.  One kernel call per fold
+    predicts every landmark at every order from the fold's full eigenbasis,
+    one 2 x 2 solve per landmark and order.  Orders run from 1 to
     min(N - 4, M - 2), further capped below the positive rank of every fold
     and by t_max.
 
@@ -341,8 +343,6 @@ def lmmse_curve(
     """
     if shape_set.n_shapes < 3:
         raise TooFewSamples("leave-one-out needs at least 3 shapes")
-    if estimator not in ("ridge", "pinv"):
-        raise ValueError(f"unknown estimator {estimator!r}")
     if not shape_set.aligned:
         shape_set = generalized_procrustes(shape_set)
 
@@ -365,15 +365,13 @@ def lmmse_curve(
         # curve: the zero model predicts the fold mean, so keep one order.
         t_cap = 1
 
-    sums = np.zeros(t_cap + 1)
+    sums = np.zeros(t_cap)
     for fold, model in enumerate(folds):
         y = X[:, fold] - model.mean
-        actual = y.reshape(k, 2)
-        for t in range(1, t_cap + 1):
-            predicted = _predict_landmarks(model.eigvecs[:, :t], model.eigvals[:t], y, estimator)
-            sums[t] += float(np.sum((predicted - actual) ** 2))
+        predicted = _predict_landmarks(model.eigvecs, model.eigvals, y, t_cap)
+        sums += np.sum((predicted - y.reshape(k, 1, 2)) ** 2, axis=(0, 2))
 
-    errors = {t: sums[t] / (m * k) for t in range(1, t_cap + 1)}
+    errors = {t: sums[t - 1] / (m * k) for t in range(1, t_cap + 1)}
     argmin_t = min(errors, key=lambda t: (errors[t], t))
 
     # Degenerate sets still have a well defined curve, but no order can be

@@ -321,12 +321,16 @@ def save_pdm(model: PdmModel | TruncatedPdm, path: str | Path, order: int | None
     Args:
         model: full or truncated model.
         path: output file.
-        order: with a full model, store only the leading `order` modes.
+        order: with a full model, store only the leading `order` modes;
+            below N they must be positive ones, the range truncate accepts.
+
+    Raises:
+        OrderOutOfRange: order is neither N nor within 1..positive_rank.
     """
     if isinstance(model, PdmModel):
         t = model.n_coords if order is None else order
-        if not 1 <= t <= model.n_coords:
-            raise OrderOutOfRange(f"cannot store {t} of {model.n_coords} modes")
+        if t != model.n_coords:
+            truncate(model, t)  # load_pdm reads a partial store as a TruncatedPdm
         basis = model.eigvecs[:, :t]
         lambdas = model.eigvals[:t]
         n_train = model.n_train

@@ -324,10 +324,15 @@ class TestArtifacts:
         assert main(argv) == 0
         assert out.read_bytes() == first
 
-    def test_lmmse_outputs(self, small_csv: Path, tmp_path: Path) -> None:
+    def test_lmmse_outputs(
+        self, small_csv: Path, tmp_path: Path, capsys: pytest.CaptureFixture
+    ) -> None:
         out = tmp_path / "curve.csv"
         rc = main(["lmmse", "--input", str(small_csv), "--out", str(out)])
         assert rc == 0
+        assert capsys.readouterr().err == (
+            "lmmse: aligning the input with Procrustes (pass --no-align if it is already aligned)\n"
+        )
         lines = out.read_text().splitlines()
         assert lines[0] == "t,e_lmmse"
         errors = {int(line.split(",")[0]): float(line.split(",")[1]) for line in lines[1:]}
@@ -423,6 +428,8 @@ _SIM = "simulate --order 3 --beta-db 20 --seed 1 --out {out}"
         (_MC + " --seed -5", 1),
         ("sweep --input {csv} --samples 10 --trials 1 --seed -5 --out {out}", 1),
         ("select --input {csv} --split shuffled --seed -3", 1),
+        ("fit --input {csv} --no-align --out {out} --order 20", 2),
+        ("lmmse --input {csv} --out {out} --estimator pinv", 1),
     ],
     ids=[
         "select-variance-out", "trials-0", "trials-text", "unknown-method", "empty-method",
@@ -437,7 +444,8 @@ _SIM = "simulate --order 3 --beta-db 20 --seed 1 --out {out}"
         "log-scale-range-inf", "translation-range-negative", "threads-negative",
         "shuffled-without-seed", "simulate-order-0", "montecarlo-order-negative", "fit-order-0",
         "seed-without-shuffled", "simulate-seed-negative", "montecarlo-seed-negative",
-        "sweep-seed-negative", "select-seed-negative",
+        "sweep-seed-negative", "select-seed-negative", "fit-order-above-rank",
+        "lmmse-estimator-pinv",
     ],
 )
 def test_bad_flags_exit_with_one_line(
@@ -480,7 +488,7 @@ _VALID_ARGV = {
         "sweep --input {csv} --samples 10 --trials 3 --seed 1 --fraction 0.9 --t-max 4 "
         "--threads 2 --mode random --out o.csv"
     ),
-    "lmmse": "lmmse --input {csv} --t-max 4 --estimator pinv --selector-t-max 4 --out o.csv",
+    "lmmse": "lmmse --input {csv} --t-max 4 --selector-t-max 4 --out o.csv",
     "mean-shape": "mean-shape --input {csv} --format csv-rows --out o.csv",
 }
 

@@ -435,6 +435,22 @@ class TestSerialization:
         with pytest.raises(OrderOutOfRange):
             save_pdm(model, tmp_path / "m.pdm", order=model.n_coords + 1)
 
+    def test_save_order_above_positive_rank(self, tmp_path):
+        # A partial store loads back as a TruncatedPdm, which needs positive
+        # eigenvalues, so orders past the positive rank are refused unwritten;
+        # the full store (order N) still takes the zero eigenvalues.
+        model = self._nasty_model()
+        rank = model.positive_rank()
+        assert rank < model.n_coords - 1
+        for order in (rank + 1, model.n_coords - 1):
+            with pytest.raises(OrderOutOfRange):
+                save_pdm(model, tmp_path / "m.pdm", order=order)
+            assert not (tmp_path / "m.pdm").exists()
+        save_pdm(model, tmp_path / "m.pdm", order=rank)
+        assert load_pdm(tmp_path / "m.pdm").order == rank
+        save_pdm(model, tmp_path / "m.pdm", order=model.n_coords)
+        assert isinstance(load_pdm(tmp_path / "m.pdm"), PdmModel)
+
     def test_truncated_rejects_foreign_order(self, tmp_path):
         trunc = truncate(self._nasty_model(), 3)
         with pytest.raises(OrderOutOfRange):
