@@ -56,7 +56,6 @@ SELECT_FLAGS = {
         "tol": 1e-8,
         "max_iter": 100,
         "mean": "x1",
-        "clamp": "clip",
         "out": None,
     },
     "variance": {"fraction": 0.95},
@@ -168,12 +167,6 @@ def _parse_counts(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
 
-def _spectrum_order(text: str, order: int) -> int:
-    """The order a spectrum spec fixes: its value count for list:, else order."""
-    kind, _, rest = text.partition(":")
-    return len([v for v in rest.split(",") if v.strip()]) if kind == "list" else order
-
-
 def _checked(parse, valid, expected: str):
     """An argparse type that parses the text and accepts it only if valid."""
 
@@ -198,17 +191,14 @@ _decibels = _checked(float, lambda v: not math.isnan(v), "a number (dB) other th
 _non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 _fraction = _checked(float, lambda v: 0.0 < v < 1.0, "a number strictly between 0 and 1")
 _methods = _checked(str, lambda v: set(v.split(",")) <= set(METHODS), "proposed and/or variance")
-_spectrum = _checked(
-    str,
-    lambda v: parse_spectrum(v, _spectrum_order(v, 1)) is not None,
-    "geometric:RATIO[:TOP] or list:V1,V2,... (positive, descending)",
-)
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--landmarks", type=_landmark_count, required=True)
     parser.add_argument("--order", type=_positive_int, required=True)
-    parser.add_argument("--spectrum", type=_spectrum, default=None)
+    parser.add_argument(
+        "--spectrum", default=None, help="geometric:RATIO[:TOP] or list:V1,V2,... (descending)"
+    )
     parser.add_argument("--seed-model", default=None, help="use a stored model as the seed")
     parser.add_argument("--beta-db", type=_decibels, required=True, dest="beta_db")
     parser.add_argument(
@@ -246,8 +236,10 @@ def _seed_pdm_for(args: argparse.Namespace) -> SeedPdm:
         return seed_pdm_from_model(loaded, source=f"from_data:{args.seed_model}")
     if args.spectrum is None:
         args.spectrum = DEFAULT_SPECTRUM
-    if _spectrum_order(args.spectrum, args.order) != args.order:
-        raise UsageError(f"--spectrum {args.spectrum!r} does not give {args.order} values")
+    try:
+        parse_spectrum(args.spectrum, args.order)
+    except ValueError as exc:
+        raise UsageError(f"--spectrum {args.spectrum!r}: {exc}") from exc
     return make_seed_pdm_procedural(args.landmarks, args.order, args.spectrum, args.seed)
 
 
@@ -293,7 +285,6 @@ def cmd_select(args: argparse.Namespace) -> Path | None:
             tol=args.tol,
             max_iter=args.max_iter,
             mean_source=args.mean,
-            clamp_mode=args.clamp,
         )
         t_star = result.t_star
         for order, notes in sorted(result.diagnostics.items()):
@@ -428,7 +419,6 @@ def build_parser() -> _Parser:
     p.add_argument("--tol", type=_non_negative, default=None)
     p.add_argument("--max-iter", type=_positive_int, default=None, dest="max_iter")
     p.add_argument("--mean", choices=("x1", "x2"), default=None)
-    p.add_argument("--clamp", choices=("clip", "scale"), default=None)
     p.add_argument("--out", default=None, help="write per-order scores CSV")
     p.set_defaults(func=cmd_select)
 

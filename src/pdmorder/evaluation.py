@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,7 +19,7 @@ from .errors import DimensionMismatch, OrderOutOfRange, PdmOrderError, TooFewSam
 from .order_select import select_order_proposed, select_order_variance
 from .pdm import TruncatedPdm, fit_pdm
 from .shapes import ShapeSet, generalized_procrustes
-from .simgen import SeedPdm, SimConfig, TransformRanges, sample_shapes
+from .simgen import SeedPdm, SimConfig, sample_shapes
 
 RIDGE_REL = 1e-10
 
@@ -77,7 +77,6 @@ class McConfig:
     trials: int
     rng_seed: int
     methods: tuple[str, ...] = ("proposed", "variance")
-    transform_ranges: TransformRanges = field(default_factory=TransformRanges)
     variance_fraction: float = 0.95
     selector_t_max: int | None = None
     b_dist: str = "uniform"
@@ -162,7 +161,6 @@ def monte_carlo_order(cfg: McConfig, threads: int = 1) -> TrialSummary:
             n_samples=count,
             beta_db=cfg.beta_db,
             rng_seed=_trial_seed(cfg.rng_seed, count, trial),
-            transform_ranges=cfg.transform_ranges,
             realign=True,
             b_dist=cfg.b_dist,
         )

@@ -136,7 +136,6 @@ def alternating_ml(
     tol: float = 1e-8,
     max_iter: int = 100,
     sigma_floor: float | None = None,
-    clamp_mode: str = "clip",
 ) -> RegressionFit:
     """Alternate box-constrained projection with diagonal noise estimation.
 
@@ -148,15 +147,17 @@ def alternating_ml(
     the fit is returned as-is with converged False.
 
     This is the selector's lockstep kernel (`select_order_proposed`) run
-    on a block that holds the one order of pdm, so a standalone fit and
-    the selector's fit of the same order follow the same sweeps.
+    on a block that holds the one order of pdm.  Given the selector's
+    floor, SIGMA_FLOOR_REL * trace(covariance) / N of the training model,
+    a standalone fit follows the same sweeps as the selector's fit of that
+    order, up to the rounding that the block's zero padding adds; the
+    default floor below is a different one.
 
-    The default clamp is per-coordinate truncation.  Coefficients fitted to
-    held-out data routinely poke past the box edge learned from the training
-    half; truncation only touches the offending coordinates, whereas uniform
-    scaling ("scale") shrinks the whole column and bleeds mode energy into
-    the residuals, which inflates the noise estimates and biases the order
-    criterion low.
+    The box clamp clips each coefficient on its own.  Coefficients fitted
+    to held-out data routinely poke past the box edge learned from the
+    training half; clipping only touches the offending coordinates, whereas
+    scaling the whole column would bleed mode energy into the residuals,
+    inflate the noise estimates and bias the order criterion low.
 
     Args:
         Y: (N, M2) mean-removed data.
@@ -165,8 +166,6 @@ def alternating_ml(
         max_iter: sweep budget, at least 1.
         sigma_floor: lower bound for the noise variances; defaults to
             SIGMA_FLOOR_REL times the mean per-coordinate power of Y.
-        clamp_mode: "clip" (per-coordinate truncation, default) or "scale"
-            (uniform column scaling), passed through to the projection.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
@@ -177,7 +176,7 @@ def alternating_ml(
         raise TooFewSamples(f"regression needs at least 2 held-out samples, got {Y.shape[1]}")
     if sigma_floor is None:
         sigma_floor = SIGMA_FLOOR_REL * float(np.mean(Y * Y))
-    fit = _fit_orders(Y, pdm, [pdm.order], tol, max_iter, sigma_floor, clamp_mode)[0]
+    fit = _fit_orders(Y, pdm, [pdm.order], tol, max_iter, sigma_floor)[0]
     if isinstance(fit, SingularSystem):
         raise fit
     return fit
@@ -190,7 +189,6 @@ def _fit_orders(
     tol: float,
     max_iter: int,
     sigma_floor: float,
-    clamp_mode: str,
 ) -> list[RegressionFit | SingularSystem]:
     """Alternating fits of the leading `order` modes of pdm, for every order, in lockstep.
 
@@ -212,7 +210,6 @@ def _fit_orders(
     top = pdm.order
     live = np.arange(top) < np.asarray(orders)[:, None]
     basis = pdm.basis * live[:, None, :]
-    lambdas = np.where(live, pdm.lambdas, 1.0)
     pad = (~live).astype(float)
     slots = np.arange(len(orders))
 
@@ -225,7 +222,7 @@ def _fit_orders(
     traces: list[list[float]] = [[] for _ in orders]
     fits: list[RegressionFit | SingularSystem | None] = [None] * len(orders)
     for sweep in range(1, max_iter + 1):
-        candidate, failed = _project_stacked(basis, lambdas, Y, sigma, pad, clamp_mode)
+        candidate, failed = _project_stacked(basis, pdm.lambdas, Y, sigma, pad)
         cand_residuals = np.matmul(basis, candidate)
         np.subtract(Y, cand_residuals, out=cand_residuals)
         # The clamp makes the projection approximate, so a column can come
@@ -266,8 +263,8 @@ def _fit_orders(
         if finished:
             stay = np.ones(slots.size, dtype=bool)
             stay[finished] = False
-            basis, lambdas, pad, slots, sigma, coeffs, residuals, norms = (
-                a[stay] for a in (basis, lambdas, pad, slots, sigma, coeffs, residuals, norms)
+            basis, pad, slots, sigma, coeffs, residuals, norms = (
+                a[stay] for a in (basis, pad, slots, sigma, coeffs, residuals, norms)
             )
     return fits
 
@@ -315,7 +312,6 @@ def select_order_proposed(
     tol: float = 1e-8,
     max_iter: int = 100,
     mean_source: str = "x1",
-    clamp_mode: str = "clip",
 ) -> OrderSelectionResult:
     """Select the model order by the split-data information criterion.
 
@@ -335,7 +331,7 @@ def select_order_proposed(
         shape_set: aligned set with at least 4 shapes.
         t_max: optional cap on the candidate range.
         split_policy, split_seed, mean_source: see split_data.
-        tol, max_iter, clamp_mode: see alternating_ml.
+        tol, max_iter: see alternating_ml.
     """
     split = split_data(shape_set, policy=split_policy, seed=split_seed, mean_source=mean_source)
     model = fit_pdm(split.x1)
@@ -351,7 +347,7 @@ def select_order_proposed(
 
     fits: dict[int, RegressionFit] = {}
     diagnostics: dict[int, list[str]] = {}
-    fit_args = dict(tol=tol, max_iter=max_iter, sigma_floor=sigma_floor, clamp_mode=clamp_mode)
+    fit_args = dict(tol=tol, max_iter=max_iter, sigma_floor=sigma_floor)
     for lo in range(1, t_hi + 1, ORDER_BLOCK):
         orders = range(lo, min(lo + ORDER_BLOCK - 1, t_hi) + 1)
         block = _fit_orders(split.y, truncate(model, orders[-1]), orders, **fit_args)
@@ -388,5 +384,8 @@ def select_order_variance(model: PdmModel, fraction: float = 0.95) -> int:
     total = float(np.sum(model.eigvals))
     if total <= 0.0:
         raise ZeroVariance("model carries no variance")
-    cumulative = np.cumsum(model.eigvals) / total
+    # Normalise by the running sum's own end, which is then exactly 1.0; a
+    # separately rounded total can leave it just below a fraction near 1.
+    cumulative = np.cumsum(model.eigvals)
+    cumulative /= cumulative[-1]
     return int(np.argmax(cumulative >= fraction)) + 1

@@ -175,52 +175,31 @@ def clamp_to_box(coeffs: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
     The whole vector is multiplied by
     s = min(1, min_i sqrt(lambda_i) / |b_i|) over the nonzero entries, so
     the direction of the deformation is preserved.  Vectors already inside
-    the box are returned unchanged.
+    the box are returned unchanged.  The projection clips instead (see
+    project_constrained); this helper is for a single deformation whose
+    direction must be kept.
     """
     b = np.asarray(coeffs, dtype=float)
     lam = np.asarray(lambdas, dtype=float)
     if b.ndim != 1 or b.shape != lam.shape:
         raise DimensionMismatch("coefficients and eigenvalues must be vectors of one length")
-    return _clamp_columns_scale(b[:, None], lam)[:, 0]
-
-
-def _clamp_columns_scale(B: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
-    """Column-wise uniform scaling into the box (clamp_to_box per column).
-
-    B is (..., order, M) and lambdas (..., order); leading axes are stacks.
-    """
-    mags = np.abs(B)
-    limits = np.sqrt(lambdas)[..., None]
+    mags = np.abs(b)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(mags > 0, limits / mags, np.inf)
-    s = np.minimum(1.0, ratios.min(axis=-2))
-    return B * s[..., None, :]
+        ratios = np.where(mags > 0, np.sqrt(lam) / mags, np.inf)
+    return b * min(1.0, float(ratios.min()))
 
 
-def _clamp_columns_clip(B: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
-    """Independent per-coordinate clipping into the box."""
-    limits = np.sqrt(lambdas)[..., None]
-    return np.clip(B, -limits, limits)
-
-
-def project_constrained(
-    pdm: TruncatedPdm,
-    Y: np.ndarray,
-    sigma_diag: np.ndarray,
-    clamp_mode: str = "scale",
-) -> np.ndarray:
+def project_constrained(pdm: TruncatedPdm, Y: np.ndarray, sigma_diag: np.ndarray) -> np.ndarray:
     """Weighted least squares projection of data onto the modes, boxed.
 
     Solves the generalized least squares problem with a diagonal noise
-    covariance for every column of Y, then forces each coefficient column
-    into the plausibility box.
+    covariance for every column of Y, then clips each coefficient into its
+    interval |b_i| <= sqrt(lambda_i) independently.
 
     Args:
         pdm: truncated model supplying basis and box widths.
         Y: (N, M) mean-removed data, one column per sample.
         sigma_diag: (N,) per-coordinate noise variances, strictly positive.
-        clamp_mode: "scale" preserves each column's direction via uniform
-            scaling (default); "clip" clamps coordinates independently.
 
     Returns:
         (order, M) coefficient matrix inside the box.
@@ -238,7 +217,7 @@ def project_constrained(
     if np.any(sigma <= 0):
         raise ValueError("sigma_diag entries must be strictly positive")
     stacked, failed = _project_stacked(
-        pdm.basis[None], pdm.lambdas[None], Y, sigma[None], np.zeros((1, pdm.order)), clamp_mode
+        pdm.basis[None], pdm.lambdas, Y, sigma[None], np.zeros((1, pdm.order))
     )
     if failed:
         raise failed[0]
@@ -262,7 +241,6 @@ def _project_stacked(
     Y: np.ndarray,
     sigma: np.ndarray,
     pad: np.ndarray,
-    clamp_mode: str,
 ) -> tuple[np.ndarray, dict[int, SingularSystem]]:
     """project_constrained for a stack of K models sharing the data Y.
 
@@ -272,17 +250,17 @@ def _project_stacked(
     Args:
         basis: (K, N, T) mode columns; a model with fewer than T modes has
             zero columns after its own.
-        lambdas: (K, T) box widths; padded entries must be positive.
+        lambdas: (T,) box widths shared by every model.  Any width will do
+            at a padded mode: clipping keeps its zero coefficient zero.
         Y: (N, M) data shared by every model.
         sigma: (K, N) noise variances, one row per model.
         pad: (K, T) 1.0 at every padded mode and 0.0 elsewhere.  It is added
             to the diagonal of the weighted normal matrix, which makes that
             matrix [G 0; 0 I]: padded coefficients solve to exactly zero and
             the probe tests G alone.
-        clamp_mode: "scale" or "clip".
 
     Returns:
-        (K, T, M) coefficients inside each model's box, zero at padded modes,
+        (K, T, M) coefficients, each clipped into its box, zero at padded modes,
         and {index in the stack: SingularSystem} of the failing models.
     """
     with np.errstate(over="ignore", invalid="ignore"):
@@ -296,11 +274,9 @@ def _project_stacked(
         rows = list(failed)
         gram[rows] = np.eye(gram.shape[-1])
         weighted[rows] = 0.0
-    clamp = {"scale": _clamp_columns_scale, "clip": _clamp_columns_clip}.get(clamp_mode)
-    if clamp is None:
-        raise ValueError(f"unknown clamp mode {clamp_mode!r}")
     B = np.linalg.solve(gram, np.matmul(weighted.transpose(0, 2, 1), Y))
-    return clamp(B, lambdas), failed
+    limits = np.sqrt(lambdas)[:, None]
+    return np.clip(B, -limits, limits), failed
 
 
 def reconstruct(pdm: TruncatedPdm, coeffs: np.ndarray) -> np.ndarray:

@@ -83,8 +83,8 @@ def geometric_spectrum(order: int, ratio: float, top: float = 0.01) -> np.ndarra
     """Eigenvalues top * ratio**k for k = 0..order-1."""
     if not 0.0 < ratio <= 1.0:
         raise ValueError("spectrum ratio must lie in (0, 1]")
-    if top <= 0.0:
-        raise ValueError("top eigenvalue must be positive")
+    if not 0.0 < top < math.inf:
+        raise ValueError("top eigenvalue must be positive and finite")
     return top * ratio ** np.arange(order, dtype=float)
 
 
@@ -106,8 +106,8 @@ def parse_spectrum(text: str, order: int) -> np.ndarray:
         values = np.array([float(v) for v in rest.split(",") if v.strip()])
         if values.size != order:
             raise ValueError(f"list spectrum must supply {order} values, got {values.size}")
-        if np.any(values <= 0) or np.any(np.diff(values) > 0):
-            raise ValueError("list spectrum must be strictly positive and descending")
+        if not np.all((values > 0) & (values < math.inf)) or np.any(np.diff(values) > 0):
+            raise ValueError("list spectrum must be finite, strictly positive and descending")
         return values
     raise ValueError(f"unknown spectrum kind {kind!r}")
 

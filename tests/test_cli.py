@@ -386,6 +386,8 @@ _SIM = "simulate --order 3 --beta-db 20 --seed 1 --out {out}"
         (_MC + " --methods proposed,", 1),
         (_MC + " --spectrum bogus", 1),
         (_MC + " --spectrum list:4,2", 1),
+        (_MC + " --spectrum geometric:0.5:nan", 1),
+        (_MC + " --spectrum list:inf,2,1", 1),
         (_MC + " --fraction 2", 1),
         (_MC + " --fraction nan", 1),
         (_MC + " --samples 1", 2),
@@ -406,7 +408,7 @@ _SIM = "simulate --order 3 --beta-db 20 --seed 1 --out {out}"
         ("select --input {csv} --method variance --tol 1e-6", 1),
         ("select --input {csv} --method variance --max-iter 5", 1),
         ("select --input {csv} --method variance --mean x2", 1),
-        ("select --input {csv} --method variance --clamp scale", 1),
+        ("select --input {csv} --clamp scale", 1),
         ("select --input {csv} --method proposed --fraction 0.5", 1),
         ("select --input {csv} --warm-start", 1),
         ("select --input {csv} --threads 2", 1),
@@ -433,12 +435,13 @@ _SIM = "simulate --order 3 --beta-db 20 --seed 1 --out {out}"
     ],
     ids=[
         "select-variance-out", "trials-0", "trials-text", "unknown-method", "empty-method",
-        "bogus-spectrum", "spectrum-order-mismatch", "fraction-2", "fraction-nan",
+        "bogus-spectrum", "spectrum-order-mismatch", "spectrum-top-nan", "spectrum-list-inf",
+        "fraction-2", "fraction-nan",
         "samples-1", "missing-seed-model", "negative-mode-count", "simulate-samples-1",
         "landmarks-3", "beta-db-nan", "t-max-0", "lmmse-t-max-0", "selector-t-max-0",
         "select-max-iter-0", "select-t-max-0", "align-max-iter-0",
         "variance-split", "variance-seed", "variance-t-max", "variance-tol",
-        "variance-max-iter", "variance-mean", "variance-clamp", "proposed-fraction",
+        "variance-max-iter", "variance-mean", "select-clamp", "proposed-fraction",
         "select-warm-start", "select-threads", "seed-model-landmarks", "seed-model-spectrum",
         "seed-model-order", "select-tol-negative", "align-tol-nan", "rot-range-nan",
         "log-scale-range-inf", "translation-range-negative", "threads-negative",
@@ -472,7 +475,7 @@ _VALID_ARGV = {
     "fit": "fit --input {csv} --out o.pdm --order 2",
     "select": (
         "select --input {csv} --split shuffled --seed 3 --t-max 4 --tol 1e-8 --max-iter 20 "
-        "--mean x2 --clamp scale --out o.csv"
+        "--mean x2 --out o.csv"
     ),
     "simulate": (
         "simulate --landmarks 12 --order 3 --spectrum geometric:0.7 --beta-db 15 --samples 20 "
@@ -491,6 +494,18 @@ _VALID_ARGV = {
     "lmmse": "lmmse --input {csv} --t-max 4 --selector-t-max 4 --out o.csv",
     "mean-shape": "mean-shape --input {csv} --format csv-rows --out o.csv",
 }
+
+
+@pytest.mark.parametrize("command", sorted(_VALID_ARGV))
+def test_valid_argv_runs_cleanly(
+    small_csv: Path, seed_models: dict[str, Path], tmp_path: Path,
+    monkeypatch: pytest.MonkeyPatch, command: str,
+) -> None:
+    # The edge-value property below is only as good as its base runs: each
+    # must exit 0 as it stands, or the property tests a usage error.
+    argv = _VALID_ARGV[command].format(csv=small_csv, model=seed_models["full"]).split()
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
 
 
 @settings(

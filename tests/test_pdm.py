@@ -302,15 +302,9 @@ class TestProjectConstrained:
         pdm = _random_truncated(rng)
         b = np.array([10.0, 0.1, -10.0]) * np.sqrt(pdm.lambdas)
         Y = (pdm.basis @ b)[:, None]
-        out = project_constrained(pdm, Y, np.ones(pdm.n_coords), clamp_mode="clip")[:, 0]
+        out = project_constrained(pdm, Y, np.ones(pdm.n_coords))[:, 0]
         limits = np.sqrt(pdm.lambdas)
         np.testing.assert_allclose(out, [limits[0], b[1], -limits[2]], atol=1e-10)
-
-    def test_unknown_clamp_mode(self):
-        rng = np.random.default_rng(15)
-        pdm = _random_truncated(rng)
-        with pytest.raises(ValueError):
-            project_constrained(pdm, np.zeros((8, 1)), np.ones(8), clamp_mode="middle")
 
     def test_singular_system_on_collapsed_sigma(self):
         rng = np.random.default_rng(16)
