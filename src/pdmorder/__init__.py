@@ -18,7 +18,6 @@ from .shapes import (
     AlignmentReport,
     Shape,
     ShapeSet,
-    align_pair,
     generalized_procrustes,
     load_shape_set,
     mean_shape,
@@ -56,7 +55,6 @@ from .simgen import (
     parse_spectrum,
     sample_shapes,
     sample_shapes_with_truth,
-    seed_pdm_from_model,
 )
 from .evaluation import (
     CellStats,
@@ -64,7 +62,6 @@ from .evaluation import (
     McConfig,
     TrialSummary,
     lmmse_curve,
-    lmmse_estimate_landmark,
     monte_carlo_order,
     order_sweep,
 )

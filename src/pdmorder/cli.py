@@ -35,7 +35,6 @@ from .simgen import (
     TransformRanges,
     make_seed_pdm_procedural,
     sample_shapes_with_truth,
-    seed_pdm_from_model,
     parse_spectrum,
 )
 
@@ -233,7 +232,7 @@ def _seed_pdm_for(args: argparse.Namespace) -> SeedPdm:
             raise UsageError(
                 f"--order {args.order} disagrees with the {loaded.order} modes of --seed-model"
             )
-        return seed_pdm_from_model(loaded, source=f"from_data:{args.seed_model}")
+        return SeedPdm(underlying=loaded, source=f"from_data:{args.seed_model}")
     if args.spectrum is None:
         args.spectrum = DEFAULT_SPECTRUM
     try:

@@ -15,9 +15,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, OrderOutOfRange, PdmOrderError, TooFewSamples, ZeroVariance
+from .errors import PdmOrderError, TooFewSamples, ZeroVariance
 from .order_select import select_order_proposed, select_order_variance
-from .pdm import TruncatedPdm, fit_pdm
+from .pdm import fit_pdm
 from .shapes import ShapeSet, generalized_procrustes
 from .simgen import SeedPdm, SimConfig, sample_shapes
 
@@ -256,45 +256,6 @@ def _predict_landmarks(
     return -np.linalg.solve(systems, rhs[..., None])[..., 0]
 
 
-def lmmse_estimate_landmark(
-    pdm: TruncatedPdm, y_available: np.ndarray, landmark: int
-) -> np.ndarray:
-    """Linear minimum mean squared error estimate of one hidden landmark.
-
-    The truncated model induces the low-rank covariance
-    R = basis diag(lambdas) basis^T, and the estimate is the conditional
-    mean R_ia (R_aa + rho I)^-1 y_available with the small ridge
-    rho = RIDGE_REL * trace(R_aa) / (N - 2) that keeps a rank-deficient
-    R_aa solvable.  The basis is completed to a full orthonormal one by a
-    complete QR and handed to the kernel lmmse_curve uses.
-
-    Args:
-        pdm: truncated model of the aligned population, at most N - 2 modes.
-        y_available: (N - 2,) mean-removed coordinates of the visible
-            landmarks, in coordinate order with the hidden pair removed.
-        landmark: index of the hidden landmark.
-
-    Returns:
-        (2,) mean-removed estimate of the hidden coordinates.
-
-    Raises:
-        OrderOutOfRange: the model keeps more than N - 2 modes.
-    """
-    n, t = pdm.n_coords, pdm.order
-    if not 0 <= landmark < n // 2:
-        raise DimensionMismatch(f"landmark {landmark} outside 0..{n // 2 - 1}")
-    y_available = np.asarray(y_available, dtype=float)
-    if y_available.shape != (n - 2,):
-        raise DimensionMismatch(f"expected {n - 2} visible coordinates")
-    if t > n - 2:
-        raise OrderOutOfRange(f"order {t} above N - 2 = {n - 2} for a hidden landmark")
-    y = np.insert(y_available, 2 * landmark, [0.0, 0.0])
-    complement = np.linalg.qr(pdm.basis, mode="complete")[0][:, t:]
-    eigvecs = np.hstack([pdm.basis, complement])
-    eigvals = np.concatenate([pdm.lambdas, np.zeros(n - t)])
-    return _predict_landmarks(eigvecs, eigvals, y, t)[landmark, -1]
-
-
 @dataclass(frozen=True, eq=False)
 class LmmseResult:
     """Leave-one-out landmark prediction error per candidate order."""
@@ -319,12 +280,14 @@ def lmmse_curve(
     aligned once up front if needed; folds do not re-run Procrustes) and
     every landmark of the held-out sample is predicted from the others.
     The error at order t averages the squared prediction distance over all
-    samples and landmarks; each prediction is the lmmse_estimate_landmark
-    estimate from the fold's leading t modes.  One kernel call per fold
+    samples and landmarks; each prediction is the slightly ridge-regularised
+    conditional mean of the hidden landmark given the visible ones under the
+    covariance of the fold's leading t modes.  One kernel call per fold
     predicts every landmark at every order from the fold's full eigenbasis,
     one 2 x 2 solve per landmark and order.  Orders run from 1 to
     min(N - 4, M - 2), further capped below the positive rank of every fold
-    and by t_max.
+    and by t_max; the N - 4 cap also keeps the 2 x 2 form clear of N - 2,
+    past which it loses digits.
 
     The cap stays strictly under the fold ranks on purpose.  Similarity
     alignment confines every sample, noise included, to a common shape

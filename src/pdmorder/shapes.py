@@ -257,48 +257,28 @@ def load_shape_set(path: str | Path, fmt: str = "csv_rows") -> ShapeSet:
     return ShapeSet.from_matrix(_stack(rows, f"{path}: "))
 
 
-def _centered(z: np.ndarray) -> np.ndarray:
-    return z - z.mean()
-
-
 def _check_not_degenerate(norm: float, scale: float, what: str) -> None:
     if norm <= _DEGENERACY_REL_TOL * max(1.0, scale):
         raise DegenerateShape(f"{what} has no spatial extent")
 
 
-def align_pair(shape: Shape, reference: Shape, allow_scaling: bool = True) -> Shape:
-    """Align one shape to a reference by an optimal similarity transform.
+def _similarity_coeffs(
+    Zc: np.ndarray, powers: np.ndarray, reference: np.ndarray, allow_scaling: bool
+) -> np.ndarray:
+    """Per-shape complex factors that best map centered shapes onto a reference.
 
-    The returned shape minimizes the summed squared landmark distance to the
-    reference over translation, rotation, and (optionally) isotropic scale.
-    Rotations are always proper; reflections are never introduced.
-
-    Args:
-        shape: shape to move.
-        reference: target shape with the same landmark count.
-        allow_scaling: solve the full similarity problem; if False the
-            transform is rigid (rotation plus translation only).
-
-    Returns:
-        The transformed shape.
+    Zc holds one centered shape per row and powers their squared norms.
+    With scaling, row m times the returned a_m minimizes
+    |a_m Zc[m] - reference|^2 over rotation and isotropic scale; a rigid fit
+    keeps only the unit-modulus phase of that optimum (1 where the cross
+    product vanishes).  A complex factor is always a proper rotation, so no
+    reflection is ever introduced.
     """
-    if shape.n_coords != reference.n_coords:
-        raise InconsistentDimension(
-            f"cannot align {shape.n_coords} against {reference.n_coords} coordinates"
-        )
-    z = _centered(shape.as_complex())
-    w = reference.as_complex()
-    w_centroid = w.mean()
-    wc = w - w_centroid
-    power = float(np.sum(np.abs(z) ** 2))
-    _check_not_degenerate(math.sqrt(power), float(np.max(np.abs(shape.coords))), "shape")
-    cross = np.vdot(z, wc)
+    cross = Zc.conj() @ reference
     if allow_scaling:
-        a = cross / power
-    else:
-        mag = abs(cross)
-        a = cross / mag if mag > 0 else 1.0 + 0j
-    return Shape(_as_coords(a * z + w_centroid))
+        return cross / powers
+    mags = np.abs(cross)
+    return np.where(mags > 0, cross / np.where(mags > 0, mags, 1.0), 1.0)
 
 
 def generalized_procrustes(
@@ -318,7 +298,7 @@ def generalized_procrustes(
     Args:
         shape_set: input shapes, any pose.
         tol: Euclidean movement of the mean that counts as converged.
-        max_iter: sweep budget.
+        max_iter: sweep budget, at least 1.
         allow_scaling: full similarity alignment; False keeps sizes fixed.
 
     Returns:
@@ -326,7 +306,10 @@ def generalized_procrustes(
 
     Raises:
         DegenerateShape: some shape has all landmarks coincident.
+        ValueError: max_iter is below 1.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     Z = shape_set.complex_matrix()
     Zc = Z - Z.mean(axis=1, keepdims=True)
     powers = np.sum(np.abs(Zc) ** 2, axis=1)
@@ -338,17 +321,8 @@ def generalized_procrustes(
     if allow_scaling:
         reference = reference / np.linalg.norm(reference)
 
-    aligned = Zc
-    change = math.inf
-    iterations = 0
-    for _ in range(max_iter):
-        iterations += 1
-        cross = Zc.conj() @ reference
-        if allow_scaling:
-            coeff = cross / powers
-        else:
-            mags = np.abs(cross)
-            coeff = np.where(mags > 0, cross / np.where(mags > 0, mags, 1.0), 1.0)
+    for iterations in range(1, max_iter + 1):
+        coeff = _similarity_coeffs(Zc, powers, reference, allow_scaling)
         aligned = Zc * coeff[:, None]
         new_mean = aligned.mean(axis=0)
         new_mean = new_mean - new_mean.mean()
@@ -368,18 +342,9 @@ def generalized_procrustes(
     )
 
 
-def mean_shape(shapes: ShapeSet | Sequence[Shape]) -> Shape:
-    """Coordinate-wise average shape of a set or sequence of shapes.
-
-    Accepts a plain sequence as well so a single shape can be averaged
-    (yielding itself).
-    """
-    if isinstance(shapes, ShapeSet):
-        return Shape(shapes.as_matrix().mean(axis=1))
-    matrix = _stack([shape.coords for shape in shapes])
-    if matrix.size == 0:
-        raise TooFewSamples("cannot average an empty collection of shapes")
-    return Shape(matrix.mean(axis=1))
+def mean_shape(shapes: ShapeSet) -> Shape:
+    """Coordinate-wise average shape of a set."""
+    return Shape(shapes.as_matrix().mean(axis=1))
 
 
 def rmsd(a: Shape, b: Shape) -> float:

@@ -235,11 +235,6 @@ def make_seed_pdm_procedural(
     return SeedPdm(underlying=model, source=f"procedural:{rng_seed}")
 
 
-def seed_pdm_from_model(model: TruncatedPdm, source: str) -> SeedPdm:
-    """Wrap an existing truncated model (e.g. loaded from disk) as a seed."""
-    return SeedPdm(underlying=model, source=source)
-
-
 def _draw_coeffs(rng: np.random.Generator, sqrt_lambdas: np.ndarray, b_dist: str) -> np.ndarray:
     if b_dist == "uniform":
         return rng.uniform(-sqrt_lambdas, sqrt_lambdas)

@@ -268,6 +268,20 @@ class TestArtifacts:
             noise_variance(np.array(truth["lambdas"]), 15.0), rel=1e-12
         )
 
+    def test_simulate_seed_model_truth_source(
+        self, seed_models: dict[str, Path], tmp_path: Path
+    ) -> None:
+        rc = main([
+            "simulate", "--seed-model", str(seed_models["order2"]), "--landmarks", "12",
+            "--order", "2", "--beta-db", "20", "--samples", "8", "--seed", "3",
+            "--out", str(tmp_path / "s.csv"),
+            "--out-truth", str(tmp_path / "truth.json"),
+        ])
+        assert rc == 0
+        truth = json.loads((tmp_path / "truth.json").read_text())
+        assert truth["source"] == f"from_data:{seed_models['order2']}"
+        assert truth["order"] == 2
+
     def test_simulate_gaussian_truth_sidecar(self, tmp_path: Path) -> None:
         # The truth records the noise the generator drew for the gaussian
         # coefficient law, not the uniform law's.

@@ -24,7 +24,6 @@ from pdmorder import (
     fit_pdm,
     generalized_procrustes,
     lmmse_curve,
-    lmmse_estimate_landmark,
     make_seed_pdm_procedural,
     monte_carlo_order,
     order_sweep,
@@ -33,8 +32,8 @@ from pdmorder import (
     select_order_variance,
 )
 from pdmorder import evaluation
-from pdmorder.errors import DimensionMismatch, OrderOutOfRange, TooFewSamples
-from pdmorder.evaluation import CellStats, TrialSummary
+from pdmorder.errors import TooFewSamples
+from pdmorder.evaluation import CellStats, TrialSummary, _predict_landmarks
 from pdmorder.pdm import TruncatedPdm
 
 RIDGE_REL = 1e-10
@@ -380,54 +379,49 @@ class TestOrderSweep:
 
 
 class TestLmmseEstimateLandmark:
+    """The per-fold kernel of lmmse_curve, read at one landmark and order.
+
+    _predict_landmarks(eigvecs, eigvals, y, t)[landmark, -1] is the estimate
+    from the leading t modes: modes past t get weight 1 whatever their
+    eigenvalue, and the hidden pair of y is never read.
+    """
+
     def test_matches_conditional_mean_oracle(self) -> None:
         # The widest order a hidden landmark allows, t = N - 2, on samples
         # off the model span.  These five land within 1e-13 of the exact
         # ridge conditional mean; 200 random draws came within 6.7e-12.
         rng = np.random.default_rng(3)
-        model = _leading_modes(_full_rank_model(rng, k=5), 8)
+        full = _full_rank_model(rng, k=5)
+        model = _leading_modes(full, 8)
         for landmark in range(5):
             y = rng.normal(size=10)
             avail = [i for i in range(10) if i not in (2 * landmark, 2 * landmark + 1)]
             want = _exact_ridge(model.basis, model.lambdas, y[avail], landmark)
-            got = lmmse_estimate_landmark(model, y[avail], landmark)
+            got = _predict_landmarks(full.basis, full.lambdas, y, 8)[landmark, -1]
             np.testing.assert_allclose(got, want, rtol=1e-11)
-
-    def test_more_than_n_minus_2_modes_raises(self) -> None:
-        # No landmark can be hidden from a model that keeps N - 1 or N modes.
-        full = _full_rank_model(np.random.default_rng(4), k=4)
-        for order in (7, 8):
-            with pytest.raises(OrderOutOfRange):
-                lmmse_estimate_landmark(_leading_modes(full, order), np.zeros(6), 1)
 
     def test_in_span_sample_recovered_exactly(self) -> None:
         # A sample inside the model span determines its hidden landmark.
         rng = np.random.default_rng(5)
         full = _full_rank_model(rng, k=6)
         t = 3
-        model = TruncatedPdm(
-            mean=np.zeros(12), basis=full.basis[:, :t],
-            lambdas=full.lambdas[:t], order=t,
-        )
+        model = _leading_modes(full, t)
         b = rng.normal(size=t) * np.sqrt(model.lambdas)
         y_full = model.basis @ b
         for landmark in (0, 3, 5):
             miss = [2 * landmark, 2 * landmark + 1]
-            avail = [i for i in range(12) if i not in miss]
-            est = lmmse_estimate_landmark(model, y_full[avail], landmark)
+            est = _predict_landmarks(full.basis, full.lambdas, y_full, t)[landmark, -1]
             np.testing.assert_allclose(est, y_full[miss], atol=1e-8)
 
     def test_rank_deficient_model_matches_exact_solve(self) -> None:
         rng = np.random.default_rng(10)
         full = _full_rank_model(rng, k=4)
-        model = TruncatedPdm(
-            mean=np.zeros(8), basis=full.basis[:, :3], lambdas=full.lambdas[:3], order=3,
-        )
+        model = _leading_modes(full, 3)
         y = rng.normal(size=8)
         for landmark in range(4):
             avail = [i for i in range(8) if i not in (2 * landmark, 2 * landmark + 1)]
             want = _exact_ridge(model.basis, model.lambdas, y[avail], landmark)
-            got = lmmse_estimate_landmark(model, y[avail], landmark)
+            got = _predict_landmarks(full.basis, full.lambdas, y, 3)[landmark, -1]
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(3, 6), data=st.data())
@@ -442,13 +436,14 @@ class TestLmmseEstimateLandmark:
         t = data.draw(st.integers(1, n - 2), label="t")
         landmark = data.draw(st.integers(0, k - 1), label="landmark")
         rng = np.random.default_rng(seed)
-        model = _leading_modes(_full_rank_model(rng, k), t)
+        full = _full_rank_model(rng, k)
+        model = _leading_modes(full, t)
         y = model.basis @ (rng.normal(size=t) * np.sqrt(model.lambdas))
         miss = [2 * landmark, 2 * landmark + 1]
         avail = [i for i in range(n) if i not in miss]
         # The ridge bias and the rounding both grow with cond(R_aa) = cond(A_a)**2.
         cond = np.linalg.cond(np.delete(model.basis * np.sqrt(model.lambdas), miss, axis=0))
-        got = lmmse_estimate_landmark(model, y[avail], landmark)
+        got = _predict_landmarks(full.basis, full.lambdas, y, t)[landmark, -1]
         np.testing.assert_allclose(got, y[miss], atol=1e-9 * cond**2 * np.abs(y).max())
         if t == n - 2:
             want = _exact_ridge(model.basis, model.lambdas, y[avail], landmark)
@@ -456,31 +451,16 @@ class TestLmmseEstimateLandmark:
 
     def test_mode_on_the_hidden_landmark_alone_predicts_zero(self) -> None:
         # The visible rows carry no variance, so they say nothing about it.
-        basis = np.zeros((8, 1))
-        basis[2, 0] = 1.0
-        model = TruncatedPdm(mean=np.zeros(8), basis=basis, lambdas=np.array([2.0]), order=1)
-        est = lmmse_estimate_landmark(model, np.arange(6.0), 1)
+        eigvals = np.zeros(8)
+        eigvals[0] = 2.0
+        est = _predict_landmarks(np.eye(8), eigvals, np.arange(8.0), 1)[0, -1]
         assert np.array_equal(est, np.zeros(2))
 
     def test_zero_observation_gives_zero_estimate(self) -> None:
         rng = np.random.default_rng(6)
-        model = _leading_modes(_full_rank_model(rng, k=4), 6)
-        est = lmmse_estimate_landmark(model, np.zeros(6), 2)
+        full = _full_rank_model(rng, k=4)
+        est = _predict_landmarks(full.basis, full.lambdas, np.zeros(8), 6)[2, -1]
         assert np.array_equal(est, np.zeros(2))
-
-    def test_landmark_out_of_range_raises(self) -> None:
-        rng = np.random.default_rng(7)
-        model = _full_rank_model(rng, k=4)
-        with pytest.raises(DimensionMismatch):
-            lmmse_estimate_landmark(model, np.zeros(6), 4)
-        with pytest.raises(DimensionMismatch):
-            lmmse_estimate_landmark(model, np.zeros(6), -1)
-
-    def test_wrong_observation_length_raises(self) -> None:
-        rng = np.random.default_rng(8)
-        model = _full_rank_model(rng, k=4)
-        with pytest.raises(DimensionMismatch):
-            lmmse_estimate_landmark(model, np.zeros(8), 1)
 
 
 class TestLmmseCurve:

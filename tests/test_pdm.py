@@ -306,6 +306,32 @@ class TestProjectConstrained:
         limits = np.sqrt(pdm.lambdas)
         np.testing.assert_allclose(out, [limits[0], b[1], -limits[2]], atol=1e-10)
 
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(3, 8), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_property_clips_the_weighted_solution(
+        self, seed: int, k: int, data: st.DataObject
+    ) -> None:
+        # Independent route: lstsq on the W^1/2-rescaled system, then np.clip.
+        n = 2 * k
+        t = data.draw(st.integers(2, n - 2), label="t")
+        m = data.draw(st.integers(1, 5), label="m")
+        rng = np.random.default_rng(seed)
+        pdm = _random_truncated(rng, n, t)
+        sigma = rng.uniform(0.2, 2.0, n)
+        limits = np.sqrt(pdm.lambdas)
+        B = rng.uniform(-3.0, 3.0, (t, m)) * limits[:, None]
+        # Column 0 overshoots its first coefficient and keeps its second inside.
+        B[:2, 0] = [3.0, 0.2] * limits[:2]
+        Y = pdm.basis @ B + 0.01 * limits.min() * rng.standard_normal((n, m))
+
+        w = 1.0 / np.sqrt(sigma)
+        b_u, *_ = np.linalg.lstsq(pdm.basis * w[:, None], Y * w[:, None], rcond=None)
+        outside = np.abs(b_u) > limits[:, None]
+        assert np.any(outside.any(axis=0) & ~outside.all(axis=0))
+        want = np.clip(b_u, -limits[:, None], limits[:, None])
+        out = project_constrained(pdm, Y, sigma)
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12 * np.abs(Y).max())
+
     def test_singular_system_on_collapsed_sigma(self):
         rng = np.random.default_rng(16)
         pdm = _random_truncated(rng)

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdmorder import (
     DegenerateShape,
@@ -15,12 +17,12 @@ from pdmorder import (
     Shape,
     ShapeSet,
     TooFewSamples,
-    align_pair,
     generalized_procrustes,
     load_shape_set,
     mean_shape,
     rmsd,
 )
+from pdmorder.shapes import _similarity_coeffs
 
 
 def _similarity(shape: Shape, angle: float, scale: float, shift: complex) -> Shape:
@@ -37,6 +39,16 @@ def _coords(z: np.ndarray) -> np.ndarray:
 
 def _random_shape(rng: np.random.Generator, landmarks: int = 7) -> Shape:
     return Shape(rng.standard_normal(2 * landmarks))
+
+
+def _align_to(shape: Shape, reference: Shape, allow_scaling: bool = True) -> Shape:
+    """GPA's per-shape similarity step on a one-row stack, placed on the reference."""
+    zc = shape.as_complex()[None, :]
+    zc = zc - zc.mean()
+    w = reference.as_complex()
+    powers = np.sum(np.abs(zc) ** 2, axis=1)
+    coeff = _similarity_coeffs(zc, powers, w - w.mean(), allow_scaling)
+    return Shape(_coords(coeff[0] * zc[0] + w.mean()))
 
 
 def _grid_best_rmsd(shape: Shape, reference: Shape, step: float = 1e-4) -> float:
@@ -188,25 +200,27 @@ class TestLoadShapeSet:
 
 
 class TestAlignPair:
+    """GPA's per-shape similarity step, run on one shape at a time."""
+
     def test_exact_similarity_recovery(self):
         rng = np.random.default_rng(3)
         ref = _random_shape(rng)
         moved = _similarity(ref, math.pi / 2, 2.0, 0.7 - 1.3j)
-        out = align_pair(moved, ref)
+        out = _align_to(moved, ref)
         assert rmsd(out, ref) < 1e-10
 
     def test_identity(self):
         rng = np.random.default_rng(4)
         ref = _random_shape(rng)
-        out = align_pair(ref, ref)
+        out = _align_to(ref, ref)
         assert rmsd(out, ref) < 1e-12
 
     def test_idempotent(self):
         rng = np.random.default_rng(5)
         ref = _random_shape(rng)
         shape = _random_shape(rng)
-        once = align_pair(shape, ref)
-        twice = align_pair(once, ref)
+        once = _align_to(shape, ref)
+        twice = _align_to(once, ref)
         assert rmsd(once, twice) < 1e-12
 
     def test_beats_rotation_grid_search(self):
@@ -214,7 +228,7 @@ class TestAlignPair:
         ref = _random_shape(rng)
         noisy = Shape(ref.coords + 0.05 * rng.standard_normal(ref.n_coords))
         shape = _similarity(noisy, 1.1, 1.4, 0.2 + 0.1j)
-        out = align_pair(shape, ref)
+        out = _align_to(shape, ref)
         closed_form = rmsd(out, ref)
         grid = _grid_best_rmsd(shape, ref)
         assert closed_form <= grid + 1e-7
@@ -223,7 +237,7 @@ class TestAlignPair:
         rng = np.random.default_rng(7)
         ref = _random_shape(rng)
         shape = _similarity(ref, 0.8, 3.0, 1.0 + 1.0j)
-        out = align_pair(shape, ref, allow_scaling=False)
+        out = _align_to(shape, ref, allow_scaling=False)
         assert out.centroid_size() == pytest.approx(shape.centroid_size(), rel=1e-12)
         # Rotation and translation alone cannot undo the 3x scale.
         assert rmsd(out, ref) > 0.1
@@ -233,7 +247,27 @@ class TestAlignPair:
         ref = _random_shape(rng, landmarks=3)
         flat = Shape([2.0, 5.0, 2.0, 5.0, 2.0, 5.0])
         with pytest.raises(DegenerateShape):
-            align_pair(flat, ref)
+            generalized_procrustes(ShapeSet((flat, ref)))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        landmarks=st.integers(3, 10),
+        angle=st.floats(-math.pi, math.pi),
+        scale=st.floats(0.2, 5.0),
+        shift=st.complex_numbers(max_magnitude=100.0, allow_nan=False, allow_infinity=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_similarity_recovery(
+        self, seed: int, landmarks: int, angle: float, scale: float, shift: complex
+    ) -> None:
+        rng = np.random.default_rng(seed)
+        ref = _random_shape(rng, landmarks)
+        moved = _similarity(ref, angle, scale, shift)
+        assert rmsd(_align_to(moved, ref), ref) < 1e-10
+        once = _align_to(_similarity(_random_shape(rng, landmarks), angle, scale, shift), ref)
+        assert rmsd(_align_to(once, ref), once) < 1e-12
+        rigid = _align_to(moved, ref, allow_scaling=False)
+        assert rigid.centroid_size() == pytest.approx(moved.centroid_size(), rel=1e-12)
 
 
 class TestGeneralizedProcrustes:
@@ -278,14 +312,22 @@ class TestGeneralizedProcrustes:
         assert aligned.alignment_report.iterations >= 1
         assert aligned.alignment_report.final_change < 1e-9
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_raises(self, max_iter: int) -> None:
+        # With no sweep the set would come back unaligned but flagged aligned.
+        rng = np.random.default_rng(13)
+        shapes = ShapeSet((_random_shape(rng), _random_shape(rng)))
+        with pytest.raises(ValueError, match="max_iter"):
+            generalized_procrustes(shapes, max_iter=max_iter)
+
     def test_order_preserved(self):
         square = Shape([0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
         spike = Shape([0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 9.0, 9.0])
         aligned = generalized_procrustes(ShapeSet((square, spike)))
         # Aligning output 0 back onto the square should land almost exactly;
         # output 1 is a different shape and cannot.
-        err0 = rmsd(align_pair(aligned.shapes[0], square), square)
-        err1 = rmsd(align_pair(aligned.shapes[1], square), square)
+        err0 = rmsd(_align_to(aligned.shapes[0], square), square)
+        err1 = rmsd(_align_to(aligned.shapes[1], square), square)
         assert err0 < 1e-9
         assert err1 > 0.1
 
@@ -318,7 +360,7 @@ class TestGeneralizedProcrustes:
         # shapes are individually centered, so the pairwise alignment puts
         # them right on top of each other.
         for a, b in zip(original.shapes, redone.shapes):
-            assert rmsd(align_pair(b, a), a) < 1e-7
+            assert rmsd(_align_to(b, a), a) < 1e-7
 
 
 class TestMeanShape:
@@ -326,10 +368,6 @@ class TestMeanShape:
         a = Shape([0.0, 0.0, 0.0, 0.0])
         b = Shape([2.0, 2.0, 2.0, 2.0])
         np.testing.assert_allclose(mean_shape(ShapeSet((a, b))).coords, 1.0)
-
-    def test_single_shape_sequence(self):
-        s = Shape([1.0, 2.0, 3.0, 4.0])
-        np.testing.assert_array_equal(mean_shape([s]).coords, s.coords)
 
     def test_estimator_noise_shrinks_with_m(self):
         true_mean = np.array([0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0])

@@ -9,6 +9,7 @@ import pytest
 
 from pdmorder import (
     OrderOutOfRange,
+    SeedPdm,
     SimConfig,
     TransformRanges,
     TruncatedPdm,
@@ -18,7 +19,6 @@ from pdmorder import (
     parse_spectrum,
     sample_shapes,
     sample_shapes_with_truth,
-    seed_pdm_from_model,
 )
 
 
@@ -120,10 +120,15 @@ class TestProceduralSeed:
             make_seed_pdm_procedural(3, 1, "geometric:0.7", rng_seed=0)
 
     def test_wrap_existing_model(self):
+        # The source is provenance only: a wrapped model draws what its seed draws.
         seed = make_seed_pdm_procedural(10, 3, "geometric:0.7", rng_seed=2)
-        wrapped = seed_pdm_from_model(seed.underlying, "disk:model.pdm")
+        wrapped = SeedPdm(underlying=seed.underlying, source="disk:model.pdm")
         assert wrapped.underlying is seed.underlying
         assert wrapped.source == "disk:model.pdm"
+        config = SimConfig(n_samples=6, beta_db=20.0, rng_seed=3)
+        assert np.array_equal(
+            sample_shapes(wrapped, config).as_matrix(), sample_shapes(seed, config).as_matrix()
+        )
 
 
 class TestNoiseVariance:
