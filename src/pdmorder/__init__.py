@@ -25,7 +25,6 @@ from .shapes import (
 )
 from .pdm import (
     PdmModel,
-    TruncatedPdm,
     clamp_to_box,
     fit_pdm,
     load_pdm,

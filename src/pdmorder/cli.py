@@ -27,7 +27,7 @@ from . import __version__
 from .errors import DataError, NumericalError, NotAligned
 from .evaluation import TrialSummary, lmmse_curve, monte_carlo_order, order_sweep, McConfig
 from .order_select import select_order_proposed, select_order_variance
-from .pdm import _fmt, fit_pdm, load_pdm, save_pdm, truncate, PdmModel
+from .pdm import _fmt, fit_pdm, load_pdm, save_pdm, truncate
 from .shapes import ShapeSet, generalized_procrustes, load_shape_set, mean_shape
 from .simgen import (
     SeedPdm,
@@ -226,7 +226,7 @@ def _seed_pdm_for(args: argparse.Namespace) -> SeedPdm:
                 f"--landmarks {args.landmarks} disagrees with the "
                 f"{loaded.n_coords // 2} landmarks of --seed-model"
             )
-        if isinstance(loaded, PdmModel):
+        if loaded.order == loaded.n_coords:
             loaded = truncate(loaded, args.order)
         elif args.order != loaded.order:
             raise UsageError(

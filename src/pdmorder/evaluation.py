@@ -222,11 +222,11 @@ def order_sweep(
 
 
 def _predict_landmarks(
-    eigvecs: np.ndarray, eigvals: np.ndarray, y: np.ndarray, t_cap: int
+    basis: np.ndarray, lambdas: np.ndarray, y: np.ndarray, t_cap: int
 ) -> np.ndarray:
     """Predict every landmark of y from the others at every order 1..t_cap.
 
-    eigvecs is a full (N, N) orthonormal basis P with eigenvalues eigvals
+    basis is a full (N, N) orthonormal basis P with eigenvalues lambdas
     (a zero one acts as a mode outside the model), and y a mean-removed (N,)
     sample.  With p_j the hidden landmark's two rows of column j,
     c_j = p_aj^T y_a its visible projection,
@@ -240,16 +240,16 @@ def _predict_landmarks(
     it stays well conditioned while two columns of weight 1 remain, that is
     for t <= N - 2.  Returns (K, t_cap, 2).
     """
-    n = eigvecs.shape[0]
+    n = basis.shape[0]
     k = n // 2
-    hidden = eigvecs.reshape(k, 2, n)
+    hidden = basis.reshape(k, 2, n)
     # Exact zeros on each hidden pair: c and mass sum the visible rows, no cancelling.
     visible = 1.0 - np.repeat(np.eye(k), 2, axis=1)
-    c = (visible * y) @ eigvecs
-    mass = np.cumsum(eigvals[:t_cap] * (visible @ eigvecs[:, :t_cap] ** 2), axis=1)
+    c = (visible * y) @ basis
+    mass = np.cumsum(lambdas[:t_cap] * (visible @ basis[:, :t_cap] ** 2), axis=1)
     rho = np.where(mass > 0.0, RIDGE_REL * mass / (n - 2), 1.0)[:, :, None]
     within = np.arange(n) < np.arange(1, t_cap + 1)[:, None]
-    u = np.where(within, rho / (eigvals + rho), 1.0)
+    u = np.where(within, rho / (lambdas + rho), 1.0)
     outer = (hidden[:, :, None, :] * hidden[:, None, :, :]).reshape(k, 4, n)
     systems = (u @ outer.transpose(0, 2, 1)).reshape(k, t_cap, 2, 2)
     rhs = u @ (c[:, None, :] * hidden).transpose(0, 2, 1)
@@ -329,7 +329,7 @@ def lmmse_curve(
     sums = np.zeros(t_cap)
     for fold, model in enumerate(folds):
         y = X[:, fold] - model.mean
-        predicted = _predict_landmarks(model.eigvecs, model.eigvals, y, t_cap)
+        predicted = _predict_landmarks(model.basis, model.lambdas, y, t_cap)
         sums += np.sum((predicted - y.reshape(k, 1, 2)) ** 2, axis=(0, 2))
 
     errors = {t: sums[t - 1] / (m * k) for t in range(1, t_cap + 1)}

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularSystem, TooFewSamples, ZeroVariance
-from .pdm import PdmModel, TruncatedPdm, _project_stacked, fit_pdm, truncate
+from .errors import DataError, DimensionMismatch, SingularSystem, TooFewSamples, ZeroVariance
+from .pdm import PdmModel, _project_stacked, fit_pdm, truncate
 from .shapes import ShapeSet
 
 # Noise variances are kept above this fraction of the mean data power so
@@ -132,7 +132,7 @@ def _weighted_column_norms(squares: np.ndarray, sigma: np.ndarray) -> np.ndarray
 
 def alternating_ml(
     Y: np.ndarray,
-    pdm: TruncatedPdm,
+    pdm: PdmModel,
     tol: float = 1e-8,
     max_iter: int = 100,
     sigma_floor: float | None = None,
@@ -161,7 +161,7 @@ def alternating_ml(
 
     Args:
         Y: (N, M2) mean-removed data.
-        pdm: truncated model to regress onto.
+        pdm: model to regress onto, at the order to fit.
         tol: relative objective change that counts as converged.
         max_iter: sweep budget, at least 1.
         sigma_floor: lower bound for the noise variances; defaults to
@@ -184,7 +184,7 @@ def alternating_ml(
 
 def _fit_orders(
     Y: np.ndarray,
-    pdm: TruncatedPdm,
+    pdm: PdmModel,
     orders: Sequence[int],
     tol: float,
     max_iter: int,
@@ -343,7 +343,7 @@ def select_order_proposed(
         t_hi = min(t_hi, t_max)
     if t_hi < 1:
         raise TooFewSamples("not enough training shapes for even one mode")
-    sigma_floor = SIGMA_FLOOR_REL * float(np.sum(model.eigvals)) / model.n_coords
+    sigma_floor = SIGMA_FLOOR_REL * float(np.sum(model.lambdas)) / model.n_coords
 
     fits: dict[int, RegressionFit] = {}
     diagnostics: dict[int, list[str]] = {}
@@ -378,14 +378,20 @@ def select_order_proposed(
 
 
 def select_order_variance(model: PdmModel, fraction: float = 0.95) -> int:
-    """Smallest order whose cumulative eigenvalue share reaches fraction."""
+    """Smallest order whose cumulative eigenvalue share reaches fraction.
+
+    Raises:
+        DataError: the model is not full; the share needs the whole spectrum.
+    """
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must lie strictly between 0 and 1")
-    total = float(np.sum(model.eigvals))
+    if model.order != model.n_coords:
+        raise DataError(f"the variance rule needs the whole spectrum, not {model.order} modes")
+    total = float(np.sum(model.lambdas))
     if total <= 0.0:
         raise ZeroVariance("model carries no variance")
     # Normalise by the running sum's own end, which is then exactly 1.0; a
     # separately rounded total can leave it just below a fraction near 1.
-    cumulative = np.cumsum(model.eigvals)
+    cumulative = np.cumsum(model.lambdas)
     cumulative /= cumulative[-1]
     return int(np.argmax(cumulative >= fraction)) + 1

@@ -3,7 +3,9 @@
 The model is the mean shape plus an orthonormal deformation basis obtained
 from the eigendecomposition of the biased sample covariance (divide by the
 number of training shapes).  Deformation coefficients live in the
-plausibility box |b_i| <= sqrt(lambda_i).
+plausibility box |b_i| <= sqrt(lambda_i).  A model of order t keeps the
+leading t modes: fit_pdm returns the full model (t = N) and truncate cuts
+it to fewer, so one PdmModel type serves every order.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    DataError,
     DimensionMismatch,
     NotAligned,
     OrderOutOfRange,
@@ -40,83 +43,46 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PdmModel:
-    """Full eigenmodel of an aligned shape set.
+    """The leading `order` modes of the eigenmodel of an aligned shape set.
+
+    The model is full when order == n_coords; only a full model may keep
+    zero eigenvalues.  The checks cost O(N * order): the basis is trusted
+    to be orthonormal.
 
     Attributes:
-        mean: (N,) mean shape coordinates.
-        eigvecs: (N, N) orthonormal eigenvector columns.
-        eigvals: (N,) eigenvalues, descending, clamped at zero.
-        n_train: number of shapes the model was fit on.
-    """
-
-    mean: np.ndarray
-    eigvecs: np.ndarray
-    eigvals: np.ndarray
-    n_train: int
-
-    def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float)
-        vecs = np.asarray(self.eigvecs, dtype=float)
-        vals = np.asarray(self.eigvals, dtype=float)
-        n = mean.size
-        if vecs.shape != (n, n) or vals.shape != (n,):
-            raise DimensionMismatch("model arrays disagree on dimensions")
-        if np.any(vals < 0):
-            raise ValueError("eigenvalues must be clamped at zero")
-        if np.any(np.diff(vals) > 0):
-            raise ValueError("eigenvalues must be sorted descending")
-        for name, arr in (("mean", mean), ("eigvecs", vecs), ("eigvals", vals)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @property
-    def n_coords(self) -> int:
-        return self.mean.size
-
-    def positive_rank(self) -> int:
-        """Number of eigenvalues that carry real variance.
-
-        Eigenvalues below RANK_REL_TOL times the leading one count as
-        rank-deficient and are excluded.
-        """
-        if self.eigvals.size == 0 or self.eigvals[0] <= 0.0:
-            return 0
-        return int(np.sum(self.eigvals > RANK_REL_TOL * self.eigvals[0]))
-
-    def covariance(self) -> np.ndarray:
-        """Reconstructed sample covariance P diag(lambda) P^T."""
-        return (self.eigvecs * self.eigvals) @ self.eigvecs.T
-
-
-@dataclass(frozen=True, eq=False)
-class TruncatedPdm:
-    """The first `order` deformation modes of a model.
-
-    Attributes:
-        mean: (N,) mean shape coordinates.
-        basis: (N, order) orthonormal mode columns.
-        lambdas: (order,) strictly positive descending eigenvalues.
-        order: retained mode count.
+        mean: (N,) mean shape coordinates, N even and at least 4.
+        basis: (N, order) orthonormal mode columns, 1 <= order <= N.
+        lambdas: (order,) eigenvalues, descending and >= 0; strictly
+            positive unless the model is full.
+        n_train: number of shapes the model was fit on (M1 of the store),
+            0 when the model was not fit to data.
     """
 
     mean: np.ndarray
     basis: np.ndarray
     lambdas: np.ndarray
-    order: int
+    n_train: int
 
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=float)
         basis = np.asarray(self.basis, dtype=float)
         lambdas = np.asarray(self.lambdas, dtype=float)
-        if basis.shape != (mean.size, self.order) or lambdas.shape != (self.order,):
-            raise DimensionMismatch("truncated model arrays disagree on dimensions")
-        if self.order < 1:
-            raise OrderOutOfRange("a truncated model keeps at least one mode")
-        if np.any(lambdas <= 0):
-            raise ValueError("retained eigenvalues must be strictly positive")
+        n = mean.size
+        if mean.ndim != 1 or n < 4 or n % 2:
+            raise DimensionMismatch(f"a model needs an even coordinate count >= 4, got {n}")
+        if basis.ndim != 2 or basis.shape[0] != n or lambdas.shape != basis.shape[1:]:
+            raise DimensionMismatch("model arrays disagree on dimensions")
+        t = lambdas.size
+        if not 1 <= t <= n:
+            raise OrderOutOfRange(f"a model keeps 1..{n} modes, got {t}")
+        if np.any(lambdas < 0):
+            raise ValueError("eigenvalues must be clamped at zero")
         if np.any(np.diff(lambdas) > 0):
-            raise ValueError("retained eigenvalues must be sorted descending")
+            raise ValueError("eigenvalues must be sorted descending")
+        if t < n and lambdas[-1] <= 0:
+            raise ValueError("a partial model keeps only strictly positive eigenvalues")
+        if self.n_train < 0:
+            raise ValueError("n_train must not be negative")
         for name, arr in (("mean", mean), ("basis", basis), ("lambdas", lambdas)):
             arr = arr.copy()
             arr.flags.writeable = False
@@ -125,6 +91,24 @@ class TruncatedPdm:
     @property
     def n_coords(self) -> int:
         return self.mean.size
+
+    @property
+    def order(self) -> int:
+        return self.basis.shape[1]
+
+    def positive_rank(self) -> int:
+        """Number of eigenvalues that carry real variance.
+
+        Eigenvalues below RANK_REL_TOL times the leading one count as
+        rank-deficient and are excluded.
+        """
+        if self.lambdas[0] <= 0.0:
+            return 0
+        return int(np.sum(self.lambdas > RANK_REL_TOL * self.lambdas[0]))
+
+    def covariance(self) -> np.ndarray:
+        """Reconstructed sample covariance P diag(lambda) P^T."""
+        return (self.basis * self.lambdas) @ self.basis.T
 
 
 def fit_pdm(shape_set: ShapeSet) -> PdmModel:
@@ -149,23 +133,30 @@ def fit_pdm(shape_set: ShapeSet) -> PdmModel:
     vecs = vecs[:, ::-1].copy()
     vals[vals < 0] = 0.0
     vecs = _fix_signs(vecs)
-    return PdmModel(mean=mu, eigvecs=vecs, eigvals=vals, n_train=shape_set.n_shapes)
+    return PdmModel(mean=mu, basis=vecs, lambdas=vals, n_train=shape_set.n_shapes)
 
 
-def truncate(model: PdmModel, order: int) -> TruncatedPdm:
-    """Keep the leading `order` modes of a model.
+def truncate(model: PdmModel, order: int) -> PdmModel:
+    """The full model cut to its leading `order` modes.
+
+    The result is a PdmModel with the same mean and n_train.  Only the
+    positive modes can be kept, since a partial model carries no zero
+    eigenvalues.
 
     Raises:
-        OrderOutOfRange: order is outside 1..positive_rank(model).
+        OrderOutOfRange: model is not full, or order is outside
+            1..positive_rank(model).
     """
+    if model.order != model.n_coords:
+        raise OrderOutOfRange(f"only a full model is truncated, not one of {model.order} modes")
     rank = model.positive_rank()
     if not 1 <= order <= rank:
         raise OrderOutOfRange(f"order {order} outside the usable range 1..{rank}")
-    return TruncatedPdm(
+    return PdmModel(
         mean=model.mean,
-        basis=model.eigvecs[:, :order],
-        lambdas=model.eigvals[:order],
-        order=order,
+        basis=model.basis[:, :order],
+        lambdas=model.lambdas[:order],
+        n_train=model.n_train,
     )
 
 
@@ -189,7 +180,7 @@ def clamp_to_box(coeffs: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
     return b * min(1.0, float(ratios.min()))
 
 
-def project_constrained(pdm: TruncatedPdm, Y: np.ndarray, sigma_diag: np.ndarray) -> np.ndarray:
+def project_constrained(pdm: PdmModel, Y: np.ndarray, sigma_diag: np.ndarray) -> np.ndarray:
     """Weighted least squares projection of data onto the modes, boxed.
 
     Solves the generalized least squares problem with a diagonal noise
@@ -197,7 +188,7 @@ def project_constrained(pdm: TruncatedPdm, Y: np.ndarray, sigma_diag: np.ndarray
     interval |b_i| <= sqrt(lambda_i) independently.
 
     Args:
-        pdm: truncated model supplying basis and box widths.
+        pdm: model supplying basis and box widths.
         Y: (N, M) mean-removed data, one column per sample.
         sigma_diag: (N,) per-coordinate noise variances, strictly positive.
 
@@ -279,7 +270,7 @@ def _project_stacked(
     return np.clip(B, -limits, limits), failed
 
 
-def reconstruct(pdm: TruncatedPdm, coeffs: np.ndarray) -> np.ndarray:
+def reconstruct(pdm: PdmModel, coeffs: np.ndarray) -> np.ndarray:
     """Deformation part basis @ coeffs; the mean is not added back."""
     B = np.asarray(coeffs, dtype=float)
     if B.ndim not in (1, 2) or B.shape[0] != pdm.order:
@@ -287,7 +278,7 @@ def reconstruct(pdm: TruncatedPdm, coeffs: np.ndarray) -> np.ndarray:
     return pdm.basis @ B
 
 
-def save_pdm(model: PdmModel | TruncatedPdm, path: str | Path, order: int | None = None) -> None:
+def save_pdm(model: PdmModel, path: str | Path, order: int | None = None) -> None:
     """Write a model to a flat text container.
 
     Layout: a header row N,t,M1; the mean row; the eigenvalue row; then one
@@ -295,43 +286,30 @@ def save_pdm(model: PdmModel | TruncatedPdm, path: str | Path, order: int | None
     so a load followed by a save reproduces the file byte for byte.
 
     Args:
-        model: full or truncated model.
+        model: the model to store.
         path: output file.
-        order: with a full model, store only the leading `order` modes;
-            below N they must be positive ones, the range truncate accepts.
+        order: store truncate(model, order) instead; None or model.order
+            stores the model as it is.
 
     Raises:
-        OrderOutOfRange: order is neither N nor within 1..positive_rank.
+        OrderOutOfRange: truncate refuses the order; nothing is written.
     """
-    if isinstance(model, PdmModel):
-        t = model.n_coords if order is None else order
-        if t != model.n_coords:
-            truncate(model, t)  # load_pdm reads a partial store as a TruncatedPdm
-        basis = model.eigvecs[:, :t]
-        lambdas = model.eigvals[:t]
-        n_train = model.n_train
-    else:
-        if order is not None and order != model.order:
-            raise OrderOutOfRange("a truncated model is stored at its own order")
-        t = model.order
-        basis = model.basis
-        lambdas = model.lambdas
-        n_train = 0
-    lines = [f"{model.mean.size},{t},{n_train}"]
+    if order is not None and order != model.order:
+        model = truncate(model, order)
+    lines = [f"{model.n_coords},{model.order},{model.n_train}"]
     lines.append(",".join(_fmt(v) for v in model.mean))
-    lines.append(",".join(_fmt(v) for v in lambdas))
-    for k in range(t):
-        lines.append(",".join(_fmt(v) for v in basis[:, k]))
+    lines.append(",".join(_fmt(v) for v in model.lambdas))
+    for k in range(model.order):
+        lines.append(",".join(_fmt(v) for v in model.basis[:, k]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_pdm(path: str | Path) -> PdmModel | TruncatedPdm:
+def load_pdm(path: str | Path) -> PdmModel:
     """Read a model container written by save_pdm.
 
-    Returns a PdmModel when all modes are present, otherwise a TruncatedPdm.
-
     Raises:
-        ParseError: unreadable file, malformed header, rows or numbers.
+        ParseError: unreadable file, malformed header, rows or numbers, or
+            arrays that do not make a PdmModel.
     """
     path = Path(path)
     rows = [line.split(",") for _, line in _data_lines(path)]
@@ -360,8 +338,6 @@ def load_pdm(path: str | Path) -> PdmModel | TruncatedPdm:
     lambdas = _floats(rows[2], "eigenvalue row", t)
     basis = np.column_stack([_floats(rows[3 + k], f"eigenvector row {k}", n) for k in range(t)])
     try:
-        if t == n:
-            return PdmModel(mean=mean, eigvecs=basis, eigvals=lambdas, n_train=n_train)
-        return TruncatedPdm(mean=mean, basis=basis, lambdas=lambdas, order=t)
-    except ValueError as exc:
+        return PdmModel(mean=mean, basis=basis, lambdas=lambdas, n_train=n_train)
+    except (ValueError, DataError) as exc:
         raise ParseError(f"{path}: {exc}") from exc

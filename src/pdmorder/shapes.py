@@ -306,10 +306,12 @@ def generalized_procrustes(
 
     Raises:
         DegenerateShape: some shape has all landmarks coincident.
-        ValueError: max_iter is below 1.
+        ValueError: max_iter is below 1, or tol is NaN or negative.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    if not tol >= 0:
+        raise ValueError("tol must be a number >= 0")
     Z = shape_set.complex_matrix()
     Zc = Z - Z.mean(axis=1, keepdims=True)
     powers = np.sum(np.abs(Zc) ** 2, axis=1)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import OrderOutOfRange
-from .pdm import TruncatedPdm, _fix_signs
+from .pdm import PdmModel, _fix_signs
 from .shapes import ShapeSet, generalized_procrustes, _as_complex, _as_coords
 
 
@@ -62,7 +62,7 @@ class SimConfig:
 class SeedPdm:
     """Ground-truth generator model plus a provenance note."""
 
-    underlying: TruncatedPdm
+    underlying: PdmModel
     source: str
 
 
@@ -231,7 +231,7 @@ def make_seed_pdm_procedural(
         freq += 1
 
     basis = _fix_signs(basis)
-    model = TruncatedPdm(mean=mean, basis=basis, lambdas=lambdas, order=order)
+    model = PdmModel(mean=mean, basis=basis, lambdas=lambdas, n_train=0)
     return SeedPdm(underlying=model, source=f"procedural:{rng_seed}")
 
 

@@ -32,7 +32,7 @@ from pdmorder import (
 )
 from pdmorder.cli import main
 from pdmorder.order_select import alternating_ml
-from pdmorder.pdm import TruncatedPdm
+from pdmorder.pdm import PdmModel
 
 COUNTS_B = (10, 20, 40, 100, 200)
 
@@ -110,7 +110,7 @@ def test_criterion_5_alternation_objective_monotone() -> None:
         m2 = int(rng.integers(2, 61))         # M2 <= 60
         q, _ = np.linalg.qr(rng.normal(size=(n, t)))
         lam = np.sort(rng.uniform(0.5, 5.0, size=t))[::-1]
-        pdm = TruncatedPdm(mean=np.zeros(n), basis=q, lambdas=lam, order=t)
+        pdm = PdmModel(mean=np.zeros(n), basis=q, lambdas=lam, n_train=0)
         y = rng.normal(size=(n, m2)) * rng.uniform(0.5, 2.0)
         fit = alternating_ml(y, pdm)
         trace = np.asarray(fit.objective_trace)
@@ -169,12 +169,12 @@ def test_criterion_8_alignment_and_model_invariants() -> None:
     # eigenvector orthonormality and covariance reconstruction
     shape_set = _aligned_random_set(rng, k=8, m=30)
     model = fit_pdm(shape_set)
-    gram = model.eigvecs.T @ model.eigvecs
+    gram = model.basis.T @ model.basis
     assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-10
     mat = shape_set.as_matrix()
     centered = mat - mat.mean(axis=1, keepdims=True)
     cov = centered @ centered.T / mat.shape[1]
-    rebuilt = model.eigvecs @ np.diag(model.eigvals) @ model.eigvecs.T
+    rebuilt = model.basis @ np.diag(model.lambdas) @ model.basis.T
     assert np.max(np.abs(rebuilt - cov)) < 1e-8
 
     # coefficient clamp: box membership and idempotence

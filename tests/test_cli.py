@@ -225,8 +225,8 @@ class TestEndToEnd:
         direct = fit_pdm(generalized_procrustes(load_shape_set(small_csv)))
         # 17-significant-digit serialization round-trips doubles exactly
         assert np.array_equal(loaded.mean, direct.mean)
-        assert np.array_equal(loaded.eigvals, direct.eigvals)
-        assert np.array_equal(loaded.eigvecs, direct.eigvecs)
+        assert np.array_equal(loaded.lambdas, direct.lambdas)
+        assert np.array_equal(loaded.basis, direct.basis)
 
     def test_mean_shape_stdout(
         self, small_csv: Path, capsys: pytest.CaptureFixture
@@ -380,6 +380,28 @@ class TestArtifacts:
         ])
         assert rc == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("command", [
+        "simulate --samples 5",
+        "montecarlo --samples 10 --trials 1",
+    ])
+    def test_odd_coordinate_seed_model_is_a_parse_error(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture, command: str
+    ) -> None:
+        # 9 coordinates pass the --landmarks 4 check (9 // 2 == 4), so only
+        # the model's own check stands between the file and the generator.
+        model = tmp_path / "odd.pdm"
+        rows = ["9,2,5", ",".join(["0"] * 9), "2,1"]
+        rows += [",".join(["1" if i == k else "0" for i in range(9)]) for k in range(2)]
+        model.write_text("\n".join(rows) + "\n")
+        argv = command.split() + [
+            "--seed-model", str(model), "--landmarks", "4", "--order", "2",
+            "--beta-db", "20", "--seed", "1", "--out", str(tmp_path / "out.csv"),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert str(model) in err and "Traceback" not in err
 
 
 

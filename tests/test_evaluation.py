@@ -30,11 +30,12 @@ from pdmorder import (
     sample_shapes,
     select_order_proposed,
     select_order_variance,
+    truncate,
 )
 from pdmorder import evaluation
 from pdmorder.errors import TooFewSamples
 from pdmorder.evaluation import CellStats, TrialSummary, _predict_landmarks
-from pdmorder.pdm import TruncatedPdm
+from pdmorder.pdm import PdmModel
 
 RIDGE_REL = 1e-10
 
@@ -52,17 +53,11 @@ def _aligned_random_set(rng: np.random.Generator, k: int, m: int) -> ShapeSet:
     return ShapeSet.from_matrix(mat, aligned=True)
 
 
-def _full_rank_model(rng: np.random.Generator, k: int) -> TruncatedPdm:
+def _full_rank_model(rng: np.random.Generator, k: int) -> PdmModel:
     n = 2 * k
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     lam = np.sort(rng.uniform(0.5, 4.0, size=n))[::-1]
-    return TruncatedPdm(mean=np.zeros(n), basis=q, lambdas=lam, order=n)
-
-
-def _leading_modes(full: TruncatedPdm, t: int) -> TruncatedPdm:
-    return TruncatedPdm(
-        mean=full.mean, basis=full.basis[:, :t], lambdas=full.lambdas[:t], order=t,
-    )
+    return PdmModel(mean=np.zeros(n), basis=q, lambdas=lam, n_train=0)
 
 
 def _exact_solve(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
@@ -381,7 +376,7 @@ class TestOrderSweep:
 class TestLmmseEstimateLandmark:
     """The per-fold kernel of lmmse_curve, read at one landmark and order.
 
-    _predict_landmarks(eigvecs, eigvals, y, t)[landmark, -1] is the estimate
+    _predict_landmarks(basis, lambdas, y, t)[landmark, -1] is the estimate
     from the leading t modes: modes past t get weight 1 whatever their
     eigenvalue, and the hidden pair of y is never read.
     """
@@ -392,7 +387,7 @@ class TestLmmseEstimateLandmark:
         # ridge conditional mean; 200 random draws came within 6.7e-12.
         rng = np.random.default_rng(3)
         full = _full_rank_model(rng, k=5)
-        model = _leading_modes(full, 8)
+        model = truncate(full, 8)
         for landmark in range(5):
             y = rng.normal(size=10)
             avail = [i for i in range(10) if i not in (2 * landmark, 2 * landmark + 1)]
@@ -405,7 +400,7 @@ class TestLmmseEstimateLandmark:
         rng = np.random.default_rng(5)
         full = _full_rank_model(rng, k=6)
         t = 3
-        model = _leading_modes(full, t)
+        model = truncate(full, t)
         b = rng.normal(size=t) * np.sqrt(model.lambdas)
         y_full = model.basis @ b
         for landmark in (0, 3, 5):
@@ -416,7 +411,7 @@ class TestLmmseEstimateLandmark:
     def test_rank_deficient_model_matches_exact_solve(self) -> None:
         rng = np.random.default_rng(10)
         full = _full_rank_model(rng, k=4)
-        model = _leading_modes(full, 3)
+        model = truncate(full, 3)
         y = rng.normal(size=8)
         for landmark in range(4):
             avail = [i for i in range(8) if i not in (2 * landmark, 2 * landmark + 1)]
@@ -437,7 +432,7 @@ class TestLmmseEstimateLandmark:
         landmark = data.draw(st.integers(0, k - 1), label="landmark")
         rng = np.random.default_rng(seed)
         full = _full_rank_model(rng, k)
-        model = _leading_modes(full, t)
+        model = truncate(full, t)
         y = model.basis @ (rng.normal(size=t) * np.sqrt(model.lambdas))
         miss = [2 * landmark, 2 * landmark + 1]
         avail = [i for i in range(n) if i not in miss]
@@ -451,9 +446,9 @@ class TestLmmseEstimateLandmark:
 
     def test_mode_on_the_hidden_landmark_alone_predicts_zero(self) -> None:
         # The visible rows carry no variance, so they say nothing about it.
-        eigvals = np.zeros(8)
-        eigvals[0] = 2.0
-        est = _predict_landmarks(np.eye(8), eigvals, np.arange(8.0), 1)[0, -1]
+        lambdas = np.zeros(8)
+        lambdas[0] = 2.0
+        est = _predict_landmarks(np.eye(8), lambdas, np.arange(8.0), 1)[0, -1]
         assert np.array_equal(est, np.zeros(2))
 
     def test_zero_observation_gives_zero_estimate(self) -> None:

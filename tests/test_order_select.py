@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdmorder import (
+    DataError,
     PdmModel,
     RegressionFit,
     ShapeSet,
     SimConfig,
     SingularSystem,
     TooFewSamples,
-    TruncatedPdm,
     ZeroVariance,
     aic_score,
     alternating_ml,
@@ -42,8 +42,8 @@ def _aligned_random_set(rng: np.random.Generator, n: int, m: int) -> ShapeSet:
 
 def _centered_truncated(
     rng: np.random.Generator, n: int, t: int, lambdas: np.ndarray
-) -> TruncatedPdm:
-    """Truncated model whose modes never move a shape's centroid."""
+) -> PdmModel:
+    """Partial model whose modes never move a shape's centroid."""
     tx = np.zeros(n)
     tx[0::2] = 1.0
     ty = np.zeros(n)
@@ -53,7 +53,7 @@ def _centered_truncated(
         u = shift / np.linalg.norm(shift)
         raw -= u[:, None] * (u @ raw)
     q, _ = np.linalg.qr(raw)
-    return TruncatedPdm(mean=np.zeros(n), basis=q, lambdas=lambdas, order=t)
+    return PdmModel(mean=np.zeros(n), basis=q, lambdas=lambdas, n_train=0)
 
 
 def _singular_projection_at(failing_order: int):
@@ -144,8 +144,8 @@ class TestAlternatingMl:
         # where the noise estimates track the data row variances.
         n, m2 = 20, 60
         p = np.tile([1.0, 1.0, -1.0, -1.0], n // 4) / math.sqrt(n)
-        pdm = TruncatedPdm(
-            mean=np.zeros(n), basis=p[:, None], lambdas=np.array([100.0]), order=1
+        pdm = PdmModel(
+            mean=np.zeros(n), basis=p[:, None], lambdas=np.array([100.0]), n_train=0
         )
         rng = np.random.default_rng(0)
         Y = rng.standard_normal((n, m2))
@@ -207,9 +207,9 @@ class TestFitOrdersKernelExit:
     HADAMARD = np.kron(np.kron(H2, H2), np.kron(H2, H2)) / 4.0
     LAMBDAS = np.array([3.0, 2.0, 1.5, 1.0, 0.7, 0.5])
 
-    def _block(self, fifth_mode: int) -> TruncatedPdm:
+    def _block(self, fifth_mode: int) -> PdmModel:
         basis = self.HADAMARD[:, [1, 2, 3, 4, fifth_mode, 6]]
-        return TruncatedPdm(mean=np.zeros(16), basis=basis, lambdas=self.LAMBDAS, order=6)
+        return PdmModel(mean=np.zeros(16), basis=basis, lambdas=self.LAMBDAS, n_train=0)
 
     def test_only_orders_holding_both_copies_fail(self):
         Y = np.random.default_rng(19).normal(0.0, 0.5, (16, 10))
@@ -372,7 +372,7 @@ class TestSelectOrderProposed:
         result = select_order_proposed(ss, t_max=t_max)
         split = split_data(ss)
         model = fit_pdm(split.x1)
-        floor = order_select.SIGMA_FLOOR_REL * float(np.sum(model.eigvals)) / model.n_coords
+        floor = order_select.SIGMA_FLOOR_REL * float(np.sum(model.lambdas)) / model.n_coords
         t_hi = max(result.scores)
         assert t_hi % order_select.ORDER_BLOCK != 0
         assert set(result.scores) == set(range(1, t_hi + 1))
@@ -432,10 +432,13 @@ class TestSelectOrderProposed:
 
 
 class TestSelectOrderVariance:
-    def _model(self, eigvals) -> PdmModel:
-        vals = np.asarray(eigvals, dtype=float)
-        n = vals.size
-        return PdmModel(mean=np.zeros(n), eigvecs=np.eye(n), eigvals=vals, n_train=5)
+    def _model(self, lambdas) -> PdmModel:
+        # Zero eigenvalues pad the spectrum to a model size (even, at least
+        # 4); they change no cumulative share, so no pick either.
+        vals = np.asarray(lambdas, dtype=float)
+        n = max(4, vals.size + vals.size % 2)
+        vals = np.concatenate([vals, np.zeros(n - vals.size)])
+        return PdmModel(mean=np.zeros(n), basis=np.eye(n), lambdas=vals, n_train=5)
 
     def test_short_of_threshold_needs_next_mode(self):
         assert select_order_variance(self._model([9.0, 1.0]), 0.95) == 2
@@ -463,9 +466,15 @@ class TestSelectOrderVariance:
         # The cumulative share ends at exactly 1.0, so a fraction one ulp
         # below 1 may leave out modes at rounding level but no larger one.
         model = self._model(sorted(values, reverse=True))
-        rounding = 4 * model.eigvals.size * np.finfo(float).eps * np.sum(model.eigvals)
-        last_above = int(np.flatnonzero(model.eigvals > rounding)[-1]) + 1
+        rounding = 4 * len(values) * np.finfo(float).eps * np.sum(model.lambdas)
+        last_above = int(np.flatnonzero(model.lambdas > rounding)[-1]) + 1
         assert select_order_variance(model, np.nextafter(1.0, 0.0)) >= last_above
+
+    def test_partial_model_refused(self):
+        # A share of the retained modes alone would pick too low an order.
+        model = truncate(self._model([5.0, 3.0, 1.0, 1.0]), 2)
+        with pytest.raises(DataError, match="whole spectrum"):
+            select_order_variance(model)
 
     def test_fraction_bounds(self):
         model = self._model([1.0, 1.0])

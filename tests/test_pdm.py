@@ -17,7 +17,6 @@ from pdmorder import (
     PdmModel,
     ShapeSet,
     SingularSystem,
-    TruncatedPdm,
     clamp_to_box,
     fit_pdm,
     load_pdm,
@@ -45,10 +44,10 @@ def _biased_cov(mat: np.ndarray) -> np.ndarray:
     return centered @ centered.T / mat.shape[1]
 
 
-def _random_truncated(rng: np.random.Generator, n: int = 8, t: int = 3) -> TruncatedPdm:
+def _random_truncated(rng: np.random.Generator, n: int = 8, t: int = 3) -> PdmModel:
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     lambdas = np.sort(rng.uniform(0.5, 4.0, t))[::-1]
-    return TruncatedPdm(mean=np.zeros(n), basis=q[:, :t], lambdas=lambdas, order=t)
+    return PdmModel(mean=np.zeros(n), basis=q[:, :t], lambdas=lambdas, n_train=0)
 
 
 class TestFitPdm:
@@ -61,7 +60,7 @@ class TestFitPdm:
     def test_identical_shapes_zero_spectrum(self):
         mat = np.tile(np.array([1.0, -1.0, -1.0, 1.0])[:, None], (1, 4))
         model = fit_pdm(ShapeSet.from_matrix(mat, aligned=True))
-        np.testing.assert_array_equal(model.eigvals, 0.0)
+        np.testing.assert_array_equal(model.lambdas, 0.0)
         assert model.positive_rank() == 0
 
     def test_hand_computed_two_coordinate_spectrum(self):
@@ -71,8 +70,8 @@ class TestFitPdm:
         mat = np.zeros((4, 3))
         mat[0] = [1.0, -1.0, 0.0]
         model = fit_pdm(ShapeSet.from_matrix(mat, aligned=True))
-        np.testing.assert_allclose(model.eigvals, [2.0 / 3.0, 0.0, 0.0, 0.0], atol=1e-14)
-        np.testing.assert_allclose(model.eigvecs[:, 0], [1.0, 0.0, 0.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(model.lambdas, [2.0 / 3.0, 0.0, 0.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(model.basis[:, 0], [1.0, 0.0, 0.0, 0.0], atol=1e-14)
 
     def test_mean_matches_column_mean(self):
         rng = np.random.default_rng(1)
@@ -86,7 +85,7 @@ class TestFitPdm:
         ss = _aligned_random_set(rng, 10, 30)
         model = fit_pdm(ss)
         trace = float(np.trace(_biased_cov(ss.as_matrix())))
-        assert np.sum(model.eigvals) == pytest.approx(trace, rel=1e-8)
+        assert np.sum(model.lambdas) == pytest.approx(trace, rel=1e-8)
 
     def test_covariance_reconstruction(self):
         rng = np.random.default_rng(3)
@@ -98,13 +97,13 @@ class TestFitPdm:
     def test_eigvec_orthonormality(self):
         rng = np.random.default_rng(4)
         model = fit_pdm(_aligned_random_set(rng, 12, 40))
-        gram = model.eigvecs.T @ model.eigvecs
+        gram = model.basis.T @ model.basis
         assert np.max(np.abs(gram - np.eye(12))) < 1e-10
 
     def test_sign_convention(self):
         rng = np.random.default_rng(5)
         model = fit_pdm(_aligned_random_set(rng, 8, 20))
-        for col in model.eigvecs.T:
+        for col in model.basis.T:
             assert col[np.argmax(np.abs(col))] > 0
 
     def test_deterministic(self):
@@ -112,8 +111,8 @@ class TestFitPdm:
         ss = _aligned_random_set(rng, 8, 20)
         a = fit_pdm(ss)
         b = fit_pdm(ss)
-        np.testing.assert_array_equal(a.eigvecs, b.eigvecs)
-        np.testing.assert_array_equal(a.eigvals, b.eigvals)
+        np.testing.assert_array_equal(a.basis, b.basis)
+        np.testing.assert_array_equal(a.lambdas, b.lambdas)
 
 
 class TestTruncate:
@@ -125,10 +124,11 @@ class TestTruncate:
         model = self._model()
         t = 2
         trunc = truncate(model, t)
-        np.testing.assert_array_equal(trunc.basis, model.eigvecs[:, :t])
-        np.testing.assert_array_equal(trunc.lambdas, model.eigvals[:t])
+        np.testing.assert_array_equal(trunc.basis, model.basis[:, :t])
+        np.testing.assert_array_equal(trunc.lambdas, model.lambdas[:t])
         assert trunc.order == t
         np.testing.assert_array_equal(trunc.mean, model.mean)
+        assert trunc.n_train == model.n_train == 6
 
     def test_full_positive_rank(self):
         model = self._model()
@@ -148,11 +148,53 @@ class TestTruncate:
         with pytest.raises(OrderOutOfRange):
             truncate(model, model.positive_rank() + 1)
 
+    def test_partial_model_rejected(self):
+        # Only the full model is cut; a partial one would hide missing modes.
+        trunc = truncate(self._model(), 3)
+        for order in (2, 3):
+            with pytest.raises(OrderOutOfRange):
+                truncate(trunc, order)
+
     def test_rank_ignores_negligible_eigenvalues(self):
         n = 4
         vals = np.array([1.0, 1e-13, 0.0, 0.0])
-        model = PdmModel(mean=np.zeros(n), eigvecs=np.eye(n), eigvals=vals, n_train=5)
+        model = PdmModel(mean=np.zeros(n), basis=np.eye(n), lambdas=vals, n_train=5)
         assert model.positive_rank() == 1
+
+
+class TestPdmModelChecks:
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_coordinate_count_even_and_at_least_four(self, n):
+        with pytest.raises(DimensionMismatch):
+            PdmModel(mean=np.zeros(n), basis=np.eye(n), lambdas=np.ones(n), n_train=0)
+
+    def test_arrays_must_agree(self):
+        with pytest.raises(DimensionMismatch):
+            PdmModel(mean=np.zeros(6), basis=np.eye(4), lambdas=np.ones(4), n_train=0)
+        with pytest.raises(DimensionMismatch):
+            PdmModel(mean=np.zeros(6), basis=np.eye(6)[:, :3], lambdas=np.ones(2), n_train=0)
+
+    def test_order_within_one_to_n(self):
+        with pytest.raises(OrderOutOfRange):
+            PdmModel(mean=np.zeros(4), basis=np.zeros((4, 0)), lambdas=np.zeros(0), n_train=0)
+        with pytest.raises(OrderOutOfRange):
+            PdmModel(mean=np.zeros(4), basis=np.zeros((4, 5)), lambdas=np.ones(5), n_train=0)
+
+    def test_zero_eigenvalue_only_in_a_full_model(self):
+        vals = np.array([2.0, 1.0, 0.0, 0.0])
+        full = PdmModel(mean=np.zeros(4), basis=np.eye(4), lambdas=vals, n_train=3)
+        assert full.order == full.n_coords == 4
+        with pytest.raises(ValueError):
+            PdmModel(mean=np.zeros(4), basis=np.eye(4)[:, :3], lambdas=vals[:3], n_train=3)
+
+    def test_eigenvalues_descending_and_non_negative(self):
+        for vals in ([1.0, 2.0, 0.0, 0.0], [1.0, 0.5, 0.0, -1e-3]):
+            with pytest.raises(ValueError):
+                PdmModel(mean=np.zeros(4), basis=np.eye(4), lambdas=vals, n_train=3)
+
+    def test_n_train_not_negative(self):
+        with pytest.raises(ValueError):
+            PdmModel(mean=np.zeros(4), basis=np.eye(4), lambdas=np.ones(4), n_train=-1)
 
 
 class TestClampToBox:
@@ -345,8 +387,8 @@ class TestProjectConstrained:
         n = 8
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         basis = np.column_stack([q[:, 0], q[:, 0]])
-        pdm = TruncatedPdm(
-            mean=np.zeros(n), basis=basis, lambdas=np.array([2.0, 1.0]), order=2
+        pdm = PdmModel(
+            mean=np.zeros(n), basis=basis, lambdas=np.array([2.0, 1.0]), n_train=0
         )
         with pytest.raises(SingularSystem):
             project_constrained(pdm, np.zeros((n, 1)), np.ones(n))
@@ -371,8 +413,8 @@ class TestReconstruct:
         rng = np.random.default_rng(19)
         n = 8
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        pdm = TruncatedPdm(
-            mean=np.zeros(n), basis=q, lambdas=np.full(n, 2.0), order=n
+        pdm = PdmModel(
+            mean=np.zeros(n), basis=q, lambdas=np.full(n, 2.0), n_train=0
         )
         Y = rng.standard_normal((n, 5))
         back = reconstruct(pdm, q.T @ Y)
@@ -411,11 +453,11 @@ class TestSerialization:
         ss = _aligned_random_set(rng, 8, 10)
         fitted = fit_pdm(ss)
         # Inject values that need all 17 significant digits.
-        vals = fitted.eigvals.copy()
+        vals = fitted.lambdas.copy()
         vals[0] = math.pi
         vals[1] = 1.0 / 3.0
         return PdmModel(
-            mean=fitted.mean, eigvecs=fitted.eigvecs, eigvals=np.sort(vals)[::-1],
+            mean=fitted.mean, basis=fitted.basis, lambdas=np.sort(vals)[::-1],
             n_train=fitted.n_train,
         )
 
@@ -424,10 +466,10 @@ class TestSerialization:
         p = tmp_path / "model.pdm"
         save_pdm(model, p)
         back = load_pdm(p)
-        assert isinstance(back, PdmModel)
+        assert back.order == back.n_coords == 8
         np.testing.assert_array_equal(back.mean, model.mean)
-        np.testing.assert_array_equal(back.eigvals, model.eigvals)
-        np.testing.assert_array_equal(back.eigvecs, model.eigvecs)
+        np.testing.assert_array_equal(back.lambdas, model.lambdas)
+        np.testing.assert_array_equal(back.basis, model.basis)
         assert back.n_train == model.n_train
 
     def test_truncated_round_trip(self, tmp_path):
@@ -436,19 +478,20 @@ class TestSerialization:
         p = tmp_path / "model.pdm"
         save_pdm(trunc, p)
         back = load_pdm(p)
-        assert isinstance(back, TruncatedPdm)
         assert back.order == 3
+        np.testing.assert_array_equal(back.mean, trunc.mean)
         np.testing.assert_array_equal(back.basis, trunc.basis)
         np.testing.assert_array_equal(back.lambdas, trunc.lambdas)
+        assert back.n_train == trunc.n_train == 10
 
     def test_save_full_model_at_order(self, tmp_path):
         model = self._nasty_model()
         p = tmp_path / "model.pdm"
         save_pdm(model, p, order=2)
         back = load_pdm(p)
-        assert isinstance(back, TruncatedPdm)
         assert back.order == 2
-        np.testing.assert_array_equal(back.basis, model.eigvecs[:, :2])
+        np.testing.assert_array_equal(back.basis, model.basis[:, :2])
+        np.testing.assert_array_equal(back.lambdas, model.lambdas[:2])
 
     def test_save_order_out_of_range(self, tmp_path):
         model = self._nasty_model()
@@ -456,9 +499,9 @@ class TestSerialization:
             save_pdm(model, tmp_path / "m.pdm", order=model.n_coords + 1)
 
     def test_save_order_above_positive_rank(self, tmp_path):
-        # A partial store loads back as a TruncatedPdm, which needs positive
-        # eigenvalues, so orders past the positive rank are refused unwritten;
-        # the full store (order N) still takes the zero eigenvalues.
+        # A partial model keeps only positive eigenvalues, so orders past the
+        # positive rank are refused unwritten; the full store (order N)
+        # still takes the zero eigenvalues.
         model = self._nasty_model()
         rank = model.positive_rank()
         assert rank < model.n_coords - 1
@@ -469,7 +512,29 @@ class TestSerialization:
         save_pdm(model, tmp_path / "m.pdm", order=rank)
         assert load_pdm(tmp_path / "m.pdm").order == rank
         save_pdm(model, tmp_path / "m.pdm", order=model.n_coords)
-        assert isinstance(load_pdm(tmp_path / "m.pdm"), PdmModel)
+        back = load_pdm(tmp_path / "m.pdm")
+        assert back.order == model.n_coords
+        np.testing.assert_array_equal(back.lambdas, model.lambdas)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 6),
+        m=st.integers(2, 12),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_resave_is_byte_identical(self, tmp_path_factory, seed, k, m, data):
+        # Every order a store can hold, partial or full, survives a load
+        # and a save byte for byte, M1 included.
+        model = fit_pdm(_aligned_random_set(np.random.default_rng(seed), 2 * k, m))
+        rank = model.positive_rank()
+        order = data.draw(st.sampled_from([*range(1, rank + 1), model.n_coords]), label="order")
+        folder = tmp_path_factory.mktemp("resave")
+        save_pdm(model, folder / "a.pdm", order=order)
+        back = load_pdm(folder / "a.pdm")
+        assert (back.order, back.n_train) == (order, m)
+        save_pdm(back, folder / "b.pdm")
+        assert (folder / "b.pdm").read_bytes() == (folder / "a.pdm").read_bytes()
 
     def test_truncated_rejects_foreign_order(self, tmp_path):
         trunc = truncate(self._nasty_model(), 3)
@@ -514,6 +579,15 @@ class TestLoadFailsLoudly:
         p = tmp_path / "bad.pdm"
         p.write_text("\n".join(rows) + "\n")
         with pytest.raises(ParseError):
+            load_pdm(p)
+
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_coordinate_count_odd_or_below_four(self, tmp_path, n):
+        # Rows agree with the header, so only the model's own check fails.
+        rows = [f"{n},1,3", ",".join(["0"] * n), "1", ",".join(["0.5"] * n)]
+        p = tmp_path / "bad.pdm"
+        p.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match="bad.pdm"):
             load_pdm(p)
 
     def test_missing_file(self, tmp_path):

@@ -320,6 +320,15 @@ class TestGeneralizedProcrustes:
         with pytest.raises(ValueError, match="max_iter"):
             generalized_procrustes(shapes, max_iter=max_iter)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_tol_nan_or_negative_raises(self, tol: float) -> None:
+        # Such a tol never counts as converged: every sweep would run and
+        # the report would claim final_change=0.0.
+        rng = np.random.default_rng(14)
+        shapes = ShapeSet(tuple(_random_shape(rng, 7) for _ in range(6)))
+        with pytest.raises(ValueError, match="tol"):
+            generalized_procrustes(shapes, tol=tol)
+
     def test_order_preserved(self):
         square = Shape([0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
         spike = Shape([0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 9.0, 9.0])

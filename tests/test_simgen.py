@@ -12,7 +12,6 @@ from pdmorder import (
     SeedPdm,
     SimConfig,
     TransformRanges,
-    TruncatedPdm,
     geometric_spectrum,
     make_seed_pdm_procedural,
     noise_variance,
