@@ -44,7 +44,6 @@ from .order_select import (
     split_data,
 )
 from .simgen import (
-    SeedPdm,
     SimConfig,
     SimTruth,
     TransformRanges,

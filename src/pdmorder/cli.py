@@ -27,10 +27,9 @@ from . import __version__
 from .errors import DataError, NumericalError, NotAligned
 from .evaluation import TrialSummary, lmmse_curve, monte_carlo_order, order_sweep, McConfig
 from .order_select import select_order_proposed, select_order_variance
-from .pdm import _fmt, fit_pdm, load_pdm, save_pdm, truncate
+from .pdm import PdmModel, _fmt, fit_pdm, load_pdm, save_pdm, truncate
 from .shapes import ShapeSet, generalized_procrustes, load_shape_set, mean_shape
 from .simgen import (
-    SeedPdm,
     SimConfig,
     TransformRanges,
     make_seed_pdm_procedural,
@@ -186,7 +185,7 @@ _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 _seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _sample_count = _checked(int, lambda v: v >= 2, "an integer of at least 2")
 _landmark_count = _checked(int, lambda v: v >= 4, "an integer of at least 4")
-_decibels = _checked(float, lambda v: not math.isnan(v), "a number (dB) other than NaN")
+_decibels = _checked(float, lambda v: v > -math.inf, "a number (dB) other than NaN or -inf")
 _non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 _fraction = _checked(float, lambda v: 0.0 < v < 1.0, "a number strictly between 0 and 1")
 _methods = _checked(str, lambda v: set(v.split(",")) <= set(METHODS), "proposed and/or variance")
@@ -216,7 +215,7 @@ def _add_trial_flags(parser: argparse.ArgumentParser, samples_help: str) -> None
     parser.add_argument("--out", required=True)
 
 
-def _seed_pdm_for(args: argparse.Namespace) -> SeedPdm:
+def _seed_pdm_for(args: argparse.Namespace) -> PdmModel:
     if args.seed_model is not None:
         if args.spectrum is not None:
             raise UsageError("--spectrum has no effect with --seed-model")
@@ -232,7 +231,7 @@ def _seed_pdm_for(args: argparse.Namespace) -> SeedPdm:
             raise UsageError(
                 f"--order {args.order} disagrees with the {loaded.order} modes of --seed-model"
             )
-        return SeedPdm(underlying=loaded, source=f"from_data:{args.seed_model}")
+        return loaded
     if args.spectrum is None:
         args.spectrum = DEFAULT_SPECTRUM
     try:
@@ -297,7 +296,7 @@ def cmd_select(args: argparse.Namespace) -> Path | None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> Path:
-    seed_pdm = _seed_pdm_for(args)
+    model = _seed_pdm_for(args)
     config = SimConfig(
         n_samples=args.samples,
         beta_db=args.beta_db,
@@ -310,17 +309,18 @@ def cmd_simulate(args: argparse.Namespace) -> Path:
         realign=not args.no_realign,
         b_dist=args.b_dist,
     )
-    shape_set, truth = sample_shapes_with_truth(seed_pdm, config)
+    shape_set, truth = sample_shapes_with_truth(model, config)
     out = Path(args.out)
     write_shapes_csv(out, shape_set)
     if args.out_truth is not None:
+        source = f"from_data:{args.seed_model}" if args.seed_model else f"procedural:{args.seed}"
         record = {
-            "order": truth.order,
+            "order": model.order,
             "sigma2": truth.sigma2,
-            "beta_db": truth.beta_db,
-            "lambdas": [float(v) for v in truth.lambdas],
-            "rng_seed": truth.rng_seed,
-            "source": seed_pdm.source,
+            "beta_db": config.beta_db,
+            "lambdas": [float(v) for v in model.lambdas],
+            "rng_seed": config.rng_seed,
+            "source": source,
         }
         _write_json(Path(args.out_truth), record)
     return out

@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import PdmOrderError, TooFewSamples, ZeroVariance
 from .order_select import select_order_proposed, select_order_variance
-from .pdm import fit_pdm
+from .pdm import PdmModel, fit_pdm
 from .shapes import ShapeSet, generalized_procrustes
-from .simgen import SeedPdm, SimConfig, sample_shapes
+from .simgen import SimConfig, sample_shapes
 
 RIDGE_REL = 1e-10
 
@@ -69,9 +69,14 @@ class TrialSummary:
 
 @dataclass(frozen=True, eq=False)
 class McConfig:
-    """Recipe for a Monte Carlo order-selection experiment."""
+    """Recipe for a Monte Carlo order-selection experiment.
 
-    seed_pdm: SeedPdm
+    seed_pdm is the generator model, procedural or loaded from disk; every
+    mode it keeps is a true mode, so its order is the answer each trial
+    should recover.
+    """
+
+    seed_pdm: PdmModel
     beta_db: float
     sample_counts: tuple[int, ...]
     trials: int

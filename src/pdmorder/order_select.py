@@ -12,6 +12,7 @@ white-noise criterion would.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -162,10 +163,14 @@ def alternating_ml(
     Args:
         Y: (N, M2) mean-removed data.
         pdm: model to regress onto, at the order to fit.
-        tol: relative objective change that counts as converged.
+        tol: relative objective change that counts as converged, >= 0.
         max_iter: sweep budget, at least 1.
-        sigma_floor: lower bound for the noise variances; defaults to
-            SIGMA_FLOOR_REL times the mean per-coordinate power of Y.
+        sigma_floor: lower bound for the noise variances, not NaN; defaults
+            to SIGMA_FLOOR_REL times the mean per-coordinate power of Y.
+
+    Raises:
+        ValueError: tol is NaN or negative, max_iter is below 1, or
+            sigma_floor is NaN.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
@@ -205,6 +210,10 @@ def _fit_orders(
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    if not tol >= 0:
+        raise ValueError("tol must be a number >= 0")
+    if math.isnan(sigma_floor):
+        raise ValueError("sigma_floor must not be NaN")
     sigma_floor = max(sigma_floor, 1e-300)
     m2 = Y.shape[1]
     top = pdm.order

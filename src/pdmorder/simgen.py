@@ -1,18 +1,18 @@
 """Synthetic shape data with known ground truth.
 
-A procedural seed model supplies a smooth closed mean contour and an
-orthonormal set of low-frequency deformation fields; samples are drawn
-inside the plausibility box, white noise is added in the model frame, a
-random similarity transform poses each sample, and (by default) the set is
-re-aligned with generalized Procrustes, which is exactly the step that
-turns the white noise into correlated residuals.
+The generator model is a plain PdmModel: a procedural one built by
+make_seed_pdm_procedural (a smooth closed mean contour and an orthonormal
+set of low-frequency deformation fields) or any model loaded from disk.
+Samples are drawn inside the plausibility box, white noise is added in the
+model frame, a random similarity transform poses each sample, and (by
+default) the set is re-aligned with generalized Procrustes, which is
+exactly the step that turns the white noise into correlated residuals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -52,29 +52,21 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n_samples < 2:
             raise ValueError("a synthetic set needs at least 2 samples")
-        if math.isnan(self.beta_db):
-            raise ValueError("beta_db must not be NaN")
+        if math.isnan(self.beta_db) or self.beta_db == -math.inf:
+            raise ValueError("beta_db must not be NaN or -inf")
         if self.b_dist not in ("uniform", "gaussian"):
             raise ValueError(f"unknown coefficient distribution {self.b_dist!r}")
 
 
 @dataclass(frozen=True, eq=False)
-class SeedPdm:
-    """Ground-truth generator model plus a provenance note."""
-
-    underlying: PdmModel
-    source: str
-
-
-@dataclass(frozen=True, eq=False)
 class SimTruth:
-    """Everything the generator knew: per-sample coefficients and noise."""
+    """What the generator drew: the noise variance, coefficients and noise.
 
-    order: int
-    lambdas: np.ndarray
+    The order and eigenvalues belong to the generator model, and beta_db and
+    rng_seed to the SimConfig; a truth record reads them there.
+    """
+
     sigma2: float
-    beta_db: float
-    rng_seed: int
     coeffs: np.ndarray  # (order, M)
     noise: np.ndarray  # (N, M), model-frame white noise actually added
 
@@ -91,8 +83,9 @@ def geometric_spectrum(order: int, ratio: float, top: float = 0.01) -> np.ndarra
 def parse_spectrum(text: str, order: int) -> np.ndarray:
     """Parse a spectrum spec: "geometric:RATIO[:TOP]" or "list:v1,v2,...".
 
-    The list form must supply exactly `order` strictly positive descending
-    values.
+    Either form must come out as exactly `order` finite, strictly positive,
+    descending values, or it raises ValueError: a geometric spectrum whose
+    tail underflows to zero is refused like a list with a zero in it.
     """
     kind, _, rest = text.partition(":")
     if kind == "geometric":
@@ -101,15 +94,16 @@ def parse_spectrum(text: str, order: int) -> np.ndarray:
             raise ValueError("geometric spectrum takes a ratio and an optional top value")
         ratio = float(parts[0])
         top = float(parts[1]) if len(parts) == 2 else 0.01
-        return geometric_spectrum(order, ratio, top)
-    if kind == "list":
+        values = geometric_spectrum(order, ratio, top)
+    elif kind == "list":
         values = np.array([float(v) for v in rest.split(",") if v.strip()])
-        if values.size != order:
-            raise ValueError(f"list spectrum must supply {order} values, got {values.size}")
-        if not np.all((values > 0) & (values < math.inf)) or np.any(np.diff(values) > 0):
-            raise ValueError("list spectrum must be finite, strictly positive and descending")
-        return values
-    raise ValueError(f"unknown spectrum kind {kind!r}")
+    else:
+        raise ValueError(f"unknown spectrum kind {kind!r}")
+    if values.size != order:
+        raise ValueError(f"{kind} spectrum must supply {order} values, got {values.size}")
+    if not np.all((values > 0) & (values < math.inf)) or np.any(np.diff(values) > 0):
+        raise ValueError(f"{kind} spectrum must be finite, strictly positive and descending")
+    return values
 
 
 # Variance of the coefficient draw relative to its box half-width squared.
@@ -156,9 +150,9 @@ def _similarity_fields(mean: np.ndarray) -> np.ndarray:
 def make_seed_pdm_procedural(
     n_landmarks: int,
     order: int,
-    spectrum: str | Sequence[float],
+    spectrum: str,
     rng_seed: int,
-) -> SeedPdm:
+) -> PdmModel:
     """Build a deterministic procedural ground-truth model.
 
     The mean is an ellipse with a low-frequency radial perturbation, centered
@@ -171,9 +165,12 @@ def make_seed_pdm_procedural(
     Args:
         n_landmarks: landmarks on the contour (N = 2 * n_landmarks coords).
         order: deformation modes to construct, at most 2*n_landmarks - 4.
-        spectrum: eigenvalue spec string (see parse_spectrum) or explicit
-            descending positive values of length `order`.
+        spectrum: eigenvalue spec string, "geometric:RATIO[:TOP]" or
+            "list:v1,v2,..." (see parse_spectrum).
         rng_seed: seed controlling contour and field phases.
+
+    Returns:
+        The model, with n_train 0: it was built, not fitted.
     """
     if n_landmarks < 4:
         raise ValueError("need at least 4 landmarks")
@@ -182,12 +179,7 @@ def make_seed_pdm_procedural(
         raise OrderOutOfRange(
             f"order {order} outside 1..{n - 4} (similarity directions are reserved)"
         )
-    if isinstance(spectrum, str):
-        lambdas = parse_spectrum(spectrum, order)
-    else:
-        lambdas = np.asarray(spectrum, dtype=float)
-        if lambdas.shape != (order,):
-            raise ValueError(f"spectrum must supply {order} values")
+    lambdas = parse_spectrum(spectrum, order)
 
     rng = np.random.default_rng(rng_seed)
     theta = 2.0 * math.pi * np.arange(n_landmarks) / n_landmarks
@@ -231,8 +223,7 @@ def make_seed_pdm_procedural(
         freq += 1
 
     basis = _fix_signs(basis)
-    model = PdmModel(mean=mean, basis=basis, lambdas=lambdas, n_train=0)
-    return SeedPdm(underlying=model, source=f"procedural:{rng_seed}")
+    return PdmModel(mean=mean, basis=basis, lambdas=lambdas, n_train=0)
 
 
 def _draw_coeffs(rng: np.random.Generator, sqrt_lambdas: np.ndarray, b_dist: str) -> np.ndarray:
@@ -247,14 +238,14 @@ def _draw_coeffs(rng: np.random.Generator, sqrt_lambdas: np.ndarray, b_dist: str
     return draw
 
 
-def sample_shapes_with_truth(seed_pdm: SeedPdm, config: SimConfig) -> tuple[ShapeSet, SimTruth]:
-    """Generate a synthetic set and keep the generator's bookkeeping.
+def sample_shapes_with_truth(model: PdmModel, config: SimConfig) -> tuple[ShapeSet, SimTruth]:
+    """Generate a synthetic set from the modes of model and keep what was drawn.
 
-    Each sample has its own RNG stream derived from (rng_seed, sample index),
-    so a set is bit-identical across runs and unaffected by how many other
-    sets are generated around it.
+    Any PdmModel serves, procedural or loaded from disk; every mode it
+    keeps is a signal mode.  Each sample has its own RNG stream derived from
+    (rng_seed, sample index), so a set is bit-identical across runs and
+    unaffected by how many other sets are generated around it.
     """
-    model = seed_pdm.underlying
     n = model.n_coords
     m = config.n_samples
     sqrt_lambdas = np.sqrt(model.lambdas)
@@ -283,19 +274,10 @@ def sample_shapes_with_truth(seed_pdm: SeedPdm, config: SimConfig) -> tuple[Shap
 
     raw = ShapeSet.from_matrix(matrix, aligned=False)
     out = generalized_procrustes(raw) if config.realign else raw
-    truth = SimTruth(
-        order=model.order,
-        lambdas=model.lambdas.copy(),
-        sigma2=sigma2,
-        beta_db=config.beta_db,
-        rng_seed=config.rng_seed,
-        coeffs=coeffs,
-        noise=noise,
-    )
-    return out, truth
+    return out, SimTruth(sigma2=sigma2, coeffs=coeffs, noise=noise)
 
 
-def sample_shapes(seed_pdm: SeedPdm, config: SimConfig) -> ShapeSet:
+def sample_shapes(model: PdmModel, config: SimConfig) -> ShapeSet:
     """Generate a synthetic shape set (see sample_shapes_with_truth)."""
-    shapes, _ = sample_shapes_with_truth(seed_pdm, config)
+    shapes, _ = sample_shapes_with_truth(model, config)
     return shapes

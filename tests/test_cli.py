@@ -424,6 +424,10 @@ _SIM = "simulate --order 3 --beta-db 20 --seed 1 --out {out}"
         (_MC + " --spectrum list:4,2", 1),
         (_MC + " --spectrum geometric:0.5:nan", 1),
         (_MC + " --spectrum list:inf,2,1", 1),
+        (_MC + " --spectrum geometric:1e-200", 1),
+        (_SIM + " --landmarks 12 --samples 10 --spectrum geometric:1e-200", 1),
+        (_MC + " --beta-db=-inf", 1),
+        (_SIM + " --landmarks 12 --samples 10 --beta-db=-inf", 1),
         (_MC + " --fraction 2", 1),
         (_MC + " --fraction nan", 1),
         (_MC + " --samples 1", 2),
@@ -472,6 +476,8 @@ _SIM = "simulate --order 3 --beta-db 20 --seed 1 --out {out}"
     ids=[
         "select-variance-out", "trials-0", "trials-text", "unknown-method", "empty-method",
         "bogus-spectrum", "spectrum-order-mismatch", "spectrum-top-nan", "spectrum-list-inf",
+        "montecarlo-spectrum-underflow", "simulate-spectrum-underflow",
+        "montecarlo-beta-db-minus-inf", "simulate-beta-db-minus-inf",
         "fraction-2", "fraction-nan",
         "samples-1", "missing-seed-model", "negative-mode-count", "simulate-samples-1",
         "landmarks-3", "beta-db-nan", "t-max-0", "lmmse-t-max-0", "selector-t-max-0",

@@ -198,6 +198,18 @@ class TestAlternatingMl:
         with pytest.raises(TooFewSamples):
             alternating_ml(np.zeros((8, 1)), pdm)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"tol": math.nan}, {"tol": -1.0}, {"sigma_floor": math.nan}, {"max_iter": 0}],
+        ids=["tol-nan", "tol-negative", "sigma-floor-nan", "max-iter-0"],
+    )
+    def test_bad_arguments_raise_value_error(self, bad):
+        # An argument error, not a sweep budget run out or a SingularSystem.
+        rng = np.random.default_rng(15)
+        pdm = _centered_truncated(rng, 8, 2, np.array([1.0, 0.5]))
+        with pytest.raises(ValueError):
+            alternating_ml(rng.standard_normal((8, 6)), pdm, **bad)
+
 
 class TestFitOrdersKernelExit:
     # Columns of a 16 x 16 Hadamard matrix scaled to unit length: every Gram
@@ -401,6 +413,11 @@ class TestSelectOrderProposed:
         result = select_order_proposed(ss)
         assert max(result.scores) == 4
         assert "underdetermined: M2 <= order" in result.diagnostics[4]
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0], ids=["nan", "negative"])
+    def test_bad_tol_raises_value_error(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            select_order_proposed(self._noiseless_rank3(), tol=tol)
 
     def test_zero_variance_training_half(self):
         mat = np.tile(np.array([1.0, -1.0, -1.0, 1.0])[:, None], (1, 8))

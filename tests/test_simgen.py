@@ -6,18 +6,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pdmorder import (
     OrderOutOfRange,
-    SeedPdm,
     SimConfig,
     TransformRanges,
     geometric_spectrum,
+    load_pdm,
     make_seed_pdm_procedural,
     noise_variance,
     parse_spectrum,
     sample_shapes,
     sample_shapes_with_truth,
+    save_pdm,
 )
 
 
@@ -75,23 +78,44 @@ class TestSpectra:
         with pytest.raises(ValueError):
             parse_spectrum("geometric:0.5:1.0:9", 3)
 
+    def test_geometric_underflow_is_refused(self):
+        # 0.01 * 1e-200**2 underflows to 0.0: the list form's zero check
+        # covers the geometric form too.
+        assert geometric_spectrum(3, 1e-200)[-1] == 0.0
+        with pytest.raises(ValueError, match="strictly positive"):
+            parse_spectrum("geometric:1e-200", 3)
+
+    @given(
+        ratio=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        top=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        order=st.integers(min_value=1, max_value=40),
+    )
+    def test_geometric_parse_is_valid_or_refused(self, ratio, top, order):
+        try:
+            values = parse_spectrum(f"geometric:{ratio!r}:{top!r}", order)
+        except ValueError:
+            return
+        assert values.shape == (order,)
+        assert np.all(np.isfinite(values)) and np.all(values > 0)
+        assert np.all(np.diff(values) <= 0)
+
 
 class TestProceduralSeed:
     def test_basis_orthonormal(self):
         seed = make_seed_pdm_procedural(40, 10, "geometric:0.7", rng_seed=11)
-        basis = seed.underlying.basis
+        basis = seed.basis
         gram = basis.T @ basis
         assert np.max(np.abs(gram - np.eye(10))) < 1e-10
 
     def test_basis_orthogonal_to_similarity_fields(self):
         seed = make_seed_pdm_procedural(40, 10, "geometric:0.7", rng_seed=11)
-        fields = _similarity_fields(seed.underlying.mean)
-        overlap = fields.T @ seed.underlying.basis
+        fields = _similarity_fields(seed.mean)
+        overlap = fields.T @ seed.basis
         assert np.max(np.abs(overlap)) < 1e-10
 
     def test_mean_centered_unit_size(self):
         seed = make_seed_pdm_procedural(24, 5, "geometric:0.7", rng_seed=3)
-        mean = seed.underlying.mean
+        mean = seed.mean
         assert abs(mean[0::2].sum()) < 1e-12
         assert abs(mean[1::2].sum()) < 1e-12
         assert np.linalg.norm(mean) == pytest.approx(1.0)
@@ -99,10 +123,10 @@ class TestProceduralSeed:
     def test_deterministic(self):
         a = make_seed_pdm_procedural(20, 6, "geometric:0.8", rng_seed=5)
         b = make_seed_pdm_procedural(20, 6, "geometric:0.8", rng_seed=5)
-        np.testing.assert_array_equal(a.underlying.mean, b.underlying.mean)
-        np.testing.assert_array_equal(a.underlying.basis, b.underlying.basis)
+        np.testing.assert_array_equal(a.mean, b.mean)
+        np.testing.assert_array_equal(a.basis, b.basis)
         c = make_seed_pdm_procedural(20, 6, "geometric:0.8", rng_seed=6)
-        assert not np.array_equal(a.underlying.basis, c.underlying.basis)
+        assert not np.array_equal(a.basis, c.basis)
 
     def test_order_cap(self):
         # Four directions are reserved for the similarity fields.
@@ -111,22 +135,22 @@ class TestProceduralSeed:
             make_seed_pdm_procedural(4, 5, "geometric:0.7", rng_seed=0)
 
     def test_explicit_spectrum_sequence(self):
-        seed = make_seed_pdm_procedural(10, 3, [4.0, 2.0, 1.0], rng_seed=1)
-        np.testing.assert_array_equal(seed.underlying.lambdas, [4.0, 2.0, 1.0])
+        seed = make_seed_pdm_procedural(10, 3, "list:4,2,1", rng_seed=1)
+        np.testing.assert_array_equal(seed.lambdas, [4.0, 2.0, 1.0])
 
     def test_too_few_landmarks(self):
         with pytest.raises(ValueError):
             make_seed_pdm_procedural(3, 1, "geometric:0.7", rng_seed=0)
 
-    def test_wrap_existing_model(self):
-        # The source is provenance only: a wrapped model draws what its seed draws.
+    def test_wrap_existing_model(self, tmp_path):
+        # A stored model is a generator like the one it was saved from: the
+        # 17-digit store round-trips it, so the draws match bit for bit.
         seed = make_seed_pdm_procedural(10, 3, "geometric:0.7", rng_seed=2)
-        wrapped = SeedPdm(underlying=seed.underlying, source="disk:model.pdm")
-        assert wrapped.underlying is seed.underlying
-        assert wrapped.source == "disk:model.pdm"
+        save_pdm(seed, tmp_path / "model.pdm")
+        loaded = load_pdm(tmp_path / "model.pdm")
         config = SimConfig(n_samples=6, beta_db=20.0, rng_seed=3)
         assert np.array_equal(
-            sample_shapes(wrapped, config).as_matrix(), sample_shapes(seed, config).as_matrix()
+            sample_shapes(loaded, config).as_matrix(), sample_shapes(seed, config).as_matrix()
         )
 
 
@@ -192,10 +216,9 @@ class TestSampling:
         np.testing.assert_array_equal(large.as_matrix()[:, :6], small.as_matrix())
 
     def test_noiseless_untransformed_lies_in_model_span(self):
-        seed = self._seed()
-        model = seed.underlying
+        model = self._seed()
         ss, truth = sample_shapes_with_truth(
-            seed,
+            model,
             SimConfig(
                 n_samples=12,
                 beta_db=math.inf,
@@ -217,12 +240,8 @@ class TestSampling:
         seed = self._seed()
         cfg = SimConfig(n_samples=25, beta_db=5.0, rng_seed=14)
         _, truth = sample_shapes_with_truth(seed, cfg)
-        assert truth.order == 10
-        assert truth.beta_db == 5.0
-        assert truth.rng_seed == 14
-        np.testing.assert_array_equal(truth.lambdas, seed.underlying.lambdas)
-        assert truth.sigma2 == noise_variance(seed.underlying.lambdas, 5.0)
-        limits = np.sqrt(seed.underlying.lambdas)[:, None]
+        assert truth.sigma2 == noise_variance(seed.lambdas, 5.0)
+        limits = np.sqrt(seed.lambdas)[:, None]
         assert np.all(np.abs(truth.coeffs) <= limits)
         assert truth.coeffs.shape == (10, 25)
         assert truth.noise.shape == (80, 25)
@@ -231,7 +250,7 @@ class TestSampling:
         seed = self._seed()
         cfg = SimConfig(n_samples=50, beta_db=10.0, rng_seed=15, b_dist="gaussian")
         _, truth = sample_shapes_with_truth(seed, cfg)
-        limits = np.sqrt(seed.underlying.lambdas)[:, None]
+        limits = np.sqrt(seed.lambdas)[:, None]
         assert np.all(np.abs(truth.coeffs) <= limits)
         # Truncation must actually bite somewhere at this draw count.
         assert np.max(np.abs(truth.coeffs) / limits) > 0.9
@@ -240,12 +259,11 @@ class TestSampling:
         # Independent data route: project generated samples onto the
         # complement of the true modes and compare residual powers across a
         # 10 dB step.
-        seed = self._seed()
-        model = seed.underlying
+        model = self._seed()
 
         def resid_power(beta: float, rng_seed: int) -> float:
             ss = sample_shapes(
-                seed,
+                model,
                 SimConfig(
                     n_samples=2000,
                     beta_db=beta,
@@ -284,13 +302,12 @@ class TestSampling:
         # of the noise are absorbed by the alignment, draining the residual
         # energy along the similarity fields and raising the off-diagonal
         # correlation level.
-        seed = self._seed()
-        model = seed.underlying
+        model = self._seed()
         fields = _similarity_fields(model.mean)
 
         def stats(realign: bool) -> tuple[float, float]:
             ss = sample_shapes(
-                seed,
+                model,
                 SimConfig(
                     n_samples=500,
                     beta_db=5.0,
@@ -323,6 +340,8 @@ class TestSampling:
             SimConfig(n_samples=1, beta_db=10.0, rng_seed=0)
         with pytest.raises(ValueError):
             SimConfig(n_samples=10, beta_db=math.nan, rng_seed=0)
+        with pytest.raises(ValueError, match="-inf"):
+            SimConfig(n_samples=10, beta_db=-math.inf, rng_seed=0)
         with pytest.raises(ValueError):
             SimConfig(n_samples=10, beta_db=10.0, rng_seed=0, b_dist="cauchy")
 
