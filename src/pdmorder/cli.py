@@ -47,15 +47,7 @@ DEFAULT_SPECTRUM = "geometric:0.7"
 # The select flags only one method uses, with their defaults.  They parse
 # with a None default so that a flag given to the other method is seen.
 SELECT_FLAGS = {
-    "proposed": {
-        "split": "first-half",
-        "seed": None,
-        "t_max": None,
-        "tol": 1e-8,
-        "max_iter": 100,
-        "mean": "x1",
-        "out": None,
-    },
+    "proposed": {"seed": None, "t_max": None, "tol": 1e-8, "max_iter": 100, "out": None},
     "variance": {"fraction": 0.95},
 }
 
@@ -268,21 +260,15 @@ def cmd_select(args: argparse.Namespace) -> Path | None:
                 raise UsageError(f"select: {flag} applies only to --method {method}")
             if method == args.method and getattr(args, dest) is None:
                 setattr(args, dest, default)
-    if args.split == "shuffled" and args.seed is None:
-        raise UsageError("select: --split shuffled needs --seed")
-    if args.split != "shuffled" and args.seed is not None:
-        raise UsageError("select: --seed applies only to --split shuffled")
     shape_set = _load_input(args)
     out = None if args.out is None else Path(args.out)
     if args.method == "proposed":
         result = select_order_proposed(
             shape_set,
             t_max=args.t_max,
-            split_policy="shuffled" if args.split == "shuffled" else "first_half",
             split_seed=args.seed,
             tol=args.tol,
             max_iter=args.max_iter,
-            mean_source=args.mean,
         )
         t_star = result.t_star
         for order, notes in sorted(result.diagnostics.items()):
@@ -412,12 +398,13 @@ def build_parser() -> _Parser:
     _add_input_flags(p)
     p.add_argument("--method", choices=METHODS, default="proposed")
     p.add_argument("--fraction", type=_fraction, default=None)
-    p.add_argument("--split", choices=("first-half", "shuffled"), default=None)
-    p.add_argument("--seed", type=_seed, default=None, help="shuffled-split seed")
+    p.add_argument(
+        "--seed", type=_seed, default=None,
+        help="shuffle the shapes before the split; without it the first half trains",
+    )
     p.add_argument("--t-max", type=_positive_int, default=None, dest="t_max")
     p.add_argument("--tol", type=_non_negative, default=None)
     p.add_argument("--max-iter", type=_positive_int, default=None, dest="max_iter")
-    p.add_argument("--mean", choices=("x1", "x2"), default=None)
     p.add_argument("--out", default=None, help="write per-order scores CSV")
     p.set_defaults(func=cmd_select)
 

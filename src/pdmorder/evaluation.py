@@ -87,11 +87,13 @@ class McConfig:
     b_dist: str = "uniform"
 
     def __post_init__(self) -> None:
-        _check_trials(self.sample_counts, self.trials, self.methods)
+        _check_trials(self.sample_counts, self.trials, self.methods, self.selector_t_max)
 
 
-def _check_trials(sample_counts: tuple[int, ...], trials: int, methods: tuple[str, ...]) -> None:
-    """Refuse a trial table with no trials, no sample counts or an unknown method."""
+def _check_trials(
+    sample_counts: tuple[int, ...], trials: int, methods: tuple[str, ...], t_max: int | None
+) -> None:
+    """Refuse no trials, no sample counts, an unknown method or a t_max below 1."""
     if trials < 1:
         raise ValueError("at least one trial is required")
     if not sample_counts:
@@ -99,6 +101,8 @@ def _check_trials(sample_counts: tuple[int, ...], trials: int, methods: tuple[st
     for method in methods:
         if method not in ("proposed", "variance"):
             raise ValueError(f"unknown selection method {method!r}")
+    if t_max is not None and t_max < 1:
+        raise ValueError("t_max must be at least 1")
 
 
 def _trial_seed(master: int, count: int, trial: int) -> int:
@@ -203,7 +207,7 @@ def order_sweep(
         t_max, variance_fraction: selector options.
         threads: worker threads across trials.
     """
-    _check_trials(sample_counts, trials, methods)
+    _check_trials(sample_counts, trials, methods, t_max)
     m = shape_set.n_shapes
     if max(sample_counts) > m:
         raise TooFewSamples(f"subset size {max(sample_counts)} exceeds the {m} available shapes")
@@ -306,7 +310,12 @@ def lmmse_curve(
         LmmseResult with the error table, its argmin (smallest order wins
         ties), and what the proposed and variance selectors pick on the
         full set.
+
+    Raises:
+        ValueError: t_max or selector_t_max is below 1.
     """
+    if any(cap is not None and cap < 1 for cap in (t_max, selector_t_max)):
+        raise ValueError("t_max and selector_t_max must be at least 1")
     if shape_set.n_shapes < 3:
         raise TooFewSamples("leave-one-out needs at least 3 shapes")
     if not shape_set.aligned:

@@ -47,15 +47,13 @@ class SplitData:
     Attributes:
         x1: training shapes (model half).
         x2: held-out shapes (scoring half).
-        y: (N, M2) held-out coordinates minus the mean shape, one column
-            per held-out sample.
-        mean_source: which half supplied the subtracted mean, "x1" or "x2".
+        y: (N, M2) held-out coordinates minus the training mean shape, one
+            column per held-out sample.
     """
 
     x1: ShapeSet
     x2: ShapeSet
     y: np.ndarray
-    mean_source: str = "x1"
 
     @property
     def m1(self) -> int:
@@ -66,41 +64,26 @@ class SplitData:
         return self.x2.n_shapes
 
 
-def split_data(
-    shape_set: ShapeSet,
-    policy: str = "first_half",
-    seed: int | None = None,
-    mean_source: str = "x1",
-) -> SplitData:
+def split_data(shape_set: ShapeSet, seed: int | None = None) -> SplitData:
     """Split an aligned set into model and scoring halves.
 
     The training half gets the extra shape when the count is odd.
 
     Args:
         shape_set: at least four shapes.
-        policy: "first_half" keeps input order; "shuffled" permutes with the
-            given seed first (deterministic per seed).
-        seed: permutation seed for the shuffled policy.
-        mean_source: subtract the mean of "x1" (default) or of "x2" when
-            building the held-out data matrix.
+        seed: None keeps the input order, so the first half trains; an
+            integer permutes the shapes with np.random.default_rng(seed)
+            first, the same split for the same seed.
     """
     m = shape_set.n_shapes
     if m < 4:
         raise TooFewSamples(f"splitting needs at least 4 shapes, got {m}")
-    if mean_source not in ("x1", "x2"):
-        raise ValueError(f"unknown mean source {mean_source!r}")
-    indices = np.arange(m)
-    if policy == "shuffled":
-        rng = np.random.default_rng(seed)
-        indices = rng.permutation(m)
-    elif policy != "first_half":
-        raise ValueError(f"unknown split policy {policy!r}")
+    indices = np.arange(m) if seed is None else np.random.default_rng(seed).permutation(m)
     m1 = (m + 1) // 2
     x1 = shape_set.subset(indices[:m1])
     x2 = shape_set.subset(indices[m1:])
-    mu = (x1 if mean_source == "x1" else x2).as_matrix().mean(axis=1)
-    y = x2.as_matrix() - mu[:, None]
-    return SplitData(x1=x1, x2=x2, y=y, mean_source=mean_source)
+    y = x2.as_matrix() - x1.as_matrix().mean(axis=1)[:, None]
+    return SplitData(x1=x1, x2=x2, y=y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,11 +299,9 @@ class OrderSelectionResult:
 def select_order_proposed(
     shape_set: ShapeSet,
     t_max: int | None = None,
-    split_policy: str = "first_half",
     split_seed: int | None = None,
     tol: float = 1e-8,
     max_iter: int = 100,
-    mean_source: str = "x1",
 ) -> OrderSelectionResult:
     """Select the model order by the split-data information criterion.
 
@@ -338,11 +319,16 @@ def select_order_proposed(
 
     Args:
         shape_set: aligned set with at least 4 shapes.
-        t_max: optional cap on the candidate range.
-        split_policy, split_seed, mean_source: see split_data.
+        t_max: optional cap on the candidate range, at least 1.
+        split_seed: the seed of split_data; None trains on the first half.
         tol, max_iter: see alternating_ml.
+
+    Raises:
+        ValueError: t_max is below 1.
     """
-    split = split_data(shape_set, policy=split_policy, seed=split_seed, mean_source=mean_source)
+    if t_max is not None and t_max < 1:
+        raise ValueError("t_max must be at least 1")
+    split = split_data(shape_set, seed=split_seed)
     model = fit_pdm(split.x1)
     rank = model.positive_rank()
     if rank == 0:

@@ -21,6 +21,7 @@ from pdmorder import (
     load_shape_set,
     mean_shape,
     noise_variance,
+    select_order_proposed,
     select_order_variance,
 )
 from pdmorder.cli import main
@@ -204,6 +205,19 @@ class TestEndToEnd:
         notes = [line for line in captured.err.splitlines() if line.startswith("note: ")]
         assert notes == [f"note: t={t}: sweep budget exhausted" for t in orders]
         assert len(captured.out.splitlines()) == 1 and captured.out.startswith("t_star=")
+
+    def test_seed_shuffles_the_split_reproducibly(
+        self, small_csv: Path, tmp_path: Path
+    ) -> None:
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in outs:
+            argv = ["select", "--input", str(small_csv), "--seed", "3", "--out", str(out)]
+            assert main(argv) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        aligned = generalized_procrustes(load_shape_set(small_csv))
+        expected = select_order_proposed(aligned, split_seed=3).scores
+        rows = [line.split(",") for line in outs[0].read_text().splitlines()[1:]]
+        assert {int(row[0]): float(row[1]) for row in rows} == expected
 
     def test_variance_method_forwards_fraction(
         self, small_csv: Path, capsys: pytest.CaptureFixture
@@ -465,11 +479,10 @@ _SIM = "simulate --order 3 --beta-db 20 --seed 1 --out {out}"
         (_SIM + " --landmarks 12 --samples 5 --order 0", 1),
         (_MC + " --order -2", 1),
         ("fit --input {csv} --out {out} --order 0", 1),
-        ("select --input {csv} --seed 3", 1),
         (_SIM + " --landmarks 12 --samples 5 --seed -1", 1),
         (_MC + " --seed -5", 1),
         ("sweep --input {csv} --samples 10 --trials 1 --seed -5 --out {out}", 1),
-        ("select --input {csv} --split shuffled --seed -3", 1),
+        ("select --input {csv} --seed -3", 1),
         ("fit --input {csv} --no-align --out {out} --order 20", 2),
         ("lmmse --input {csv} --out {out} --estimator pinv", 1),
     ],
@@ -488,7 +501,7 @@ _SIM = "simulate --order 3 --beta-db 20 --seed 1 --out {out}"
         "seed-model-order", "select-tol-negative", "align-tol-nan", "rot-range-nan",
         "log-scale-range-inf", "translation-range-negative", "threads-negative",
         "shuffled-without-seed", "simulate-order-0", "montecarlo-order-negative", "fit-order-0",
-        "seed-without-shuffled", "simulate-seed-negative", "montecarlo-seed-negative",
+        "simulate-seed-negative", "montecarlo-seed-negative",
         "sweep-seed-negative", "select-seed-negative", "fit-order-above-rank",
         "lmmse-estimator-pinv",
     ],
@@ -515,10 +528,7 @@ def test_bad_flags_exit_with_one_line(
 _VALID_ARGV = {
     "align": "align --input {csv} --out o.csv --tol 1e-9 --max-iter 50",
     "fit": "fit --input {csv} --out o.pdm --order 2",
-    "select": (
-        "select --input {csv} --split shuffled --seed 3 --t-max 4 --tol 1e-8 --max-iter 20 "
-        "--mean x2 --out o.csv"
-    ),
+    "select": "select --input {csv} --seed 3 --t-max 4 --tol 1e-8 --max-iter 20 --out o.csv",
     "simulate": (
         "simulate --landmarks 12 --order 3 --spectrum geometric:0.7 --beta-db 15 --samples 20 "
         "--seed 1 --rot-range 1 --log-scale-range 0.2 --translation-range 0.5 --out o.csv "

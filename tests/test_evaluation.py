@@ -373,6 +373,33 @@ class TestOrderSweep:
             assert serial.cells[key].hist == parallel.cells[key].hist
 
 
+# Every entry point that takes a selector cap refuses one below 1 as an
+# argument error, before any fold or trial runs a selection.
+_T_MAX_CALLS = {
+    "select_order_proposed": lambda ss, cap: select_order_proposed(ss, t_max=cap),
+    "lmmse_curve-t_max": lambda ss, cap: lmmse_curve(ss, t_max=cap),
+    "lmmse_curve-selector_t_max": lambda ss, cap: lmmse_curve(ss, selector_t_max=cap),
+    "order_sweep": lambda ss, cap: order_sweep(ss, (20,), 2, 1, t_max=cap),
+    "monte_carlo_order": lambda ss, cap: monte_carlo_order(
+        McConfig(seed_pdm=_seed_model(), beta_db=20.0, sample_counts=(20,), trials=2,
+                 rng_seed=1, selector_t_max=cap)
+    ),
+}
+
+
+@pytest.mark.parametrize("cap", [0, -2])
+@pytest.mark.parametrize("entry", sorted(_T_MAX_CALLS))
+def test_t_max_below_one_is_an_argument_error(
+    base_set: ShapeSet, monkeypatch: pytest.MonkeyPatch, entry: str, cap: int
+) -> None:
+    def no_selection(*args, **kwargs):
+        raise AssertionError("a selection ran before the cap was checked")
+
+    monkeypatch.setattr(evaluation, "select_order_proposed", no_selection)
+    with pytest.raises(ValueError, match="t_max"):
+        _T_MAX_CALLS[entry](base_set, cap)
+
+
 class TestLmmseEstimateLandmark:
     """The per-fold kernel of lmmse_curve, read at one landmark and order.
 

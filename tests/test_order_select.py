@@ -83,7 +83,7 @@ class TestSplitData:
         assert split.m1 == 6
         assert split.m2 == 5
 
-    def test_first_half_preserves_order(self):
+    def test_no_seed_preserves_order(self):
         rng = np.random.default_rng(2)
         ss = _aligned_random_set(rng, 6, 8)
         split = split_data(ss)
@@ -93,11 +93,11 @@ class TestSplitData:
     def test_shuffled_is_deterministic_per_seed(self):
         rng = np.random.default_rng(3)
         ss = _aligned_random_set(rng, 6, 100)
-        a = split_data(ss, policy="shuffled", seed=7)
-        b = split_data(ss, policy="shuffled", seed=7)
+        a = split_data(ss, seed=7)
+        b = split_data(ss, seed=7)
         np.testing.assert_array_equal(a.x1.as_matrix(), b.x1.as_matrix())
         np.testing.assert_array_equal(a.y, b.y)
-        c = split_data(ss, policy="shuffled", seed=8)
+        c = split_data(ss, seed=8)
         assert not np.array_equal(a.x1.as_matrix(), c.x1.as_matrix())
 
     def test_y_is_heldout_minus_training_mean(self):
@@ -107,22 +107,30 @@ class TestSplitData:
         mu = mean_shape(split.x1).coords
         np.testing.assert_array_equal(split.y, split.x2.as_matrix() - mu[:, None])
 
-    def test_alternate_mean_source(self):
-        rng = np.random.default_rng(5)
-        ss = _aligned_random_set(rng, 6, 9)
-        split = split_data(ss, mean_source="x2")
-        mu = mean_shape(split.x2).coords
-        np.testing.assert_array_equal(split.y, split.x2.as_matrix() - mu[:, None])
-
     def test_too_few_samples(self):
         rng = np.random.default_rng(6)
         with pytest.raises(TooFewSamples):
             split_data(_aligned_random_set(rng, 6, 3))
 
-    def test_unknown_policy(self):
-        rng = np.random.default_rng(7)
-        with pytest.raises(ValueError):
-            split_data(_aligned_random_set(rng, 6, 8), policy="bootstrap")
+    @given(m=st.integers(4, 60), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_seeded_split_partitions_the_set(self, m, seed):
+        ss = _aligned_random_set(np.random.default_rng(m), 6, m)
+        mat = ss.as_matrix()
+        split = split_data(ss, seed=seed)
+        assert split.m1 == (m + 1) // 2
+        # The columns are distinct draws, so each one names its source shape.
+        halves = np.hstack([split.x1.as_matrix(), split.x2.as_matrix()])
+        sources = [int(np.flatnonzero((mat == col[:, None]).all(axis=0))[0]) for col in halves.T]
+        assert sorted(sources) == list(range(m))
+        again = split_data(ss, seed=seed)
+        np.testing.assert_array_equal(again.x1.as_matrix(), split.x1.as_matrix())
+        np.testing.assert_array_equal(again.x2.as_matrix(), split.x2.as_matrix())
+        mu = mean_shape(split.x1).coords
+        np.testing.assert_array_equal(split.y, split.x2.as_matrix() - mu[:, None])
+        unseeded = split_data(ss)
+        np.testing.assert_array_equal(unseeded.x1.as_matrix(), mat[:, : split.m1])
+        np.testing.assert_array_equal(unseeded.x2.as_matrix(), mat[:, split.m1 :])
 
 
 class TestAlternatingMl:
