@@ -4,7 +4,6 @@ from .errors import (
     DataError,
     DegenerateShape,
     DimensionMismatch,
-    InconsistentDimension,
     NotAligned,
     NumericalError,
     OrderOutOfRange,
@@ -29,7 +28,6 @@ from .pdm import (
     fit_pdm,
     load_pdm,
     project_constrained,
-    reconstruct,
     save_pdm,
     truncate,
 )
@@ -47,7 +45,6 @@ from .simgen import (
     SimConfig,
     SimTruth,
     TransformRanges,
-    geometric_spectrum,
     make_seed_pdm_procedural,
     noise_variance,
     parse_spectrum,

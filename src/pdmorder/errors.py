@@ -23,10 +23,6 @@ class ParseError(DataError):
     """A shape or model file could not be parsed."""
 
 
-class InconsistentDimension(DataError):
-    """Shapes in one collection disagree on landmark count."""
-
-
 class TooFewSamples(DataError):
     """Not enough shapes for the requested operation."""
 
@@ -44,7 +40,7 @@ class OrderOutOfRange(DataError):
 
 
 class DimensionMismatch(DataError):
-    """Array arguments disagree on dimensions."""
+    """Shapes or array arguments disagree on dimensions."""
 
 
 class ZeroVariance(DataError):

@@ -15,10 +15,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import PdmOrderError, TooFewSamples, ZeroVariance
+from .errors import NotAligned, PdmOrderError, TooFewSamples, ZeroVariance
 from .order_select import select_order_proposed, select_order_variance
 from .pdm import PdmModel, fit_pdm
-from .shapes import ShapeSet, generalized_procrustes
+from .shapes import ShapeSet
 from .simgen import SimConfig, sample_shapes
 
 RIDGE_REL = 1e-10
@@ -285,18 +285,18 @@ def lmmse_curve(
 ) -> LmmseResult:
     """Leave-one-out hidden-landmark error as a function of model order.
 
-    For every sample, a model is fit on the remaining samples (the set is
-    aligned once up front if needed; folds do not re-run Procrustes) and
-    every landmark of the held-out sample is predicted from the others.
-    The error at order t averages the squared prediction distance over all
-    samples and landmarks; each prediction is the slightly ridge-regularised
-    conditional mean of the hidden landmark given the visible ones under the
-    covariance of the fold's leading t modes.  One kernel call per fold
-    predicts every landmark at every order from the fold's full eigenbasis,
-    one 2 x 2 solve per landmark and order.  Orders run from 1 to
-    min(N - 4, M - 2), further capped below the positive rank of every fold
-    and by t_max; the N - 4 cap also keeps the 2 x 2 form clear of N - 2,
-    past which it loses digits.
+    shape_set must be Procrustes aligned, as for fit_pdm; the folds do not
+    re-run Procrustes.  For every sample, a model is fit on the remaining
+    samples and every landmark of the held-out sample is predicted from the
+    others.  The error at order t averages the squared prediction distance
+    over all samples and landmarks; each prediction is the slightly
+    ridge-regularised conditional mean of the hidden landmark given the
+    visible ones under the covariance of the fold's leading t modes.  One
+    kernel call per fold predicts every landmark at every order from the
+    fold's full eigenbasis, one 2 x 2 solve per landmark and order.  Orders
+    run from 1 to min(N - 4, M - 2), further capped below the positive rank
+    of every fold and by t_max; the N - 4 cap also keeps the 2 x 2 form
+    clear of N - 2, past which it loses digits.
 
     The cap stays strictly under the fold ranks on purpose.  Similarity
     alignment confines every sample, noise included, to a common shape
@@ -313,13 +313,14 @@ def lmmse_curve(
 
     Raises:
         ValueError: t_max or selector_t_max is below 1.
+        NotAligned: the set was not Procrustes aligned first.
     """
     if any(cap is not None and cap < 1 for cap in (t_max, selector_t_max)):
         raise ValueError("t_max and selector_t_max must be at least 1")
     if shape_set.n_shapes < 3:
         raise TooFewSamples("leave-one-out needs at least 3 shapes")
     if not shape_set.aligned:
-        shape_set = generalized_procrustes(shape_set)
+        raise NotAligned("the occlusion curve requires a Procrustes-aligned shape set")
 
     n = shape_set.n_coords
     m = shape_set.n_shapes

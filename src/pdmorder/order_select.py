@@ -261,17 +261,17 @@ def _fit_orders(
     return fits
 
 
-def aic_score(fit: RegressionFit, order: int, m2: int, n: int) -> float:
+def aic_score(fit: RegressionFit, order: int) -> float:
     """Information-criterion score of a regression fit at a given order.
 
     score = M2 * (sum_i log sigma_i^2 + 2 t) + sum_{i,m} eps_{i,m}^2 / sigma_i^2
 
+    M2, the held-out sample count, is the column count of fit.residuals.
     The additive constant that does not depend on the order is dropped, so
     only score differences between orders are meaningful.
     """
-    if fit.sigma_diag.shape != (n,) or fit.residuals.shape != (n, m2):
-        raise ValueError("fit dimensions disagree with the stated n and m2")
     sigma, residuals = fit.sigma_diag, fit.residuals
+    m2 = residuals.shape[1]
     datafit = m2 * np.sum(np.log(sigma)) + np.sum(residuals * residuals / sigma[:, None])
     return float(datafit + 2.0 * m2 * order)
 
@@ -283,7 +283,6 @@ class OrderSelectionResult:
     Attributes:
         t_star: selected order.
         scores: criterion value for every order that produced a fit.
-        method: "proposed" or "variance".
         diagnostics: per-order notes, e.g. underdetermined fits, fit
             failures (failed orders carry no score), sweep exhaustion.
         per_order_fits: the regression fit of every scored order.
@@ -291,7 +290,6 @@ class OrderSelectionResult:
 
     t_star: int
     scores: dict[int, float]
-    method: str
     diagnostics: dict[int, tuple[str, ...]] = field(default_factory=dict)
     per_order_fits: dict[int, RegressionFit] = field(default_factory=dict)
 
@@ -357,7 +355,7 @@ def select_order_proposed(
 
     scores: dict[int, float] = {}
     for order, fit in fits.items():
-        scores[order] = aic_score(fit, order, split.m2, model.n_coords)
+        scores[order] = aic_score(fit, order)
         if split.m2 <= order:
             diagnostics.setdefault(order, []).append("underdetermined: M2 <= order")
         if not fit.converged:
@@ -366,7 +364,6 @@ def select_order_proposed(
     return OrderSelectionResult(
         t_star=min(scores, key=lambda t: (scores[t], t)),
         scores=scores,
-        method="proposed",
         diagnostics={k: tuple(v) for k, v in diagnostics.items()},
         per_order_fits=fits,
     )

@@ -106,10 +106,6 @@ class PdmModel:
             return 0
         return int(np.sum(self.lambdas > RANK_REL_TOL * self.lambdas[0]))
 
-    def covariance(self) -> np.ndarray:
-        """Reconstructed sample covariance P diag(lambda) P^T."""
-        return (self.basis * self.lambdas) @ self.basis.T
-
 
 def fit_pdm(shape_set: ShapeSet) -> PdmModel:
     """Fit a full eigenmodel to an aligned shape set.
@@ -161,23 +157,24 @@ def truncate(model: PdmModel, order: int) -> PdmModel:
 
 
 def clamp_to_box(coeffs: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
-    """Scale a coefficient vector uniformly into the plausibility box.
+    """Clip every coefficient into its interval |b_i| <= sqrt(lambda_i).
 
-    The whole vector is multiplied by
-    s = min(1, min_i sqrt(lambda_i) / |b_i|) over the nonzero entries, so
-    the direction of the deformation is preserved.  Vectors already inside
-    the box are returned unchanged.  The projection clips instead (see
-    project_constrained); this helper is for a single deformation whose
-    direction must be kept.
+    This is the box rule of the projection (project_constrained and the
+    selector's sweeps): each coefficient is clipped on its own, so values
+    already inside the box are returned unchanged.
+
+    Args:
+        coeffs: (t,) coefficient vector or (t, M) matrix, one column per sample.
+        lambdas: (t,) eigenvalues >= 0, the squared box half-widths.
     """
     b = np.asarray(coeffs, dtype=float)
     lam = np.asarray(lambdas, dtype=float)
-    if b.ndim != 1 or b.shape != lam.shape:
-        raise DimensionMismatch("coefficients and eigenvalues must be vectors of one length")
-    mags = np.abs(b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(mags > 0, np.sqrt(lam) / mags, np.inf)
-    return b * min(1.0, float(ratios.min()))
+    if b.ndim not in (1, 2) or lam.ndim != 1 or b.shape[0] != lam.size:
+        raise DimensionMismatch("coefficient rows must match the eigenvalue count")
+    if not np.all(lam >= 0):
+        raise ValueError("eigenvalues must be >= 0")
+    limits = np.sqrt(lam) if b.ndim == 1 else np.sqrt(lam)[:, None]
+    return np.clip(b, -limits, limits)
 
 
 def project_constrained(pdm: PdmModel, Y: np.ndarray, sigma_diag: np.ndarray) -> np.ndarray:
@@ -268,14 +265,6 @@ def _project_stacked(
     B = np.linalg.solve(gram, np.matmul(weighted.transpose(0, 2, 1), Y))
     limits = np.sqrt(lambdas)[:, None]
     return np.clip(B, -limits, limits), failed
-
-
-def reconstruct(pdm: PdmModel, coeffs: np.ndarray) -> np.ndarray:
-    """Deformation part basis @ coeffs; the mean is not added back."""
-    B = np.asarray(coeffs, dtype=float)
-    if B.ndim not in (1, 2) or B.shape[0] != pdm.order:
-        raise DimensionMismatch("coefficient rows must equal the order")
-    return pdm.basis @ B
 
 
 def save_pdm(model: PdmModel, path: str | Path, order: int | None = None) -> None:

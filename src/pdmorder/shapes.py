@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (
     DegenerateShape,
-    InconsistentDimension,
+    DimensionMismatch,
     NotAligned,
     ParseError,
     TooFewSamples,
@@ -45,7 +45,7 @@ def _stack(vectors: Sequence[np.ndarray], where: str = "") -> np.ndarray:
     """Equal-length coordinate vectors as the columns of one matrix."""
     for idx, vector in enumerate(vectors):
         if vector.size != vectors[0].size:
-            raise InconsistentDimension(
+            raise DimensionMismatch(
                 f"{where}shape {idx} has {vector.size} coordinates, expected {vectors[0].size}"
             )
     return np.column_stack(vectors) if vectors else np.empty((0, 0))
@@ -233,7 +233,7 @@ def load_shape_set(path: str | Path, fmt: str = "csv_rows") -> ShapeSet:
 
     Raises:
         ParseError: malformed numeric fields, odd coordinate counts.
-        InconsistentDimension: rows disagree on landmark count.
+        DimensionMismatch: rows disagree on landmark count.
         TooFewSamples: fewer than two shapes.
     """
     path = Path(path)
@@ -352,6 +352,6 @@ def mean_shape(shapes: ShapeSet) -> Shape:
 def rmsd(a: Shape, b: Shape) -> float:
     """Root mean squared landmark distance between two shapes."""
     if a.n_coords != b.n_coords:
-        raise InconsistentDimension("shapes disagree on coordinate count")
+        raise DimensionMismatch("shapes disagree on coordinate count")
     d = a.as_complex() - b.as_complex()
     return float(np.sqrt(np.mean(np.abs(d) ** 2)))

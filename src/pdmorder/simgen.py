@@ -71,21 +71,14 @@ class SimTruth:
     noise: np.ndarray  # (N, M), model-frame white noise actually added
 
 
-def geometric_spectrum(order: int, ratio: float, top: float = 0.01) -> np.ndarray:
-    """Eigenvalues top * ratio**k for k = 0..order-1."""
-    if not 0.0 < ratio <= 1.0:
-        raise ValueError("spectrum ratio must lie in (0, 1]")
-    if not 0.0 < top < math.inf:
-        raise ValueError("top eigenvalue must be positive and finite")
-    return top * ratio ** np.arange(order, dtype=float)
-
-
 def parse_spectrum(text: str, order: int) -> np.ndarray:
     """Parse a spectrum spec: "geometric:RATIO[:TOP]" or "list:v1,v2,...".
 
-    Either form must come out as exactly `order` finite, strictly positive,
-    descending values, or it raises ValueError: a geometric spectrum whose
-    tail underflows to zero is refused like a list with a zero in it.
+    The geometric form is TOP * RATIO**k for k = 0..order-1, TOP 0.01 by
+    default; it needs 0 < RATIO <= 1 and a finite TOP > 0.  Either form
+    must come out as exactly `order` finite, strictly positive, descending
+    values, or it raises ValueError: a geometric spectrum whose tail
+    underflows to zero is refused like a list with a zero in it.
     """
     kind, _, rest = text.partition(":")
     if kind == "geometric":
@@ -94,7 +87,11 @@ def parse_spectrum(text: str, order: int) -> np.ndarray:
             raise ValueError("geometric spectrum takes a ratio and an optional top value")
         ratio = float(parts[0])
         top = float(parts[1]) if len(parts) == 2 else 0.01
-        values = geometric_spectrum(order, ratio, top)
+        if not 0.0 < ratio <= 1.0:
+            raise ValueError("spectrum ratio must lie in (0, 1]")
+        if not 0.0 < top < math.inf:
+            raise ValueError("top eigenvalue must be positive and finite")
+        values = top * ratio ** np.arange(order, dtype=float)
     elif kind == "list":
         values = np.array([float(v) for v in rest.split(",") if v.strip()])
     else:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from pdmorder import (
     McConfig,
+    NotAligned,
     ShapeSet,
     SimConfig,
     TransformRanges,
@@ -526,7 +527,9 @@ class TestLmmseCurve:
         result = lmmse_curve(shape_set, t_max=3)
         assert sorted(result.errors) == [1, 2, 3]
 
-    def test_unaligned_input_aligned_internally(self) -> None:
+    def test_unaligned_input_is_refused(self) -> None:
+        # Like fit_pdm and select_order_proposed, the curve runs no hidden
+        # Procrustes of its own: the caller aligns (the CLI always does).
         seed = make_seed_pdm_procedural(20, 5, "geometric:0.7", rng_seed=31)
         raw = sample_shapes(
             seed,
@@ -536,10 +539,9 @@ class TestLmmseCurve:
             ),
         )
         assert not raw.aligned
-        from_raw = lmmse_curve(raw)
-        from_aligned = lmmse_curve(generalized_procrustes(raw))
-        assert from_raw.errors == from_aligned.errors
-        assert from_raw.argmin_t == from_aligned.argmin_t
+        with pytest.raises(NotAligned):
+            lmmse_curve(raw)
+        assert lmmse_curve(generalized_procrustes(raw)).errors
 
     def test_too_few_samples_raises(self) -> None:
         rng = np.random.default_rng(14)

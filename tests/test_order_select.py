@@ -270,12 +270,12 @@ class TestAicScore:
 
     def test_zero_order_unit_noise_scores_zero(self):
         fit = self._fit(np.ones(4), np.zeros((4, 3)))
-        assert aic_score(fit, 0, 3, 4) == 0.0
+        assert aic_score(fit, 0) == 0.0
 
     def test_penalty_is_linear_in_order(self):
         rng = np.random.default_rng(15)
         fit = self._fit(rng.uniform(0.5, 2.0, 4), rng.standard_normal((4, 3)))
-        assert aic_score(fit, 3, 3, 4) - aic_score(fit, 2, 3, 4) == pytest.approx(2 * 3)
+        assert aic_score(fit, 3) - aic_score(fit, 2) == pytest.approx(2 * 3)
 
     def test_hand_computed_value(self):
         # sigma^2 = (1, 1, 2, 4), per-row squared residual sums (1, 2, 2, 8),
@@ -290,12 +290,7 @@ class TestAicScore:
         )
         fit = self._fit([1.0, 1.0, 2.0, 4.0], residuals)
         expected = 3.0 * (3.0 * math.log(2.0) + 4.0) + 6.0
-        assert aic_score(fit, 2, 3, 4) == pytest.approx(expected, rel=1e-12)
-
-    def test_dimension_check(self):
-        fit = self._fit(np.ones(4), np.zeros((4, 3)))
-        with pytest.raises(ValueError):
-            aic_score(fit, 1, 5, 4)
+        assert aic_score(fit, 2) == pytest.approx(expected, rel=1e-12)
 
 
 class TestSelectOrderProposed:
@@ -399,7 +394,7 @@ class TestSelectOrderProposed:
         scores = {}
         for order in range(1, t_hi + 1):
             alone = alternating_ml(split.y, truncate(model, order), sigma_floor=floor)
-            scores[order] = aic_score(alone, order, split.m2, model.n_coords)
+            scores[order] = aic_score(alone, order)
             fit = result.per_order_fits[order]
             assert fit.coeffs.shape == (order, split.m2)
             assert fit.iterations == alone.iterations

@@ -21,7 +21,6 @@ from pdmorder import (
     fit_pdm,
     load_pdm,
     project_constrained,
-    reconstruct,
     save_pdm,
     truncate,
 )
@@ -92,7 +91,8 @@ class TestFitPdm:
         ss = _aligned_random_set(rng, 10, 25)
         model = fit_pdm(ss)
         expected = _biased_cov(ss.as_matrix())
-        assert np.max(np.abs(model.covariance() - expected)) < 1e-8
+        rebuilt = (model.basis * model.lambdas) @ model.basis.T
+        assert np.max(np.abs(rebuilt - expected)) < 1e-8
 
     def test_eigvec_orthonormality(self):
         rng = np.random.default_rng(4)
@@ -209,10 +209,12 @@ class TestClampToBox:
         np.testing.assert_allclose(clamp_to_box(b, lam), [math.sqrt(lam[0]), 0.0])
 
     def test_worked_scaling_example(self):
-        # b = (3*sqrt(4), sqrt(1)) = (6, 1), s = min(1, 2/6, 1/1) = 1/3.
+        # b = (3*sqrt(4), sqrt(1)) = (6, 1): only the first coefficient is
+        # clipped.  A uniform scale by min(1, 2/6, 1/1) = 1/3 would also
+        # shrink the second, in-box one to 1/3.
         lam = np.array([4.0, 1.0])
         b = np.array([6.0, 1.0])
-        np.testing.assert_allclose(clamp_to_box(b, lam), [2.0, 1.0 / 3.0])
+        np.testing.assert_array_equal(clamp_to_box(b, lam), [2.0, 1.0])
 
     def test_zero_vector(self):
         lam = np.array([4.0, 1.0])
@@ -222,10 +224,18 @@ class TestClampToBox:
         with pytest.raises(DimensionMismatch):
             clamp_to_box(np.zeros(3), np.ones(2))
 
-    @pytest.mark.parametrize("shape", [(), (2, 2)], ids=["scalar", "matrix"])
-    def test_non_vector_rejected(self, shape):
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_negative_or_nan_eigenvalue_rejected(self, bad):
+        with pytest.raises(ValueError):
+            clamp_to_box(np.ones(2), np.array([1.0, bad]))
+
+    @pytest.mark.parametrize(
+        "shape, lam_shape", [((), ()), ((2, 2), (2, 2)), ((2, 2, 2), (2,))],
+        ids=["scalar", "matrix", "cube"],
+    )
+    def test_non_vector_rejected(self, shape, lam_shape):
         with pytest.raises(DimensionMismatch):
-            clamp_to_box(np.ones(shape), np.ones(shape))
+            clamp_to_box(np.ones(shape), np.ones(lam_shape))
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -236,17 +246,35 @@ class TestClampToBox:
         lam = np.sort(lam)[::-1]
         b = rng.normal(0.0, 3.0 * np.sqrt(lam))
         out = clamp_to_box(b, lam)
-        # Inside the box, up to roundoff of the scaling multiply.
-        assert np.all(np.abs(out) <= np.sqrt(lam) * (1 + 1e-12))
-        # Direction preserved: out is a nonnegative multiple of b.
-        if np.any(b != 0):
-            i = int(np.argmax(np.abs(b)))
-            s = out[i] / b[i]
-            assert 0.0 <= s <= 1.0
-            np.testing.assert_allclose(out, s * b, rtol=1e-12, atol=0)
-        # Idempotent up to one rounding step.
-        again = clamp_to_box(out, lam)
-        np.testing.assert_allclose(again, out, rtol=1e-12, atol=0)
+        assert np.all(np.abs(out) <= np.sqrt(lam))
+        # Each coefficient keeps its sign and only shrinks: out_i = s_i * b_i
+        # with 0 <= s_i <= 1.  The vector's direction is not kept.
+        assert np.all(out * b >= 0.0) and np.all(np.abs(out) <= np.abs(b))
+        np.testing.assert_array_equal(clamp_to_box(out, lam), out)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        t=st.integers(min_value=1, max_value=6),
+        m=st.one_of(st.none(), st.integers(min_value=1, max_value=5)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_clip_is_the_one_box_rule(self, seed, t, m):
+        rng = np.random.default_rng(seed)
+        pdm = _random_truncated(rng, n=8, t=t)
+        shape = (t,) if m is None else (t, m)
+        limits = np.sqrt(pdm.lambdas).reshape((t,) + (1,) * (len(shape) - 1))
+        B = rng.normal(0.0, 2.0, shape) * limits
+        out = clamp_to_box(B, pdm.lambdas)
+        np.testing.assert_array_equal(out, np.clip(B, -limits, limits))
+        assert np.all(np.abs(out) <= limits)
+        np.testing.assert_array_equal(clamp_to_box(out, pdm.lambdas), out)
+        inside = np.abs(B) <= limits
+        np.testing.assert_array_equal(out[inside], B[inside])
+        # The projection applies the same rule: with unit noise and an
+        # orthonormal basis it recovers B, then clips it.
+        Y = pdm.basis @ B.reshape(t, -1)
+        projected = project_constrained(pdm, Y, np.ones(pdm.n_coords))
+        np.testing.assert_allclose(projected.reshape(shape), out, rtol=0, atol=1e-10)
 
 
 class TestProjectConstrained:
@@ -403,38 +431,19 @@ class TestProjectConstrained:
 
 
 class TestReconstruct:
-    def test_zero_coefficients(self):
-        rng = np.random.default_rng(18)
-        pdm = _random_truncated(rng)
-        out = reconstruct(pdm, np.zeros((pdm.order, 3)))
-        np.testing.assert_array_equal(out, np.zeros((pdm.n_coords, 3)))
+    """basis @ B rebuilds the deformation that a projection found."""
 
     def test_full_basis_round_trip(self):
         rng = np.random.default_rng(19)
         n = 8
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        # Boxes far wider than the data, so nothing is clipped.
         pdm = PdmModel(
-            mean=np.zeros(n), basis=q, lambdas=np.full(n, 2.0), n_train=0
+            mean=np.zeros(n), basis=q, lambdas=np.full(n, 100.0), n_train=0
         )
         Y = rng.standard_normal((n, 5))
-        back = reconstruct(pdm, q.T @ Y)
+        back = pdm.basis @ project_constrained(pdm, Y, np.ones(n))
         assert np.max(np.abs(back - Y)) < 1e-10
-
-    def test_vector_and_matrix_agree(self):
-        rng = np.random.default_rng(20)
-        pdm = _random_truncated(rng)
-        b = rng.standard_normal(pdm.order)
-        np.testing.assert_array_equal(
-            reconstruct(pdm, b), reconstruct(pdm, b[:, None])[:, 0]
-        )
-
-    def test_dimension_mismatch(self):
-        rng = np.random.default_rng(21)
-        pdm = _random_truncated(rng)
-        with pytest.raises(DimensionMismatch):
-            reconstruct(pdm, np.zeros(pdm.order + 1))
-        with pytest.raises(DimensionMismatch):
-            reconstruct(pdm, np.zeros((pdm.order + 1, 3)))
 
     def test_unclamped_projection_residual_orthogonal(self):
         rng = np.random.default_rng(22)
@@ -443,7 +452,7 @@ class TestReconstruct:
         # result is a plain orthogonal projection.
         Y = 1e-3 * rng.standard_normal((pdm.n_coords, 4))
         B = project_constrained(pdm, Y, np.ones(pdm.n_coords))
-        residual = Y - reconstruct(pdm, B)
+        residual = Y - pdm.basis @ B
         assert np.max(np.abs(pdm.basis.T @ residual)) < 1e-9
 
 

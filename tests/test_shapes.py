@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from pdmorder import (
     DegenerateShape,
-    InconsistentDimension,
+    DimensionMismatch,
     NotAligned,
     ParseError,
     Shape,
@@ -110,7 +110,7 @@ class TestShapeSet:
     def test_dimension_mismatch(self):
         a = Shape([0.0, 0.0, 1.0, 1.0])
         b = Shape([0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
-        with pytest.raises(InconsistentDimension):
+        with pytest.raises(DimensionMismatch):
             ShapeSet((a, b))
 
     def test_aligned_flag_checks_mean_centroid(self):
@@ -154,7 +154,7 @@ class TestLoadShapeSet:
     def test_inconsistent_rows(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("0,0,1,0,1,1,0,1\n0,0,1,0,1,1,0,1,2,2\n")
-        with pytest.raises(InconsistentDimension):
+        with pytest.raises(DimensionMismatch):
             load_shape_set(p)
 
     def test_malformed_field_reports_location(self, tmp_path):
@@ -399,6 +399,11 @@ def test_rmsd_symmetry_and_zero():
     b = _random_shape(rng)
     assert rmsd(a, b) == pytest.approx(rmsd(b, a))
     assert rmsd(a, a) == 0.0
+
+
+def test_rmsd_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        rmsd(Shape([0.0, 0.0, 1.0, 1.0]), Shape([0.0, 0.0, 1.0, 1.0, 2.0, 2.0]))
 
 
 class TestShapeSetArray:

@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pdmorder import (
     OrderOutOfRange,
     SimConfig,
     TransformRanges,
-    geometric_spectrum,
     load_pdm,
     make_seed_pdm_procedural,
     noise_variance,
@@ -41,26 +41,26 @@ def _similarity_fields(mean: np.ndarray) -> np.ndarray:
 
 class TestSpectra:
     def test_geometric_ratio_span(self):
-        lam = geometric_spectrum(10, 0.7)
+        lam = parse_spectrum("geometric:0.7", 10)
         assert lam[0] / lam[9] == pytest.approx(0.7 ** -9, rel=1e-12)
 
     def test_geometric_default_top(self):
-        assert geometric_spectrum(3, 0.5)[0] == 0.01
+        assert parse_spectrum("geometric:0.5", 3)[0] == 0.01
 
     def test_geometric_validation(self):
         with pytest.raises(ValueError):
-            geometric_spectrum(3, 0.0)
+            parse_spectrum("geometric:0.0", 3)
         with pytest.raises(ValueError):
-            geometric_spectrum(3, 1.5)
+            parse_spectrum("geometric:1.5", 3)
         with pytest.raises(ValueError):
-            geometric_spectrum(3, 0.5, top=0.0)
+            parse_spectrum("geometric:0.5:0.0", 3)
 
     def test_parse_geometric(self):
         np.testing.assert_allclose(
             parse_spectrum("geometric:0.5:2.0", 3), [2.0, 1.0, 0.5]
         )
-        np.testing.assert_allclose(
-            parse_spectrum("geometric:0.7", 10), geometric_spectrum(10, 0.7)
+        np.testing.assert_array_equal(
+            parse_spectrum("geometric:0.7", 10), 0.01 * 0.7 ** np.arange(10, dtype=float)
         )
 
     def test_parse_list(self):
@@ -81,20 +81,37 @@ class TestSpectra:
     def test_geometric_underflow_is_refused(self):
         # 0.01 * 1e-200**2 underflows to 0.0: the list form's zero check
         # covers the geometric form too.
-        assert geometric_spectrum(3, 1e-200)[-1] == 0.0
         with pytest.raises(ValueError, match="strictly positive"):
             parse_spectrum("geometric:1e-200", 3)
 
     @given(
-        ratio=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
-        top=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        ratio=st.one_of(st.floats(min_value=0.0, max_value=1.0, exclude_min=True), st.floats()),
+        top=st.one_of(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), st.floats()
+        ),
         order=st.integers(min_value=1, max_value=40),
     )
+    @example(ratio=0.0, top=0.01, order=1)
+    @example(ratio=-1.0, top=0.01, order=1)
+    @example(ratio=1.5, top=0.01, order=3)
+    @example(ratio=math.nan, top=0.01, order=3)
+    @example(ratio=0.5, top=math.nan, order=3)
+    @example(ratio=0.5, top=math.inf, order=3)
+    @example(ratio=1e-200, top=math.inf, order=3)
+    @example(ratio=0.5, top=0.0, order=3)
+    @example(ratio=0.5, top=-1.0, order=3)
     def test_geometric_parse_is_valid_or_refused(self, ratio, top, order):
-        try:
-            values = parse_spectrum(f"geometric:{ratio!r}:{top!r}", order)
-        except ValueError:
-            return
+        spec = f"geometric:{ratio!r}:{top!r}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if not (0.0 < ratio <= 1.0 and 0.0 < top < math.inf):
+                with pytest.raises(ValueError):
+                    parse_spectrum(spec, order)
+                return
+            try:
+                values = parse_spectrum(spec, order)
+            except ValueError:
+                return
         assert values.shape == (order,)
         assert np.all(np.isfinite(values)) and np.all(values > 0)
         assert np.all(np.diff(values) <= 0)
