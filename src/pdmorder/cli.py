@@ -14,6 +14,7 @@ data files.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -373,7 +374,9 @@ def cmd_mean_shape(args: argparse.Namespace) -> Path | None:
     return out
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command line parser, built once per process: parse_args keeps no state."""
     parser = _Parser(prog="pdmorder", description="Point distribution model order toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 

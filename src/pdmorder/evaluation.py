@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NotAligned, PdmOrderError, TooFewSamples, ZeroVariance
+from .errors import NotAligned, PdmOrderError, SingularSystem, TooFewSamples, ZeroVariance
 from .order_select import select_order_proposed, select_order_variance
 from .pdm import PdmModel, fit_pdm
 from .shapes import ShapeSet
@@ -236,33 +236,57 @@ def _predict_landmarks(
     """Predict every landmark of y from the others at every order 1..t_cap.
 
     basis is a full (N, N) orthonormal basis P with eigenvalues lambdas
-    (a zero one acts as a mode outside the model), and y a mean-removed (N,)
-    sample.  With p_j the hidden landmark's two rows of column j,
-    c_j = p_aj^T y_a its visible projection,
+    (a zero one acts as a mode outside the model), y a mean-removed (N,)
+    sample, and t_cap at most N - 2.  With p_j the hidden landmark's two rows
+    of column j, c_j = p_aj^T y_a its visible projection and
     rho_t = RIDGE_REL * sum_{j<=t} lambda_j |p_aj|^2 / (N - 2)
-    (1 where that sum is 0, so visible rows without variance predict zero)
-    and u_j = rho_t / (lambda_j + rho_t) for j <= t and 1 beyond, the
-    estimate is x_t = -(sum_j u_j p_j p_j^T)^-1 sum_j u_j c_j p_j.  That is
-    the conditional mean R_ia (R_aa + rho_t I)^-1 y_a under R_t + rho_t I in
-    precision form, one 2 x 2 solve per landmark and order.  The matrix is a
-    sum of PSD terms, so it does not cancel when a mode sits on one landmark;
-    it stays well conditioned while two columns of weight 1 remain, that is
-    for t <= N - 2.  Returns (K, t_cap, 2).
+    (1 where that sum is 0, so visible rows without variance predict zero),
+    the estimate at order t is x_t = -A_t^-1 b_t with
+
+        A_t = sum_{j<=t} u_tj p_j p_j^T + T_t,   T_t = sum_{j>t} p_j p_j^T,
+        b_t = sum_{j<=t} u_tj c_j p_j + s_t,     s_t = sum_{j>t} c_j p_j,
+        u_tj = rho_t / (lambda_j + rho_t).
+
+    That is the conditional mean R_ia (R_aa + rho_t I)^-1 y_a under
+    R_t + rho_t I in precision form.  Past order t every weight is 1, so one
+    reverse cumulative sum over the columns gives the tails T_t and s_t of
+    every order, and only the lower-triangular (K, t_cap, t_cap) weights u
+    are formed.  A_t is a sum of PSD terms, so it does not cancel when a mode
+    sits on one landmark.  The hidden rows of P are orthonormal, so
+    T_t <= A_t <= I and cond(A_t) <= 1 / lambda_min(T_t): small while the
+    tail holds many columns, as at the orders lmmse_curve uses, while the two
+    columns left at t = N - 2 reached cond 1e10 on random bases.  Each 2 x 2
+    system is solved by its closed-form inverse, [[d, -b], [-b, a]] / det
+    with det = ad - b^2.
+    Returns (K, t_cap, 2).
+
+    Raises:
+        SingularSystem: a determinant is not finite and positive, or an
+            estimate is not finite (a non-finite input ends here too), so
+            no inf or NaN is returned.
     """
     n = basis.shape[0]
     k = n // 2
     hidden = basis.reshape(k, 2, n)
+    x0, x1 = hidden[:, 0], hidden[:, 1]
     # Exact zeros on each hidden pair: c and mass sum the visible rows, no cancelling.
     visible = 1.0 - np.repeat(np.eye(k), 2, axis=1)
-    c = (visible * y) @ basis
-    mass = np.cumsum(lambdas[:t_cap] * (visible @ basis[:, :t_cap] ** 2), axis=1)
-    rho = np.where(mass > 0.0, RIDGE_REL * mass / (n - 2), 1.0)[:, :, None]
-    within = np.arange(n) < np.arange(1, t_cap + 1)[:, None]
-    u = np.where(within, rho / (lambdas + rho), 1.0)
-    outer = (hidden[:, :, None, :] * hidden[:, None, :, :]).reshape(k, 4, n)
-    systems = (u @ outer.transpose(0, 2, 1)).reshape(k, t_cap, 2, 2)
-    rhs = u @ (c[:, None, :] * hidden).transpose(0, 2, 1)
-    return -np.linalg.solve(systems, rhs[..., None])[..., 0]
+    with np.errstate(all="ignore"):  # a non-finite or singular system is refused below
+        c = (visible * y) @ basis
+        mass = np.cumsum(lambdas[:t_cap] * (visible @ basis[:, :t_cap] ** 2), axis=1)
+        rho = np.where(mass > 0.0, RIDGE_REL * mass / (n - 2), 1.0)[:, :, None]
+        u = np.tril(rho / (lambdas[:t_cap] + rho))
+        # Per landmark and column: a, b, d of p_j p_j^T and the two rows of c_j p_j.
+        terms = np.stack([x0 * x0, x0 * x1, x1 * x1, c * x0, c * x1], axis=1)
+        # tails[..., t - 1] sums the columns past order t.
+        tails = np.cumsum(terms[:, :, :0:-1], axis=2)[:, :, ::-1]
+        sums = u @ terms[:, :, :t_cap].transpose(0, 2, 1) + tails[:, :, :t_cap].transpose(0, 2, 1)
+        a, b, d, r0, r1 = np.moveaxis(sums, 2, 0)
+        det = a * d - b * b
+        estimate = np.stack([b * r1 - d * r0, b * r0 - a * r1], axis=-1) / det[..., None]
+    if not (np.all(det > 0.0) and np.all(np.isfinite(det)) and np.all(np.isfinite(estimate))):
+        raise SingularSystem("a 2 x 2 landmark system is numerically singular")
+    return estimate
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,10 +317,13 @@ def lmmse_curve(
     ridge-regularised conditional mean of the hidden landmark given the
     visible ones under the covariance of the fold's leading t modes.  One
     kernel call per fold predicts every landmark at every order from the
-    fold's full eigenbasis, one 2 x 2 solve per landmark and order.  Orders
-    run from 1 to min(N - 4, M - 2), further capped below the positive rank
-    of every fold and by t_max; the N - 4 cap also keeps the 2 x 2 form
-    clear of N - 2, past which it loses digits.
+    fold's full eigenbasis: the modes past each order enter with weight 1
+    through one reverse cumulative sum over the columns, and each landmark
+    and order costs one closed-form 2 x 2 solve whose determinant is checked
+    to be finite and positive.  Orders run from 1 to min(N - 4, M - 2),
+    further capped below the positive rank of every fold and by t_max; the
+    N - 4 cap also keeps the 2 x 2 form clear of N - 2, past which it loses
+    digits.
 
     The cap stays strictly under the fold ranks on purpose.  Similarity
     alignment confines every sample, noise included, to a common shape
@@ -314,6 +341,7 @@ def lmmse_curve(
     Raises:
         ValueError: t_max or selector_t_max is below 1.
         NotAligned: the set was not Procrustes aligned first.
+        SingularSystem: a fold's 2 x 2 system is numerically singular.
     """
     if any(cap is not None and cap < 1 for cap in (t_max, selector_t_max)):
         raise ValueError("t_max and selector_t_max must be at least 1")

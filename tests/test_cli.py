@@ -24,7 +24,7 @@ from pdmorder import (
     select_order_proposed,
     select_order_variance,
 )
-from pdmorder.cli import main
+from pdmorder.cli import build_parser, main
 from pdmorder.errors import SingularSystem
 from pdmorder.pdm import load_pdm, save_pdm
 
@@ -117,6 +117,24 @@ class TestDispatch:
                 main([command, "--help"])
             assert info.value.code == 0
             assert "usage" in capsys.readouterr().out.lower()
+
+
+    def test_commands_in_turn_share_one_parser(
+        self, small_csv: Path, tmp_path: Path, capsys: pytest.CaptureFixture
+    ) -> None:
+        # The parser is built once per process, so each run must start from
+        # its own flags: a --t-max left over from the first select would
+        # make the variance run a usage error.
+        aligned = generalized_procrustes(load_shape_set(small_csv))
+        assert main(["select", "--input", str(small_csv), "--t-max", "2"]) == 0
+        want = select_order_proposed(aligned, t_max=2).t_star
+        assert capsys.readouterr().out == f"t_star={want}\n"
+        assert main(["select", "--input", str(small_csv), "--method", "variance"]) == 0
+        assert capsys.readouterr().out == f"t_star={select_order_variance(fit_pdm(aligned))}\n"
+        curve = tmp_path / "curve.csv"
+        assert main(["lmmse", "--input", str(small_csv), "--t-max", "3", "--out", str(curve)]) == 0
+        assert [line.split(",")[0] for line in curve.read_text().splitlines()] == ["t", "1", "2", "3"]
+        assert build_parser() is build_parser()
 
 
 class TestManifest:

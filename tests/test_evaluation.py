@@ -2,8 +2,9 @@
 and the leave-one-out hidden-landmark error curve.
 
 The LMMSE checks are anchored by independently coded oracles: the ridge
-conditional mean solved in exact rational arithmetic, and a plain
-nested-loop rewrite of the leave-one-out bookkeeping on top of it.
+conditional mean solved in exact rational arithmetic, a plain nested-loop
+rewrite of the leave-one-out bookkeeping on top of it, and the kernel's
+earlier weight-tensor formula solved by np.linalg.solve.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from pdmorder import (
     truncate,
 )
 from pdmorder import evaluation
-from pdmorder.errors import TooFewSamples
+from pdmorder.errors import SingularSystem, TooFewSamples
 from pdmorder.evaluation import CellStats, TrialSummary, _predict_landmarks
 from pdmorder.pdm import PdmModel
 
@@ -96,6 +97,30 @@ def _exact_ridge(
     r_aa = [[cov[i][j] + (rho if i == j else 0) for j in avail] for i in avail]
     solved = _exact_solve(r_aa, [Fraction(v) for v in y_avail.tolist()])
     return np.array([float(sum(cov[i][j] * z for j, z in zip(avail, solved))) for i in miss])
+
+
+def _weight_tensor_oracle(
+    basis: np.ndarray, lambdas: np.ndarray, y: np.ndarray, t_cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's precision-form estimates from a full (K, t_cap, N) weight tensor.
+
+    Every column gets its weight u_tj = rho_t / (lambda_j + rho_t) inside
+    the order and 1 beyond it, and each 2 x 2 system goes to np.linalg.solve.
+    Returns the (K, t_cap, 2) estimates and the (K, t_cap, 2, 2) systems.
+    """
+    n = basis.shape[0]
+    k = n // 2
+    hidden = basis.reshape(k, 2, n)
+    visible = 1.0 - np.repeat(np.eye(k), 2, axis=1)
+    c = (visible * y) @ basis
+    mass = np.cumsum(lambdas[:t_cap] * (visible @ basis[:, :t_cap] ** 2), axis=1)
+    rho = np.where(mass > 0.0, RIDGE_REL * mass / (n - 2), 1.0)[:, :, None]
+    within = np.arange(n) < np.arange(1, t_cap + 1)[:, None]
+    u = np.where(within, rho / (lambdas + rho), 1.0)
+    outer = (hidden[:, :, None, :] * hidden[:, None, :, :]).reshape(k, 4, n)
+    systems = (u @ outer.transpose(0, 2, 1)).reshape(k, t_cap, 2, 2)
+    rhs = u @ (c[:, None, :] * hidden).transpose(0, 2, 1)
+    return -np.linalg.solve(systems, rhs[..., None])[..., 0], systems
 
 
 def _curve_oracle(mat: np.ndarray, t_cap: int) -> dict[int, float]:
@@ -484,6 +509,72 @@ class TestLmmseEstimateLandmark:
         full = _full_rank_model(rng, k=4)
         est = _predict_landmarks(full.basis, full.lambdas, np.zeros(8), 6)[2, -1]
         assert np.array_equal(est, np.zeros(2))
+
+
+def _model_of_kind(rng: np.random.Generator, k: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """A full orthonormal basis and descending eigenvalues of one kind.
+
+    "full" has every eigenvalue positive, "zeros" ends in 1..N-2 zero ones,
+    and "single" puts one mode, at a random rank, on one coordinate alone.
+    """
+    n = 2 * k
+    lambdas = np.sort(rng.uniform(0.5, 4.0, size=n))[::-1]
+    if kind == "zeros":
+        lambdas[n - rng.integers(1, n - 1):] = 0.0
+    if kind != "single":
+        return np.linalg.qr(rng.normal(size=(n, n)))[0], lambdas
+    axis = np.zeros(n)
+    axis[rng.integers(0, n)] = 1.0
+    rest = rng.normal(size=(n, n - 1))
+    rest -= np.outer(axis, axis @ rest)
+    basis = np.insert(np.linalg.qr(rest)[0], rng.integers(0, n), axis, axis=1)
+    return basis, lambdas
+
+
+class TestPredictLandmarksMatchesWeightTensor:
+    """The tail-sum kernel against the weight-tensor formula it replaced."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(3, 8),
+        kind=st.sampled_from(["full", "zeros", "single"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_property_every_order_matches(self, seed: int, k: int, kind: str) -> None:
+        # Both formulas round the 2 x 2 entries, and the solve scales that by
+        # cond(A_t): 1e-12 relative while cond <= 100, growing with it
+        # beyond.  At t near N - 2 random bases reach cond 1e10, where both
+        # miss the exact rational answer by ~3e-7; 9000 draws stayed within
+        # 3 eps cond of each other.
+        rng = np.random.default_rng(seed)
+        basis, lambdas = _model_of_kind(rng, k, kind)
+        y = rng.normal(size=2 * k)
+        got = _predict_landmarks(basis, lambdas, y, 2 * k - 2)
+        want, systems = _weight_tensor_oracle(basis, lambdas, y, 2 * k - 2)
+        bound = 1e-14 * np.maximum(np.linalg.cond(systems), 100.0) * np.abs(want).max()
+        assert np.all(np.abs(got - want).max(axis=-1) <= bound)
+
+    def test_workload_sized_fold_matches_within_1e_12(self) -> None:
+        # A fold as lmmse_curve fits it: 30 shapes, N = 80, orders 1..27.
+        shape_set = sample_shapes(_seed_model(), SimConfig(n_samples=30, beta_db=10.0, rng_seed=4))
+        x = shape_set.as_matrix()
+        model = fit_pdm(shape_set.subset(range(1, 30)))
+        y = x[:, 0] - model.mean
+        got = _predict_landmarks(model.basis, model.lambdas, y, 27)
+        want, _ = _weight_tensor_oracle(model.basis, model.lambdas, y, 27)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_basis_raises_singular_system(self, bad: float) -> None:
+        basis, lambdas = _model_of_kind(np.random.default_rng(8), 4, "full")
+        basis[3, 5] = bad
+        with pytest.raises(SingularSystem):
+            _predict_landmarks(basis, lambdas, np.ones(8), 6)
+
+    def test_singular_system_raises_instead_of_inf(self) -> None:
+        # A zero basis leaves every 2 x 2 system zero: det = 0.
+        with pytest.raises(SingularSystem):
+            _predict_landmarks(np.zeros((8, 8)), np.ones(8), np.ones(8), 3)
 
 
 class TestLmmseCurve:
