@@ -218,13 +218,11 @@ def _seed_pdm_for(args: argparse.Namespace) -> PdmModel:
                 f"--landmarks {args.landmarks} disagrees with the "
                 f"{loaded.n_coords // 2} landmarks of --seed-model"
             )
-        if loaded.order == loaded.n_coords:
-            loaded = truncate(loaded, args.order)
-        elif args.order != loaded.order:
+        if args.order > loaded.order:
             raise UsageError(
-                f"--order {args.order} disagrees with the {loaded.order} modes of --seed-model"
+                f"--order {args.order} exceeds the {loaded.order} modes of --seed-model"
             )
-        return loaded
+        return truncate(loaded, args.order)
     if args.spectrum is None:
         args.spectrum = DEFAULT_SPECTRUM
     try:
@@ -277,7 +275,7 @@ def cmd_select(args: argparse.Namespace) -> Path | None:
         if out is not None:
             write_scores_csv(out, result)
     else:
-        t_star = select_order_variance(fit_pdm(shape_set), fraction=args.fraction)
+        t_star = select_order_variance(shape_set, fraction=args.fraction)
     print(f"t_star={t_star}")
     return out
 

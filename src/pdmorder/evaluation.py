@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NotAligned, PdmOrderError, SingularSystem, TooFewSamples, ZeroVariance
 from .order_select import select_order_proposed, select_order_variance
-from .pdm import PdmModel, fit_pdm
+from .pdm import PdmModel, _modes, _rank
 from .shapes import ShapeSet
 from .simgen import SimConfig, sample_shapes
 
@@ -135,7 +135,7 @@ def _tabulate(
             return {
                 method: select_order_proposed(shape_set, t_max=t_max).t_star
                 if method == "proposed"
-                else select_order_variance(fit_pdm(shape_set), fraction=fraction)
+                else select_order_variance(shape_set, fraction=fraction)
                 for method in methods
             }
         except PdmOrderError:
@@ -317,13 +317,14 @@ def lmmse_curve(
     ridge-regularised conditional mean of the hidden landmark given the
     visible ones under the covariance of the fold's leading t modes.  One
     kernel call per fold predicts every landmark at every order from the
-    fold's full eigenbasis: the modes past each order enter with weight 1
-    through one reverse cumulative sum over the columns, and each landmark
-    and order costs one closed-form 2 x 2 solve whose determinant is checked
-    to be finite and positive.  Orders run from 1 to min(N - 4, M - 2),
-    further capped below the positive rank of every fold and by t_max; the
-    N - 4 cap also keeps the 2 x 2 form clear of N - 2, past which it loses
-    digits.
+    fold's complete (N, N) basis from one SVD (pdm._modes: its modes, then
+    their orthonormal complement with zero eigenvalues).  The modes past
+    each order enter with weight 1 through one reverse cumulative sum over
+    the columns, and each landmark and order costs one closed-form 2 x 2
+    solve whose determinant is checked to be finite and positive.  Orders
+    run from 1 to min(N - 4, M - 2), further capped below the positive rank
+    of every fold and by t_max; the N - 4 cap also keeps the 2 x 2 form
+    clear of N - 2, past which it loses digits.
 
     The cap stays strictly under the fold ranks on purpose.  Similarity
     alignment confines every sample, noise included, to a common shape
@@ -355,8 +356,8 @@ def lmmse_curve(
     k = n // 2
     X = shape_set.as_matrix()
 
-    folds = [fit_pdm(shape_set.subset(np.delete(np.arange(m), fold))) for fold in range(m)]
-    min_rank = min(model.positive_rank() for model in folds)
+    folds = [_modes(shape_set.subset(np.delete(np.arange(m), fold))) for fold in range(m)]
+    min_rank = min(_rank(lambdas) for _, _, lambdas in folds)
     t_cap = min(n - 4, m - 2)
     if min_rank > 0:
         t_cap = min(t_cap, min_rank - 1)
@@ -370,9 +371,9 @@ def lmmse_curve(
         t_cap = 1
 
     sums = np.zeros(t_cap)
-    for fold, model in enumerate(folds):
-        y = X[:, fold] - model.mean
-        predicted = _predict_landmarks(model.basis, model.lambdas, y, t_cap)
+    for fold, (mean, basis, lambdas) in enumerate(folds):
+        y = X[:, fold] - mean
+        predicted = _predict_landmarks(basis, lambdas, y, t_cap)
         sums += np.sum((predicted - y.reshape(k, 1, 2)) ** 2, axis=(0, 2))
 
     errors = {t: sums[t - 1] / (m * k) for t in range(1, t_cap + 1)}
@@ -386,7 +387,7 @@ def lmmse_curve(
     except ZeroVariance:
         pass
     try:
-        selected["variance"] = select_order_variance(fit_pdm(shape_set))
+        selected["variance"] = select_order_variance(shape_set)
     except ZeroVariance:
         pass
     return LmmseResult(errors=errors, argmin_t=argmin_t, selected_orders=selected)

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DimensionMismatch, SingularSystem, TooFewSamples, ZeroVariance
-from .pdm import PdmModel, _project_stacked, fit_pdm, truncate
+from .errors import DimensionMismatch, SingularSystem, TooFewSamples, ZeroVariance
+from .pdm import PdmModel, _modes, _project_stacked, fit_pdm, truncate
 from .shapes import ShapeSet
 
 # Noise variances are kept above this fraction of the mean data power so
@@ -303,17 +303,16 @@ def select_order_proposed(
 ) -> OrderSelectionResult:
     """Select the model order by the split-data information criterion.
 
-    The candidate range is 1..t_max with t_max capped at the training
-    covariance's positive rank, at M1 - 1, and at N.  Every candidate gets
-    its own cold-started alternating fit, so each score depends on its
-    order alone.  The fits run in lockstep blocks of ORDER_BLOCK
-    neighbouring orders: one stacked kernel sweeps the block, each order
-    zero-padded to the block's top order and leaving the block when it
-    converges, which matches alternating_ml order by order up to rounding.
-    An order whose projection breaks down leaves its block the same way:
-    it gets no score and a "fit failed" note, and the other orders of the
-    block keep exactly the fits they would get without it.  Any other
-    error propagates.
+    The candidate range is 1..t_max with t_max capped at the modes of the
+    training half's fit_pdm model and at M1 - 1.  Every candidate gets its
+    own cold-started alternating fit, so each score depends on its order
+    alone.  The fits run in lockstep blocks of ORDER_BLOCK neighbouring
+    orders: one stacked kernel sweeps the block, each order zero-padded to
+    the block's top order and leaving the block when it converges, which
+    matches alternating_ml order by order up to rounding.  An order whose
+    projection breaks down leaves its block the same way: it gets no score
+    and a "fit failed" note, and the other orders of the block keep exactly
+    the fits they would get without it.  Any other error propagates.
 
     Args:
         shape_set: aligned set with at least 4 shapes.
@@ -328,14 +327,10 @@ def select_order_proposed(
         raise ValueError("t_max must be at least 1")
     split = split_data(shape_set, seed=split_seed)
     model = fit_pdm(split.x1)
-    rank = model.positive_rank()
-    if rank == 0:
-        raise ZeroVariance("training half carries no variance; no modes to select")
-    t_hi = min(rank, split.m1 - 1, model.n_coords)
+    # At least one order: the split leaves M1 >= 2 and a fit keeps a mode.
+    t_hi = min(model.order, split.m1 - 1)
     if t_max is not None:
         t_hi = min(t_hi, t_max)
-    if t_hi < 1:
-        raise TooFewSamples("not enough training shapes for even one mode")
     sigma_floor = SIGMA_FLOOR_REL * float(np.sum(model.lambdas)) / model.n_coords
 
     fits: dict[int, RegressionFit] = {}
@@ -369,21 +364,25 @@ def select_order_proposed(
     )
 
 
-def select_order_variance(model: PdmModel, fraction: float = 0.95) -> int:
-    """Smallest order whose cumulative eigenvalue share reaches fraction.
+def select_order_variance(shape_set: ShapeSet, fraction: float = 0.95) -> int:
+    """Smallest order whose share of the set's whole spectrum (pdm._modes) reaches fraction.
 
     Raises:
-        DataError: the model is not full; the share needs the whole spectrum.
+        ValueError: fraction is not strictly between 0 and 1.
+        NotAligned: the set was not Procrustes aligned first.
+        ZeroVariance: the set carries no variance.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must lie strictly between 0 and 1")
-    if model.order != model.n_coords:
-        raise DataError(f"the variance rule needs the whole spectrum, not {model.order} modes")
-    total = float(np.sum(model.lambdas))
-    if total <= 0.0:
-        raise ZeroVariance("model carries no variance")
+    return _variance_order(_modes(shape_set)[2], fraction)
+
+
+def _variance_order(lambdas: np.ndarray, fraction: float) -> int:
+    """The variance rule on a descending spectrum: the first order whose share >= fraction."""
     # Normalise by the running sum's own end, which is then exactly 1.0; a
     # separately rounded total can leave it just below a fraction near 1.
-    cumulative = np.cumsum(model.lambdas)
+    cumulative = np.cumsum(lambdas)
+    if cumulative[-1] <= 0.0:
+        raise ZeroVariance("the shapes carry no variance")
     cumulative /= cumulative[-1]
     return int(np.argmax(cumulative >= fraction)) + 1

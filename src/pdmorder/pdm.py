@@ -1,11 +1,12 @@
 """Point distribution models: fit, truncate, project, serialize.
 
-The model is the mean shape plus an orthonormal deformation basis obtained
-from the eigendecomposition of the biased sample covariance (divide by the
-number of training shapes).  Deformation coefficients live in the
-plausibility box |b_i| <= sqrt(lambda_i).  A model of order t keeps the
-leading t modes: fit_pdm returns the full model (t = N) and truncate cuts
-it to fewer, so one PdmModel type serves every order.
+The model is the mean shape plus an orthonormal deformation basis: the
+eigenvectors of the biased sample covariance (divide by the number of
+training shapes), taken from one SVD of the centred data.  Deformation
+coefficients live in the plausibility box |b_i| <= sqrt(lambda_i).  A model
+of order t keeps the leading t modes, all with positive eigenvalues:
+fit_pdm keeps every mode that carries variance and truncate cuts a model to
+fewer, so one PdmModel type serves every order.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import (
     OrderOutOfRange,
     ParseError,
     SingularSystem,
+    ZeroVariance,
 )
 from .shapes import ShapeSet, _data_lines
 
@@ -45,15 +47,14 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 class PdmModel:
     """The leading `order` modes of the eigenmodel of an aligned shape set.
 
-    The model is full when order == n_coords; only a full model may keep
-    zero eigenvalues.  The checks cost O(N * order): the basis is trusted
-    to be orthonormal.
+    Every mode carries variance: a direction with a zero eigenvalue is not
+    part of a model.  The checks cost O(N * order): the basis is trusted to
+    be orthonormal.
 
     Attributes:
         mean: (N,) mean shape coordinates, N even and at least 4.
         basis: (N, order) orthonormal mode columns, 1 <= order <= N.
-        lambdas: (order,) eigenvalues, descending and >= 0; strictly
-            positive unless the model is full.
+        lambdas: (order,) eigenvalues, descending and strictly positive.
         n_train: number of shapes the model was fit on (M1 of the store),
             0 when the model was not fit to data.
     """
@@ -75,12 +76,10 @@ class PdmModel:
         t = lambdas.size
         if not 1 <= t <= n:
             raise OrderOutOfRange(f"a model keeps 1..{n} modes, got {t}")
-        if np.any(lambdas < 0):
-            raise ValueError("eigenvalues must be clamped at zero")
+        if not np.all(lambdas > 0):
+            raise ValueError("a model keeps only positive eigenvalues; refit it from its shapes")
         if np.any(np.diff(lambdas) > 0):
             raise ValueError("eigenvalues must be sorted descending")
-        if t < n and lambdas[-1] <= 0:
-            raise ValueError("a partial model keeps only strictly positive eigenvalues")
         if self.n_train < 0:
             raise ValueError("n_train must not be negative")
         for name, arr in (("mean", mean), ("basis", basis), ("lambdas", lambdas)):
@@ -97,23 +96,23 @@ class PdmModel:
         return self.basis.shape[1]
 
     def positive_rank(self) -> int:
-        """Number of eigenvalues that carry real variance.
-
-        Eigenvalues below RANK_REL_TOL times the leading one count as
-        rank-deficient and are excluded.
-        """
-        if self.lambdas[0] <= 0.0:
-            return 0
-        return int(np.sum(self.lambdas > RANK_REL_TOL * self.lambdas[0]))
+        """Number of eigenvalues above RANK_REL_TOL times the leading one."""
+        return _rank(self.lambdas)
 
 
-def fit_pdm(shape_set: ShapeSet) -> PdmModel:
-    """Fit a full eigenmodel to an aligned shape set.
+def _rank(lambdas: np.ndarray) -> int:
+    """How many of the descending lambdas exceed RANK_REL_TOL * lambdas[0]."""
+    return int(np.sum(lambdas > RANK_REL_TOL * lambdas[0]))
 
-    The sample covariance uses the biased normalization (1/M) on centered
-    data.  Eigenvalues come back descending with tiny negative rounding
-    clamped to zero; each eigenvector is sign-fixed so its largest-magnitude
-    entry is positive, making the fit deterministic.
+
+def _modes(shape_set: ShapeSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, complete (N, N) eigenbasis and (N,) spectrum of an aligned set.
+
+    One SVD of the centred (N, M) data C = U S V^T gives the biased
+    covariance C C^T / M = U diag(s^2 / M) U^T without forming C C^T, so
+    small eigenvalues are not squared into rounding.  U holds the modes and
+    then their orthonormal complement, whose eigenvalues are zero; each
+    column is sign-fixed, so the fit is deterministic.
 
     Raises:
         NotAligned: the set was not Procrustes aligned first.
@@ -121,39 +120,42 @@ def fit_pdm(shape_set: ShapeSet) -> PdmModel:
     if not shape_set.aligned:
         raise NotAligned("fit requires a Procrustes-aligned shape set")
     X = shape_set.as_matrix()
+    n, m = X.shape
     mu = X.mean(axis=1)
-    centered = X - mu[:, None]
-    cov = (centered @ centered.T) / shape_set.n_shapes
-    vals, vecs = np.linalg.eigh(cov)
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    vals[vals < 0] = 0.0
-    vecs = _fix_signs(vecs)
-    return PdmModel(mean=mu, basis=vecs, lambdas=vals, n_train=shape_set.n_shapes)
+    u, s, _ = np.linalg.svd(X - mu[:, None], full_matrices=m < n)
+    lambdas = np.zeros(n)
+    lambdas[: s.size] = s * s / m
+    return mu, _fix_signs(u), lambdas
+
+
+def fit_pdm(shape_set: ShapeSet) -> PdmModel:
+    """Fit the eigenmodel of an aligned shape set: every mode with variance.
+
+    The sample covariance uses the biased normalization (1/M) on centered
+    data, and its eigenpairs come from one SVD (see _modes).  The model
+    keeps the modes whose eigenvalues exceed RANK_REL_TOL times the leading
+    one, so its order is its positive rank: at most min(M - 1, N).
+
+    Raises:
+        NotAligned: the set was not Procrustes aligned first.
+        ZeroVariance: every shape equals the mean, so no mode carries variance.
+    """
+    mu, basis, lambdas = _modes(shape_set)
+    if lambdas[0] <= 0.0:
+        raise ZeroVariance("the shapes carry no variance; a model needs one mode")
+    order = _rank(lambdas)
+    return PdmModel(mu, basis[:, :order], lambdas[:order], shape_set.n_shapes)
 
 
 def truncate(model: PdmModel, order: int) -> PdmModel:
-    """The full model cut to its leading `order` modes.
-
-    The result is a PdmModel with the same mean and n_train.  Only the
-    positive modes can be kept, since a partial model carries no zero
-    eigenvalues.
+    """The model cut to its leading `order` modes, with the same mean and n_train.
 
     Raises:
-        OrderOutOfRange: model is not full, or order is outside
-            1..positive_rank(model).
+        OrderOutOfRange: order is outside 1..model.order.
     """
-    if model.order != model.n_coords:
-        raise OrderOutOfRange(f"only a full model is truncated, not one of {model.order} modes")
-    rank = model.positive_rank()
-    if not 1 <= order <= rank:
-        raise OrderOutOfRange(f"order {order} outside the usable range 1..{rank}")
-    return PdmModel(
-        mean=model.mean,
-        basis=model.basis[:, :order],
-        lambdas=model.lambdas[:order],
-        n_train=model.n_train,
-    )
+    if not 1 <= order <= model.order:
+        raise OrderOutOfRange(f"order {order} outside the model's modes 1..{model.order}")
+    return PdmModel(model.mean, model.basis[:, :order], model.lambdas[:order], model.n_train)
 
 
 def clamp_to_box(coeffs: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
@@ -277,13 +279,13 @@ def save_pdm(model: PdmModel, path: str | Path, order: int | None = None) -> Non
     Args:
         model: the model to store.
         path: output file.
-        order: store truncate(model, order) instead; None or model.order
+        order: store truncate(model, order) instead, 1..model.order; None
             stores the model as it is.
 
     Raises:
-        OrderOutOfRange: truncate refuses the order; nothing is written.
+        OrderOutOfRange: order is outside 1..model.order; nothing is written.
     """
-    if order is not None and order != model.order:
+    if order is not None:
         model = truncate(model, order)
     lines = [f"{model.n_coords},{model.order},{model.n_train}"]
     lines.append(",".join(_fmt(v) for v in model.mean))
@@ -298,7 +300,7 @@ def load_pdm(path: str | Path) -> PdmModel:
 
     Raises:
         ParseError: unreadable file, malformed header, rows or numbers, or
-            arrays that do not make a PdmModel.
+            arrays that do not make a PdmModel (a zero eigenvalue included).
     """
     path = Path(path)
     rows = [line.split(",") for _, line in _data_lines(path)]

@@ -50,7 +50,7 @@ def small_csv(tmp_path_factory: pytest.TempPathFactory) -> Path:
 
 @pytest.fixture(scope="module")
 def seed_models(small_csv: Path) -> dict[str, Path]:
-    """The small set's full model and its two-mode truncation, as model files."""
+    """The small set's fitted model (every positive mode) and its two-mode truncation."""
     model = fit_pdm(generalized_procrustes(load_shape_set(small_csv)))
     paths = {"full": small_csv.with_name("full.pdm"), "order2": small_csv.with_name("order2.pdm")}
     save_pdm(model, paths["full"])
@@ -130,7 +130,7 @@ class TestDispatch:
         want = select_order_proposed(aligned, t_max=2).t_star
         assert capsys.readouterr().out == f"t_star={want}\n"
         assert main(["select", "--input", str(small_csv), "--method", "variance"]) == 0
-        assert capsys.readouterr().out == f"t_star={select_order_variance(fit_pdm(aligned))}\n"
+        assert capsys.readouterr().out == f"t_star={select_order_variance(aligned)}\n"
         curve = tmp_path / "curve.csv"
         assert main(["lmmse", "--input", str(small_csv), "--t-max", "3", "--out", str(curve)]) == 0
         assert [line.split(",")[0] for line in curve.read_text().splitlines()] == ["t", "1", "2", "3"]
@@ -241,7 +241,7 @@ class TestEndToEnd:
         self, small_csv: Path, capsys: pytest.CaptureFixture
     ) -> None:
         aligned = generalized_procrustes(load_shape_set(small_csv))
-        expected = select_order_variance(fit_pdm(aligned), fraction=0.6)
+        expected = select_order_variance(aligned, fraction=0.6)
         rc = main([
             "select", "--input", str(small_csv), "--method", "variance",
             "--fraction", "0.6",

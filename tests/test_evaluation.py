@@ -23,7 +23,6 @@ from pdmorder import (
     ShapeSet,
     SimConfig,
     TransformRanges,
-    fit_pdm,
     generalized_procrustes,
     lmmse_curve,
     make_seed_pdm_procedural,
@@ -37,7 +36,7 @@ from pdmorder import (
 from pdmorder import evaluation
 from pdmorder.errors import SingularSystem, TooFewSamples
 from pdmorder.evaluation import CellStats, TrialSummary, _predict_landmarks
-from pdmorder.pdm import PdmModel
+from pdmorder.pdm import RANK_REL_TOL, PdmModel, _modes
 
 RIDGE_REL = 1e-10
 
@@ -316,7 +315,7 @@ class TestOrderSweep:
         for count in (12, 18):
             subset = base_set.subset(list(range(count)))
             want_p = select_order_proposed(subset).t_star
-            want_v = select_order_variance(fit_pdm(subset))
+            want_v = select_order_variance(subset)
             assert summary.cells[("proposed", count)].hist == {want_p: 1}
             assert summary.cells[("variance", count)].hist == {want_v: 1}
 
@@ -558,10 +557,10 @@ class TestPredictLandmarksMatchesWeightTensor:
         # A fold as lmmse_curve fits it: 30 shapes, N = 80, orders 1..27.
         shape_set = sample_shapes(_seed_model(), SimConfig(n_samples=30, beta_db=10.0, rng_seed=4))
         x = shape_set.as_matrix()
-        model = fit_pdm(shape_set.subset(range(1, 30)))
-        y = x[:, 0] - model.mean
-        got = _predict_landmarks(model.basis, model.lambdas, y, 27)
-        want, _ = _weight_tensor_oracle(model.basis, model.lambdas, y, 27)
+        mean, basis, lambdas = _modes(shape_set.subset(range(1, 30)))
+        y = x[:, 0] - mean
+        got = _predict_landmarks(basis, lambdas, y, 27)
+        want, _ = _weight_tensor_oracle(basis, lambdas, y, 27)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -578,6 +577,35 @@ class TestPredictLandmarksMatchesWeightTensor:
 
 
 class TestLmmseCurve:
+    def test_svd_folds_match_the_eigh_curve(self) -> None:
+        # A workload-sized set (N = 80, M = 30).  The oracle fits every fold
+        # by eigh of the 80 x 80 covariance, as before the SVD fit, and runs
+        # the same kernel on that basis.
+        shape_set = sample_shapes(_seed_model(), SimConfig(n_samples=30, beta_db=10.0, rng_seed=7))
+        x = shape_set.as_matrix()
+        n, m = x.shape
+        folds = []
+        for fold in range(m):
+            kept = np.delete(x, fold, axis=1)
+            mean = kept.mean(axis=1)
+            centered = kept - mean[:, None]
+            vals, vecs = np.linalg.eigh(centered @ centered.T / (m - 1))
+            folds.append((mean, vecs[:, ::-1], np.clip(vals[::-1], 0.0, None)))
+        rank = min(int(np.sum(lam > RANK_REL_TOL * lam[0])) for _, _, lam in folds)
+        t_cap = min(n - 4, m - 2, rank - 1)
+        sums = np.zeros(t_cap)
+        for fold, (mean, basis, lambdas) in enumerate(folds):
+            y = x[:, fold] - mean
+            predicted = _predict_landmarks(basis, lambdas, y, t_cap)
+            sums += np.sum((predicted - y.reshape(n // 2, 1, 2)) ** 2, axis=(0, 2))
+        oracle = {t: sums[t - 1] / (m * n // 2) for t in range(1, t_cap + 1)}
+
+        result = lmmse_curve(shape_set)
+        assert sorted(result.errors) == sorted(oracle)
+        for t in oracle:
+            assert result.errors[t] == pytest.approx(oracle[t], rel=1e-12, abs=0)
+        assert result.argmin_t == min(oracle, key=lambda t: (oracle[t], t))
+
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(3, 4), m=st.integers(4, 6))
     @example(seed=12, k=3, m=5)
     @settings(max_examples=25, deadline=None)

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdmorder import (
-    DataError,
     PdmModel,
     RegressionFit,
     ShapeSet,
@@ -30,6 +29,7 @@ from pdmorder import (
     split_data,
     truncate,
 )
+from pdmorder.order_select import _variance_order
 
 
 def _aligned_random_set(rng: np.random.Generator, n: int, m: int) -> ShapeSet:
@@ -452,29 +452,31 @@ class TestSelectOrderProposed:
 
 
 class TestSelectOrderVariance:
-    def _model(self, lambdas) -> PdmModel:
-        # Zero eigenvalues pad the spectrum to a model size (even, at least
-        # 4); they change no cumulative share, so no pick either.
+    def _share(self, lambdas, fraction: float = 0.95) -> int:
+        # The rule on a spectrum; select_order_variance hands it the whole
+        # spectrum of a fit.  Zero eigenvalues change no cumulative share.
         vals = np.asarray(lambdas, dtype=float)
-        n = max(4, vals.size + vals.size % 2)
-        vals = np.concatenate([vals, np.zeros(n - vals.size)])
-        return PdmModel(mean=np.zeros(n), basis=np.eye(n), lambdas=vals, n_train=5)
+        return _variance_order(np.concatenate([vals, np.zeros(3)]), fraction)
 
     def test_short_of_threshold_needs_next_mode(self):
-        assert select_order_variance(self._model([9.0, 1.0]), 0.95) == 2
+        assert self._share([9.0, 1.0], 0.95) == 2
 
     def test_exact_threshold_counts(self):
-        assert select_order_variance(self._model([19.0, 1.0]), 0.95) == 1
+        assert self._share([19.0, 1.0], 0.95) == 1
 
     def test_cumulative_walk(self):
-        assert select_order_variance(self._model([5.0, 3.0, 1.0, 1.0]), 0.8) == 2
+        assert self._share([5.0, 3.0, 1.0, 1.0], 0.8) == 2
 
     def test_default_fraction(self):
-        assert select_order_variance(self._model([19.0, 1.0])) == 1
+        ss = _aligned_random_set(np.random.default_rng(1), 12, 20)
+        assert select_order_variance(ss) == select_order_variance(ss, 0.95)
 
     def test_zero_variance(self):
         with pytest.raises(ZeroVariance):
-            select_order_variance(self._model([0.0, 0.0]))
+            self._share([0.0, 0.0])
+        mat = np.tile(np.array([1.0, -1.0, -1.0, 1.0])[:, None], (1, 4))
+        with pytest.raises(ZeroVariance):
+            select_order_variance(ShapeSet.from_matrix(mat, aligned=True))
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1, max_size=12).filter(
@@ -485,20 +487,29 @@ class TestSelectOrderVariance:
     def test_fraction_below_one_keeps_every_mode_above_rounding(self, values):
         # The cumulative share ends at exactly 1.0, so a fraction one ulp
         # below 1 may leave out modes at rounding level but no larger one.
-        model = self._model(sorted(values, reverse=True))
-        rounding = 4 * len(values) * np.finfo(float).eps * np.sum(model.lambdas)
-        last_above = int(np.flatnonzero(model.lambdas > rounding)[-1]) + 1
-        assert select_order_variance(model, np.nextafter(1.0, 0.0)) >= last_above
+        lambdas = np.array(sorted(values, reverse=True))
+        rounding = 4 * len(values) * np.finfo(float).eps * np.sum(lambdas)
+        last_above = int(np.flatnonzero(lambdas > rounding)[-1]) + 1
+        assert self._share(lambdas, np.nextafter(1.0, 0.0)) >= last_above
 
-    def test_partial_model_refused(self):
-        # A share of the retained modes alone would pick too low an order.
-        model = truncate(self._model([5.0, 3.0, 1.0, 1.0]), 2)
-        with pytest.raises(DataError, match="whole spectrum"):
-            select_order_variance(model)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 8), m=st.integers(2, 24))
+    @settings(max_examples=60, deadline=None)
+    def test_share_of_the_whole_spectrum(self, seed, k, m):
+        # The rule reads the set's whole spectrum, the modes below the rank
+        # cut included: it agrees with the share of the covariance's eigh.
+        ss = _aligned_random_set(np.random.default_rng(seed), 2 * k, m)
+        x = ss.as_matrix()
+        centered = x - x.mean(axis=1, keepdims=True)
+        spectrum = np.clip(np.linalg.eigvalsh(centered @ centered.T / m)[::-1], 0.0, None)
+        share = np.cumsum(spectrum) / np.sum(spectrum)
+        for fraction in (0.5, 0.8, 0.95):
+            # Skip fractions within rounding of a cumulative share.
+            if np.min(np.abs(share - fraction)) > 1e-9:
+                assert select_order_variance(ss, fraction) == int(np.argmax(share >= fraction)) + 1
 
     def test_fraction_bounds(self):
-        model = self._model([1.0, 1.0])
+        ss = _aligned_random_set(np.random.default_rng(0), 8, 6)
         with pytest.raises(ValueError):
-            select_order_variance(model, 0.0)
+            select_order_variance(ss, 0.0)
         with pytest.raises(ValueError):
-            select_order_variance(model, 1.0)
+            select_order_variance(ss, 1.0)

@@ -17,6 +17,7 @@ from pdmorder import (
     PdmModel,
     ShapeSet,
     SingularSystem,
+    ZeroVariance,
     clamp_to_box,
     fit_pdm,
     load_pdm,
@@ -24,6 +25,7 @@ from pdmorder import (
     save_pdm,
     truncate,
 )
+from pdmorder.pdm import RANK_REL_TOL, _modes
 
 
 def _aligned_random_set(rng: np.random.Generator, n: int, m: int) -> ShapeSet:
@@ -57,19 +59,20 @@ class TestFitPdm:
             fit_pdm(ss)
 
     def test_identical_shapes_zero_spectrum(self):
+        # No mode carries variance, so there is no model to keep.
         mat = np.tile(np.array([1.0, -1.0, -1.0, 1.0])[:, None], (1, 4))
-        model = fit_pdm(ShapeSet.from_matrix(mat, aligned=True))
-        np.testing.assert_array_equal(model.lambdas, 0.0)
-        assert model.positive_rank() == 0
+        with pytest.raises(ZeroVariance):
+            fit_pdm(ShapeSet.from_matrix(mat, aligned=True))
 
     def test_hand_computed_two_coordinate_spectrum(self):
         # Three samples whose first coordinate takes 1, -1, 0 and all other
         # coordinates stay 0.  Biased variance of (1, -1, 0) is 2/3, so the
-        # spectrum is (2/3, 0, 0, 0) with dominant mode e_1.
+        # spectrum is (2/3, 0, 0, 0) and the model keeps the one mode e_1.
         mat = np.zeros((4, 3))
         mat[0] = [1.0, -1.0, 0.0]
         model = fit_pdm(ShapeSet.from_matrix(mat, aligned=True))
-        np.testing.assert_allclose(model.lambdas, [2.0 / 3.0, 0.0, 0.0, 0.0], atol=1e-14)
+        assert model.order == 1
+        np.testing.assert_allclose(model.lambdas, [2.0 / 3.0], rtol=1e-14)
         np.testing.assert_allclose(model.basis[:, 0], [1.0, 0.0, 0.0, 0.0], atol=1e-14)
 
     def test_mean_matches_column_mean(self):
@@ -97,8 +100,10 @@ class TestFitPdm:
     def test_eigvec_orthonormality(self):
         rng = np.random.default_rng(4)
         model = fit_pdm(_aligned_random_set(rng, 12, 40))
+        # Centred shapes span at most N - 2 = 10 directions.
+        assert model.order == 10
         gram = model.basis.T @ model.basis
-        assert np.max(np.abs(gram - np.eye(12))) < 1e-10
+        assert np.max(np.abs(gram - np.eye(model.order))) < 1e-10
 
     def test_sign_convention(self):
         rng = np.random.default_rng(5)
@@ -113,6 +118,61 @@ class TestFitPdm:
         b = fit_pdm(ss)
         np.testing.assert_array_equal(a.basis, b.basis)
         np.testing.assert_array_equal(a.lambdas, b.lambdas)
+
+
+def _eigh_oracle(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Descending spectrum and eigenvectors of the biased covariance C C^T / M."""
+    centered = mat - mat.mean(axis=1, keepdims=True)
+    vals, vecs = np.linalg.eigh(centered @ centered.T / mat.shape[1])
+    return np.clip(vals[::-1], 0.0, None), vecs[:, ::-1]
+
+
+class TestModes:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 12),
+        m=st.integers(2, 40),
+        r=st.integers(1, 24),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_eigh_oracle(self, seed, k, m, r):
+        # Rank-r data around an offset mean, with M below and above N, and
+        # every centroid moved to the origin; the centred data then has rank
+        # min(r, N - 2, M - 1).
+        n = 2 * k
+        rng = np.random.default_rng(seed)
+        mat = rng.standard_normal((n, r)) @ rng.standard_normal((r, m))
+        mat += rng.standard_normal((n, 1))
+        mat[0::2] -= mat[0::2].mean(axis=0)
+        mat[1::2] -= mat[1::2].mean(axis=0)
+        shape_set = ShapeSet.from_matrix(mat, aligned=True)
+        mean, basis, lambdas = _modes(shape_set)
+        want, vecs = _eigh_oracle(mat)
+        assert basis.shape == (n, n) and lambdas.shape == (n,)
+        np.testing.assert_array_equal(mean, mat.mean(axis=1))
+        np.testing.assert_allclose(lambdas, want, rtol=0, atol=1e-12 * want[0])
+        assert np.max(np.abs(basis.T @ basis - np.eye(n))) < 1e-13
+
+        rank = min(r, n - 2, m - 1)
+        model = fit_pdm(shape_set)
+        assert model.order == model.positive_rank() == rank
+        assert np.all(model.lambdas > RANK_REL_TOL * model.lambdas[0])
+        np.testing.assert_array_equal(model.basis, basis[:, :rank])
+        np.testing.assert_array_equal(model.lambdas, lambdas[:rank])
+        if want[rank - 1] > 1e-4 * want[0]:
+            # A separated spectrum fixes the span of the kept modes.
+            got = model.basis @ model.basis.T
+            oracle = vecs[:, :rank] @ vecs[:, :rank].T
+            assert np.max(np.abs(got - oracle)) < 1e-10
+
+    @pytest.mark.parametrize("m", [3, 12])
+    def test_no_variance_raises_zero_variance(self, m):
+        # M below and above N = 8; every column is the same shape.
+        mat = np.tile(np.array([2.0, 3.0, -1.0, -4.0, 0.5, 1.0, -1.5, 0.0])[:, None], (1, m))
+        shape_set = ShapeSet.from_matrix(mat, aligned=True)
+        np.testing.assert_array_equal(_modes(shape_set)[2], 0.0)
+        with pytest.raises(ZeroVariance):
+            fit_pdm(shape_set)
 
 
 class TestTruncate:
@@ -148,16 +208,18 @@ class TestTruncate:
         with pytest.raises(OrderOutOfRange):
             truncate(model, model.positive_rank() + 1)
 
-    def test_partial_model_rejected(self):
-        # Only the full model is cut; a partial one would hide missing modes.
+    def test_truncated_model_cuts_again(self):
+        # Any model is cut to 1..order modes, a truncated one too.
         trunc = truncate(self._model(), 3)
-        for order in (2, 3):
-            with pytest.raises(OrderOutOfRange):
-                truncate(trunc, order)
+        again = truncate(trunc, 2)
+        np.testing.assert_array_equal(again.basis, trunc.basis[:, :2])
+        assert truncate(trunc, 3).order == 3
+        with pytest.raises(OrderOutOfRange):
+            truncate(trunc, 4)
 
     def test_rank_ignores_negligible_eigenvalues(self):
         n = 4
-        vals = np.array([1.0, 1e-13, 0.0, 0.0])
+        vals = np.array([1.0, 1e-13, 1e-14, 1e-15])
         model = PdmModel(mean=np.zeros(n), basis=np.eye(n), lambdas=vals, n_train=5)
         assert model.positive_rank() == 1
 
@@ -180,12 +242,13 @@ class TestPdmModelChecks:
         with pytest.raises(OrderOutOfRange):
             PdmModel(mean=np.zeros(4), basis=np.zeros((4, 5)), lambdas=np.ones(5), n_train=0)
 
-    def test_zero_eigenvalue_only_in_a_full_model(self):
-        vals = np.array([2.0, 1.0, 0.0, 0.0])
-        full = PdmModel(mean=np.zeros(4), basis=np.eye(4), lambdas=vals, n_train=3)
-        assert full.order == full.n_coords == 4
-        with pytest.raises(ValueError):
-            PdmModel(mean=np.zeros(4), basis=np.eye(4)[:, :3], lambdas=vals[:3], n_train=3)
+    def test_zero_eigenvalue_rejected(self):
+        # A model keeps only modes with variance, at every order up to N.
+        vals = np.array([2.0, 1.0, 0.5, 0.0])
+        for t in (3, 4):
+            PdmModel(mean=np.zeros(4), basis=np.eye(4)[:, :t], lambdas=vals[:t] + 0.1, n_train=3)
+            with pytest.raises(ValueError, match="refit"):
+                PdmModel(mean=np.zeros(4), basis=np.eye(4)[:, :t], lambdas=vals[4 - t:], n_train=3)
 
     def test_eigenvalues_descending_and_non_negative(self):
         for vals in ([1.0, 2.0, 0.0, 0.0], [1.0, 0.5, 0.0, -1e-3]):
@@ -470,12 +533,13 @@ class TestSerialization:
             n_train=fitted.n_train,
         )
 
-    def test_full_model_round_trip(self, tmp_path):
+    def test_fitted_model_round_trip(self, tmp_path):
         model = self._nasty_model()
         p = tmp_path / "model.pdm"
         save_pdm(model, p)
         back = load_pdm(p)
-        assert back.order == back.n_coords == 8
+        # 10 centred shapes of 4 landmarks span N - 2 = 6 directions.
+        assert back.order == model.order == 6
         np.testing.assert_array_equal(back.mean, model.mean)
         np.testing.assert_array_equal(back.lambdas, model.lambdas)
         np.testing.assert_array_equal(back.basis, model.basis)
@@ -508,21 +572,18 @@ class TestSerialization:
             save_pdm(model, tmp_path / "m.pdm", order=model.n_coords + 1)
 
     def test_save_order_above_positive_rank(self, tmp_path):
-        # A partial model keeps only positive eigenvalues, so orders past the
-        # positive rank are refused unwritten; the full store (order N)
-        # still takes the zero eigenvalues.
+        # A fitted model holds exactly its positive modes, so every order
+        # past its positive rank, N included, is refused unwritten.
         model = self._nasty_model()
         rank = model.positive_rank()
-        assert rank < model.n_coords - 1
-        for order in (rank + 1, model.n_coords - 1):
+        assert rank == model.order < model.n_coords
+        for order in (rank + 1, model.n_coords):
             with pytest.raises(OrderOutOfRange):
                 save_pdm(model, tmp_path / "m.pdm", order=order)
             assert not (tmp_path / "m.pdm").exists()
         save_pdm(model, tmp_path / "m.pdm", order=rank)
-        assert load_pdm(tmp_path / "m.pdm").order == rank
-        save_pdm(model, tmp_path / "m.pdm", order=model.n_coords)
         back = load_pdm(tmp_path / "m.pdm")
-        assert back.order == model.n_coords
+        assert back.order == rank
         np.testing.assert_array_equal(back.lambdas, model.lambdas)
 
     @given(
@@ -533,11 +594,10 @@ class TestSerialization:
     )
     @settings(max_examples=60, deadline=None)
     def test_resave_is_byte_identical(self, tmp_path_factory, seed, k, m, data):
-        # Every order a store can hold, partial or full, survives a load
-        # and a save byte for byte, M1 included.
+        # Every order a store can hold survives a load and a save byte for
+        # byte, M1 included.
         model = fit_pdm(_aligned_random_set(np.random.default_rng(seed), 2 * k, m))
-        rank = model.positive_rank()
-        order = data.draw(st.sampled_from([*range(1, rank + 1), model.n_coords]), label="order")
+        order = data.draw(st.integers(1, model.order), label="order")
         folder = tmp_path_factory.mktemp("resave")
         save_pdm(model, folder / "a.pdm", order=order)
         back = load_pdm(folder / "a.pdm")
@@ -546,9 +606,13 @@ class TestSerialization:
         assert (folder / "b.pdm").read_bytes() == (folder / "a.pdm").read_bytes()
 
     def test_truncated_rejects_foreign_order(self, tmp_path):
+        # A truncated model stores fewer of its modes, never more.
         trunc = truncate(self._nasty_model(), 3)
         with pytest.raises(OrderOutOfRange):
-            save_pdm(trunc, tmp_path / "m.pdm", order=2)
+            save_pdm(trunc, tmp_path / "m.pdm", order=4)
+        assert not (tmp_path / "m.pdm").exists()
+        save_pdm(trunc, tmp_path / "m.pdm", order=2)
+        assert load_pdm(tmp_path / "m.pdm").order == 2
 
     def test_load_rejects_malformed(self, tmp_path):
         p = tmp_path / "bad.pdm"
