@@ -204,7 +204,11 @@ def _add_trial_flags(parser: argparse.ArgumentParser, samples_help: str) -> None
     parser.add_argument("--methods", type=_methods, default="proposed,variance")
     parser.add_argument("--fraction", type=_fraction, default=0.95)
     parser.add_argument("--t-max", type=_positive_int, default=None, dest="t_max")
-    parser.add_argument("--threads", type=_positive_int, default=1)
+    parser.add_argument(
+        "--threads", type=_positive_int, default=1,
+        help="forked worker processes across trials, at most one per job and usable CPU; "
+        "1 (default) runs in this process; results never depend on it",
+    )
     parser.add_argument("--out", required=True)
 
 

@@ -8,8 +8,8 @@ predicts a left-out landmark of a left-out sample from the remaining ones.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -121,9 +121,17 @@ def _tabulate(
     """Run every method on draw(count, trial) for every job and tabulate the picks.
 
     draw derives its randomness from (count, trial) alone, so the result does
-    not depend on job order or thread count.  A PdmOrderError in a job counts
-    as one failure that drops every method's pick; sample counts below 2 are
-    rejected up front, so every counted failure comes from the data.
+    not depend on job order or on the number of worker processes.  A
+    PdmOrderError in a job counts as one failure that drops every method's
+    pick; sample counts below 2 are rejected up front, so every counted
+    failure comes from the data.  Any other error propagates.
+
+    With threads above 1 the jobs run in min(threads, jobs, usable CPUs)
+    forked worker processes, which needs Linux.  The fork hands each worker
+    the job function with draw and its data, so only (count, trial) and the
+    picks cross the pipe; the largest sample counts go first, so the
+    slowest jobs do not finish last.  Each worker runs its BLAS on one
+    thread (see _adopt), and the pool joins them all before returning.
     """
     if min(sample_counts) < 2:
         raise TooFewSamples(f"sample count {min(sample_counts)} is below 2 shapes")
@@ -142,9 +150,20 @@ def _tabulate(
             return None
 
     jobs = [(count, trial) for count in counts for trial in range(trials)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_one, jobs))
+    workers = min(threads, len(jobs))
+    if workers > 1:  # os.sched_getaffinity is Linux-only; a serial run never asks
+        workers = min(workers, len(os.sched_getaffinity(0)))
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        largest_first = sorted(jobs, key=lambda job: -job[0])
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(
+            workers, mp_context=fork, initializer=_adopt, initargs=(_one,)
+        ) as pool:
+            done = dict(zip(largest_first, pool.map(_run_adopted, largest_first)))
+        outcomes = [done[job] for job in jobs]
     else:
         outcomes = [_one(job) for job in jobs]
     cells = {
@@ -157,12 +176,47 @@ def _tabulate(
     return TrialSummary(cells=cells, trials=trials, failures=outcomes.count(None))
 
 
+# The job function of a forked worker, set once by the pool's initializer.
+_adopted: Callable[[tuple[int, int]], dict[str, int] | None] | None = None
+# OpenBLAS's thread-count setter under the names that numpy's builds export.
+_BLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_", "openblas_set_num_threads",
+)
+
+
+def _adopt(one: Callable[[tuple[int, int]], dict[str, int] | None]) -> None:
+    """Keep a worker's job function and pin its BLAS to one thread.
+
+    The workers already fill the CPUs, so a BLAS thread pool in each would
+    oversubscribe them: with OpenBLAS at its default 2 threads on 2 CPUs, 2
+    workers that kept them took 7.4 s for 20 trials of 200 shapes, one
+    process 4.8 s.  A BLAS without a known setter is left as it is.
+    """
+    global _adopted
+    _adopted = one
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+
+    blas = ctypes.CDLL(_umath_linalg.__file__)
+    setter = next((getattr(blas, name) for name in _BLAS_SETTERS if hasattr(blas, name)), None)
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+
+
+def _run_adopted(job: tuple[int, int]) -> dict[str, int] | None:
+    return _adopted(job)
+
+
 def monte_carlo_order(cfg: McConfig, threads: int = 1) -> TrialSummary:
     """Repeatedly generate synthetic sets and tabulate the selected orders.
 
     Every (sample count, trial) pair derives its own generation seed from
     the master seed, so results do not depend on evaluation order or on the
-    thread count.  All requested methods see the same generated sets.
+    number of worker processes, which threads sets (see _tabulate).  All
+    requested methods see the same generated sets.
     """
 
     def _draw(count: int, trial: int) -> ShapeSet:
@@ -205,7 +259,8 @@ def order_sweep(
         mode: "random" draws subsets without replacement; "prefix" takes
             the first samples in input order.
         t_max, variance_fraction: selector options.
-        threads: worker threads across trials.
+        threads: worker processes across trials (see _tabulate); 1 runs
+            them in this process.
     """
     _check_trials(sample_counts, trials, methods, t_max)
     m = shape_set.n_shapes

@@ -3,7 +3,8 @@
 Run with -v to get a single pass/fail line per criterion.  The two Monte
 Carlo studies and the occlusion curve are computed once in module fixtures
 and shared by the criteria that read them.  Total runtime is a couple of
-minutes on one core; the harness threads only shuffle work, never results.
+minutes on one core; the harness's worker processes only shuffle work,
+never results.
 """
 
 from __future__ import annotations

@@ -400,6 +400,29 @@ class TestArtifacts:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("command", [
+        "montecarlo --landmarks 12 --order 3 --beta-db 20",
+        "sweep --input {csv} --mode random",
+        "sweep --input {csv} --mode prefix",
+    ], ids=["montecarlo", "sweep-random", "sweep-prefix"])
+    def test_worker_count_keeps_files_identical(
+        self, small_csv: Path, tmp_path: Path, capsys: pytest.CaptureFixture, command: str
+    ) -> None:
+        # Sample count 3 fails in every trial (its training half holds one
+        # shape), so the failure tally on stderr must match as well.
+        runs = []
+        for threads in (1, 2, 4):
+            out = tmp_path / f"t{threads}.csv"
+            argv = command.format(csv=small_csv).split() + [
+                "--samples", "3,10,12", "--trials", "3", "--seed", "5",
+                "--threads", str(threads), "--out", str(out),
+            ]
+            assert main(argv) == 0
+            hist = out.with_name(out.stem + "_hist.csv")
+            runs.append((out.read_bytes(), hist.read_bytes(), capsys.readouterr().err))
+        assert "failures=3" in runs[0][2].splitlines()
+        assert runs[0] == runs[1] == runs[2]
+
     @pytest.mark.parametrize("model, order", [("full", "3"), ("order2", "2")])
     def test_seed_model_runs(
         self, seed_models: dict[str, Path], tmp_path: Path, model: str, order: str
@@ -542,7 +565,7 @@ def test_bad_flags_exit_with_one_line(
 
 # A small valid run of every subcommand, with every value-taking flag it
 # has.  Runs stay tiny: at most 12 landmarks, 20 samples, 3 trials and 2
-# threads, and the edge values below never make them larger.
+# worker processes, and the edge values below never make them larger.
 _VALID_ARGV = {
     "align": "align --input {csv} --out o.csv --tol 1e-9 --max-iter 50",
     "fit": "fit --input {csv} --out o.pdm --order 2",

@@ -10,6 +10,8 @@ earlier weight-tensor formula solved by np.linalg.solve.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -297,6 +299,69 @@ class TestMonteCarloOrder:
         cell = summary.cells[("proposed", 40)]
         assert summary.failures == 0
         assert 8.0 <= cell.mean_t <= 10.0
+
+
+class TestWorkerPool:
+    def test_runtime_error_in_a_job_propagates(self, monkeypatch) -> None:
+        # The fork carries the patch into the workers.  A programming error is
+        # raised in the caller, not counted as a failed trial, and the pool
+        # leaves no worker behind.
+        def broken(shape_set, fraction):
+            raise RuntimeError("broken selector")
+
+        monkeypatch.setattr(evaluation, "select_order_variance", broken)
+        cfg = McConfig(
+            seed_pdm=_seed_model(), beta_db=10.0, sample_counts=(12, 16), trials=2,
+            rng_seed=406, methods=("variance",),
+        )
+        with pytest.raises(RuntimeError, match="broken selector"):
+            monte_carlo_order(cfg, threads=2)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_pids_are_capped_children(self, base_set: ShapeSet, monkeypatch) -> None:
+        # Each job reports the process it ran in.  threads=8 with 3 jobs may
+        # start at most min(8, 3, CPUs) workers, none of them this process.
+        monkeypatch.setattr(evaluation, "select_order_variance", lambda s, fraction: os.getpid())
+        summary = order_sweep(base_set, sample_counts=(8, 10, 12), trials=1, rng_seed=1,
+                              methods=("variance",), threads=8)
+        pids = {pid for cell in summary.cells.values() for pid in cell.hist}
+        cpus = len(os.sched_getaffinity(0))
+        assert 1 <= len(pids) <= min(8, 3, cpus)
+        if cpus > 1:
+            assert os.getpid() not in pids
+        assert multiprocessing.active_children() == []
+
+    def test_workers_run_one_blas_thread(self, base_set: ShapeSet, monkeypatch) -> None:
+        # Each worker reports its OpenBLAS thread count in place of a pick.
+        import ctypes
+
+        from numpy.linalg import _umath_linalg
+
+        blas = ctypes.CDLL(_umath_linalg.__file__)
+        getter = next((getattr(blas, name) for name in (
+            "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+            "openblas_get_num_threads64_", "openblas_get_num_threads",
+        ) if hasattr(blas, name)), None)
+        if getter is None or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs OpenBLAS and two CPUs")
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        monkeypatch.setattr(evaluation, "select_order_variance", lambda s, fraction: getter())
+        summary = order_sweep(base_set, sample_counts=(8, 10, 12), trials=2, rng_seed=1,
+                              methods=("variance",), threads=2)
+        assert {t for cell in summary.cells.values() for t in cell.hist} == {1}
+
+    def test_no_worker_outlives_the_call(self) -> None:
+        cfg = McConfig(
+            seed_pdm=_seed_model(), beta_db=10.0, sample_counts=(3, 12), trials=2,
+            rng_seed=407,
+        )
+        serial = monte_carlo_order(cfg, threads=1)
+        pooled = monte_carlo_order(cfg, threads=2)
+        assert multiprocessing.active_children() == []
+        # Count 3 fails in every trial: the failures come back from the workers too.
+        assert serial.failures == pooled.failures == 2
+        for key, cell in serial.cells.items():
+            assert pooled.cells[key].hist == cell.hist
 
 
 @pytest.fixture(scope="module")

@@ -25,6 +25,7 @@ from pdmorder import (
     save_pdm,
     truncate,
 )
+from pdmorder.order_select import select_order_variance
 from pdmorder.pdm import RANK_REL_TOL, _modes
 
 
@@ -173,6 +174,34 @@ class TestModes:
         np.testing.assert_array_equal(_modes(shape_set)[2], 0.0)
         with pytest.raises(ZeroVariance):
             fit_pdm(shape_set)
+
+    def test_rounded_mean_leaves_no_variance(self):
+        # Seven copies of one centred 3-landmark shape whose column mean
+        # rounds: the centred data is rounding noise (lambda_0 near 1e-32
+        # without the floor), so there is no model and no variance pick.
+        shape = np.array([0.1, 0.7, -0.3, -0.2, 0.2, -0.5])
+        shape[0::2] -= shape[0::2].mean()
+        shape[1::2] -= shape[1::2].mean()
+        mat = np.tile(shape[:, None], (1, 7))
+        assert np.any(mat - mat.mean(axis=1, keepdims=True))
+        shape_set = ShapeSet.from_matrix(mat, aligned=True)
+        np.testing.assert_array_equal(_modes(shape_set)[2], 0.0)
+        with pytest.raises(ZeroVariance):
+            fit_pdm(shape_set)
+        with pytest.raises(ZeroVariance):
+            select_order_variance(shape_set)
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 40), m=st.integers(2, 300),
+           scale=st.floats(-5.0, 5.0))
+    @settings(max_examples=100, deadline=None)
+    def test_copies_of_one_shape_leave_no_variance(self, seed, k, m, scale):
+        # Any centred shape at any size, repeated: whatever the mean rounds
+        # to, the spectrum is zero.
+        shape = np.random.default_rng(seed).standard_normal(2 * k) * 10.0**scale
+        shape[0::2] -= shape[0::2].mean()
+        shape[1::2] -= shape[1::2].mean()
+        shape_set = ShapeSet.from_matrix(np.tile(shape[:, None], (1, m)), aligned=True)
+        np.testing.assert_array_equal(_modes(shape_set)[2], 0.0)
 
 
 class TestTruncate:
