@@ -43,18 +43,15 @@ from .order_select import (
 )
 from .simgen import (
     SimConfig,
-    SimTruth,
     TransformRanges,
     make_seed_pdm_procedural,
     noise_variance,
     parse_spectrum,
     sample_shapes,
-    sample_shapes_with_truth,
 )
 from .evaluation import (
     CellStats,
     LmmseResult,
-    McConfig,
     TrialSummary,
     lmmse_curve,
     monte_carlo_order,

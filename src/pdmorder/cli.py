@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError, NumericalError, NotAligned
-from .evaluation import TrialSummary, lmmse_curve, monte_carlo_order, order_sweep, McConfig
+from .evaluation import TrialSummary, lmmse_curve, monte_carlo_order, order_sweep
 from .order_select import select_order_proposed, select_order_variance
 from .pdm import PdmModel, _fmt, fit_pdm, load_pdm, save_pdm, truncate
 from .shapes import ShapeSet, generalized_procrustes, load_shape_set, mean_shape
@@ -34,8 +34,9 @@ from .simgen import (
     SimConfig,
     TransformRanges,
     make_seed_pdm_procedural,
-    sample_shapes_with_truth,
+    noise_variance,
     parse_spectrum,
+    sample_shapes,
 )
 
 
@@ -213,6 +214,11 @@ def _add_trial_flags(parser: argparse.ArgumentParser, samples_help: str) -> None
 
 
 def _seed_pdm_for(args: argparse.Namespace) -> PdmModel:
+    """The generator model of simulate and montecarlo.
+
+    Refused, before any shape is drawn, if --beta-db puts its noise
+    variance out of the float range.
+    """
     if args.seed_model is not None:
         if args.spectrum is not None:
             raise UsageError("--spectrum has no effect with --seed-model")
@@ -226,14 +232,20 @@ def _seed_pdm_for(args: argparse.Namespace) -> PdmModel:
             raise UsageError(
                 f"--order {args.order} exceeds the {loaded.order} modes of --seed-model"
             )
-        return truncate(loaded, args.order)
-    if args.spectrum is None:
-        args.spectrum = DEFAULT_SPECTRUM
+        model = truncate(loaded, args.order)
+    else:
+        if args.spectrum is None:
+            args.spectrum = DEFAULT_SPECTRUM
+        try:
+            parse_spectrum(args.spectrum, args.order)
+        except ValueError as exc:
+            raise UsageError(f"--spectrum {args.spectrum!r}: {exc}") from exc
+        model = make_seed_pdm_procedural(args.landmarks, args.order, args.spectrum, args.seed)
     try:
-        parse_spectrum(args.spectrum, args.order)
+        noise_variance(model.lambdas, args.beta_db, args.b_dist)
     except ValueError as exc:
-        raise UsageError(f"--spectrum {args.spectrum!r}: {exc}") from exc
-    return make_seed_pdm_procedural(args.landmarks, args.order, args.spectrum, args.seed)
+        raise UsageError(f"--beta-db {args.beta_db:g}: the noise variance is not finite") from exc
+    return model
 
 
 def cmd_align(args: argparse.Namespace) -> Path:
@@ -298,14 +310,14 @@ def cmd_simulate(args: argparse.Namespace) -> Path:
         realign=not args.no_realign,
         b_dist=args.b_dist,
     )
-    shape_set, truth = sample_shapes_with_truth(model, config)
+    shape_set = sample_shapes(model, config)
     out = Path(args.out)
     write_shapes_csv(out, shape_set)
     if args.out_truth is not None:
         source = f"from_data:{args.seed_model}" if args.seed_model else f"procedural:{args.seed}"
         record = {
             "order": model.order,
-            "sigma2": truth.sigma2,
+            "sigma2": noise_variance(model.lambdas, config.beta_db, config.b_dist),
             "beta_db": config.beta_db,
             "lambdas": [float(v) for v in model.lambdas],
             "rng_seed": config.rng_seed,
@@ -316,18 +328,19 @@ def cmd_simulate(args: argparse.Namespace) -> Path:
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> Path:
-    cfg = McConfig(
-        seed_pdm=_seed_pdm_for(args),
+    summary = monte_carlo_order(
+        _seed_pdm_for(args),
         beta_db=args.beta_db,
         sample_counts=_parse_counts(args.samples),
         trials=args.trials,
         rng_seed=args.seed,
         methods=tuple(args.methods.split(",")),
         variance_fraction=args.fraction,
-        selector_t_max=args.t_max,
+        t_max=args.t_max,
         b_dist=args.b_dist,
+        threads=args.threads,
     )
-    return _write_trials(monte_carlo_order(cfg, threads=args.threads), args)
+    return _write_trials(summary, args)
 
 
 def cmd_sweep(args: argparse.Namespace) -> Path:

@@ -19,7 +19,7 @@ from .errors import NotAligned, PdmOrderError, SingularSystem, TooFewSamples, Ze
 from .order_select import select_order_proposed, select_order_variance
 from .pdm import PdmModel, _modes, _rank
 from .shapes import ShapeSet
-from .simgen import SimConfig, sample_shapes
+from .simgen import SimConfig, noise_variance, sample_shapes
 
 RIDGE_REL = 1e-10
 
@@ -65,29 +65,6 @@ class TrialSummary:
             missing.setdefault(method, []).append(self.trials - sum(cell.hist.values()))
         if any(min(absent) < 0 or sum(absent) != self.failures for absent in missing.values()):
             raise ValueError(f"missing picks {missing} do not match {self.failures} failures")
-
-
-@dataclass(frozen=True, eq=False)
-class McConfig:
-    """Recipe for a Monte Carlo order-selection experiment.
-
-    seed_pdm is the generator model, procedural or loaded from disk; every
-    mode it keeps is a true mode, so its order is the answer each trial
-    should recover.
-    """
-
-    seed_pdm: PdmModel
-    beta_db: float
-    sample_counts: tuple[int, ...]
-    trials: int
-    rng_seed: int
-    methods: tuple[str, ...] = ("proposed", "variance")
-    variance_fraction: float = 0.95
-    selector_t_max: int | None = None
-    b_dist: str = "uniform"
-
-    def __post_init__(self) -> None:
-        _check_trials(self.sample_counts, self.trials, self.methods, self.selector_t_max)
 
 
 def _check_trials(
@@ -210,29 +187,47 @@ def _run_adopted(job: tuple[int, int]) -> dict[str, int] | None:
     return _adopted(job)
 
 
-def monte_carlo_order(cfg: McConfig, threads: int = 1) -> TrialSummary:
-    """Repeatedly generate synthetic sets and tabulate the selected orders.
+def monte_carlo_order(
+    seed_pdm: PdmModel,
+    beta_db: float,
+    sample_counts: tuple[int, ...],
+    trials: int,
+    rng_seed: int,
+    methods: tuple[str, ...] = ("proposed", "variance"),
+    variance_fraction: float = 0.95,
+    t_max: int | None = None,
+    b_dist: str = "uniform",
+    threads: int = 1,
+) -> TrialSummary:
+    """Tabulate the orders picked on fresh synthetic sets drawn from seed_pdm.
 
-    Every (sample count, trial) pair derives its own generation seed from
-    the master seed, so results do not depend on evaluation order or on the
-    number of worker processes, which threads sets (see _tabulate).  All
-    requested methods see the same generated sets.
+    Args:
+        seed_pdm: generator model, procedural or loaded from disk.  Every
+            mode it keeps is a true mode, so its order is the answer each
+            trial should recover.
+        beta_db, b_dist: noise level and coefficient draw (see SimConfig).
+        sample_counts: shapes per set, each at least 2.
+        trials: sets per sample count.
+        rng_seed: master seed.  Each (sample count, trial) derives its own
+            generation seed, so results depend neither on job order nor on
+            the number of worker processes.
+        methods: selectors, all run on the same sets.
+        variance_fraction, t_max: selector options.
+        threads: worker processes across trials (see _tabulate); 1 runs
+            them in this process.
+
+    Every argument is checked, and refused with a ValueError (TooFewSamples
+    for a sample count below 2), before the first set is drawn or the first
+    worker starts; that includes a beta_db whose noise variance is not finite.
     """
+    _check_trials(sample_counts, trials, methods, t_max)
+    noise_variance(seed_pdm.lambdas, beta_db, b_dist)  # refuses b_dist and beta_db
 
     def _draw(count: int, trial: int) -> ShapeSet:
-        sim = SimConfig(
-            n_samples=count,
-            beta_db=cfg.beta_db,
-            rng_seed=_trial_seed(cfg.rng_seed, count, trial),
-            realign=True,
-            b_dist=cfg.b_dist,
-        )
-        return sample_shapes(cfg.seed_pdm, sim)
+        seed = _trial_seed(rng_seed, count, trial)
+        return sample_shapes(seed_pdm, SimConfig(count, beta_db, seed, b_dist=b_dist))
 
-    return _tabulate(
-        _draw, cfg.sample_counts, cfg.trials, cfg.methods, cfg.selector_t_max,
-        cfg.variance_fraction, threads,
-    )
+    return _tabulate(_draw, sample_counts, trials, methods, t_max, variance_fraction, threads)
 
 
 def order_sweep(

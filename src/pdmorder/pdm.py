@@ -98,10 +98,6 @@ class PdmModel:
     def order(self) -> int:
         return self.basis.shape[1]
 
-    def positive_rank(self) -> int:
-        """Number of eigenvalues above RANK_REL_TOL times the leading one."""
-        return _rank(self.lambdas)
-
 
 def _rank(lambdas: np.ndarray) -> int:
     """How many of the descending lambdas exceed RANK_REL_TOL * lambdas[0]."""

@@ -58,19 +58,6 @@ class SimConfig:
             raise ValueError(f"unknown coefficient distribution {self.b_dist!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class SimTruth:
-    """What the generator drew: the noise variance, coefficients and noise.
-
-    The order and eigenvalues belong to the generator model, and beta_db and
-    rng_seed to the SimConfig; a truth record reads them there.
-    """
-
-    sigma2: float
-    coeffs: np.ndarray  # (order, M)
-    noise: np.ndarray  # (N, M), model-frame white noise actually added
-
-
 def parse_spectrum(text: str, order: int) -> np.ndarray:
     """Parse a spectrum spec: "geometric:RATIO[:TOP]" or "list:v1,v2,...".
 
@@ -121,12 +108,30 @@ def noise_variance(lambdas: np.ndarray, beta_db: float, b_dist: str = "uniform")
     of it for the uniform draw), and the data eigenvalue for the weakest
     mode is that realized variance.  Keying sigma^2 to it keeps beta_db
     meaningful across draw distributions.
+
+    A beta_db so high that 10^(beta_db / 10) passes the float range gives
+    0.0, as +inf does.
+
+    Raises:
+        ValueError: b_dist is unknown, or the variance is not finite (a NaN
+            or -inf beta_db, or one so low against the spectrum that the
+            variance overflows).
     """
     try:
         factor = _B_VARIANCE_FACTOR[b_dist]
     except KeyError:
         raise ValueError(f"unknown coefficient distribution {b_dist!r}") from None
-    return float(factor * lambdas[-1] / 10.0 ** (beta_db / 10.0))
+    # In plain floats a power past the float range raises OverflowError (the
+    # variance underflows) and a power of 0 ZeroDivisionError; numpy would warn.
+    try:
+        sigma2 = factor * float(lambdas[-1]) / 10.0 ** (float(beta_db) / 10.0)
+    except OverflowError:
+        sigma2 = 0.0
+    except ZeroDivisionError:
+        sigma2 = math.inf
+    if not 0.0 <= sigma2 < math.inf:
+        raise ValueError(f"beta_db {beta_db!r} puts the noise variance at {sigma2!r}")
+    return sigma2
 
 
 def _similarity_fields(mean: np.ndarray) -> np.ndarray:
@@ -235,25 +240,26 @@ def _draw_coeffs(rng: np.random.Generator, sqrt_lambdas: np.ndarray, b_dist: str
     return draw
 
 
-def sample_shapes_with_truth(model: PdmModel, config: SimConfig) -> tuple[ShapeSet, SimTruth]:
-    """Generate a synthetic set from the modes of model and keep what was drawn.
+def sample_shapes(model: PdmModel, config: SimConfig) -> ShapeSet:
+    """Generate a synthetic shape set from the modes of model.
 
     Any PdmModel serves, procedural or loaded from disk; every mode it
-    keeps is a signal mode.  Each sample has its own RNG stream derived from
-    (rng_seed, sample index), so a set is bit-identical across runs and
-    unaffected by how many other sets are generated around it.
+    keeps is a signal mode, and the noise variance is
+    noise_variance(model.lambdas, config.beta_db, config.b_dist).  Each
+    sample has its own RNG stream derived from (rng_seed, sample index), so
+    a set is bit-identical across runs and unaffected by how many other sets
+    are generated around it.
+
+    Raises:
+        ValueError: the noise variance is not finite (see noise_variance).
     """
     n = model.n_coords
-    m = config.n_samples
     sqrt_lambdas = np.sqrt(model.lambdas)
-    sigma2 = noise_variance(model.lambdas, config.beta_db, config.b_dist)
-    sigma = math.sqrt(sigma2)
+    sigma = math.sqrt(noise_variance(model.lambdas, config.beta_db, config.b_dist))
     ranges = config.transform_ranges
 
-    coeffs = np.empty((model.order, m))
-    noise = np.empty((n, m))
-    matrix = np.empty((n, m))
-    for sample in range(m):
+    matrix = np.empty((n, config.n_samples))
+    for sample in range(config.n_samples):
         rng = np.random.default_rng((config.rng_seed, sample))
         b = _draw_coeffs(rng, sqrt_lambdas, config.b_dist)
         eps = sigma * rng.standard_normal(n)
@@ -265,16 +271,7 @@ def sample_shapes_with_truth(model: PdmModel, config: SimConfig) -> tuple[ShapeS
         size = float(np.linalg.norm(z - z.mean()))
         z = math.exp(log_scale) * np.exp(1j * rotation) * z
         z = z + (shift[0] + 1j * shift[1]) * size
-        coeffs[:, sample] = b
-        noise[:, sample] = eps
         matrix[:, sample] = _as_coords(z)
 
     raw = ShapeSet.from_matrix(matrix, aligned=False)
-    out = generalized_procrustes(raw) if config.realign else raw
-    return out, SimTruth(sigma2=sigma2, coeffs=coeffs, noise=noise)
-
-
-def sample_shapes(model: PdmModel, config: SimConfig) -> ShapeSet:
-    """Generate a synthetic shape set (see sample_shapes_with_truth)."""
-    shapes, _ = sample_shapes_with_truth(model, config)
-    return shapes
+    return generalized_procrustes(raw) if config.realign else raw

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from pdmorder import (
-    McConfig,
     ShapeSet,
     SimConfig,
     Shape,
@@ -52,20 +51,18 @@ def _aligned_random_set(rng: np.random.Generator, k: int, m: int) -> ShapeSet:
 
 @pytest.fixture(scope="module")
 def run_high_snr():
-    cfg = McConfig(
-        seed_pdm=_seed_model(), beta_db=20.0, sample_counts=(200,), trials=100,
-        rng_seed=2001,
+    return monte_carlo_order(
+        _seed_model(), beta_db=20.0, sample_counts=(200,), trials=100, rng_seed=2001,
+        threads=4,
     )
-    return monte_carlo_order(cfg, threads=4)
 
 
 @pytest.fixture(scope="module")
 def run_moderate_snr():
-    cfg = McConfig(
-        seed_pdm=_seed_model(), beta_db=5.0, sample_counts=COUNTS_B, trials=100,
-        rng_seed=2002,
+    return monte_carlo_order(
+        _seed_model(), beta_db=5.0, sample_counts=COUNTS_B, trials=100, rng_seed=2002,
+        threads=4,
     )
-    return monte_carlo_order(cfg, threads=4)
 
 
 @pytest.fixture(scope="module")

@@ -328,6 +328,30 @@ class TestArtifacts:
         assert truth["sigma2"] == noise_variance(lambdas, 10.0, "gaussian")
         assert truth["sigma2"] != noise_variance(lambdas, 10.0)
 
+    @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+    def test_beta_db_past_the_float_range_runs_noiseless(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture, command: str
+    ) -> None:
+        # 10^(3100/10) overflows a float: the noise variance underflows to 0,
+        # so the run writes what --beta-db inf writes, and warns of nothing.
+        extra = {
+            "simulate": ["--samples", "10", "--out-truth"],
+            "montecarlo": ["--samples", "10,12", "--trials", "2", "--methods", "variance"],
+        }[command]
+        outs = {}
+        for beta in ("3100", "inf"):
+            out = tmp_path / f"{beta}.csv"
+            argv = [command, "--landmarks", "12", "--order", "3", "--beta-db", beta,
+                    "--seed", "4", "--out", str(out), *extra]
+            if command == "simulate":
+                argv.append(str(tmp_path / f"{beta}.json"))
+            assert main(argv) == 0
+            outs[beta] = out.read_bytes()
+        assert outs["3100"] == outs["inf"]
+        assert capsys.readouterr().err == ""
+        if command == "simulate":
+            assert json.loads((tmp_path / "3100.json").read_text())["sigma2"] == 0.0
+
     def test_simulate_rerun_byte_identical(self, tmp_path: Path) -> None:
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
         _simulate_small(first)
@@ -483,6 +507,8 @@ _SIM = "simulate --order 3 --beta-db 20 --seed 1 --out {out}"
         (_SIM + " --landmarks 12 --samples 10 --spectrum geometric:1e-200", 1),
         (_MC + " --beta-db=-inf", 1),
         (_SIM + " --landmarks 12 --samples 10 --beta-db=-inf", 1),
+        (_MC + " --beta-db=-4000", 1),
+        (_SIM + " --landmarks 12 --samples 10 --beta-db=-4000", 1),
         (_MC + " --fraction 2", 1),
         (_MC + " --fraction nan", 1),
         (_MC + " --samples 1", 2),
@@ -532,6 +558,7 @@ _SIM = "simulate --order 3 --beta-db 20 --seed 1 --out {out}"
         "bogus-spectrum", "spectrum-order-mismatch", "spectrum-top-nan", "spectrum-list-inf",
         "montecarlo-spectrum-underflow", "simulate-spectrum-underflow",
         "montecarlo-beta-db-minus-inf", "simulate-beta-db-minus-inf",
+        "montecarlo-beta-db-minus-4000", "simulate-beta-db-minus-4000",
         "fraction-2", "fraction-nan",
         "samples-1", "missing-seed-model", "negative-mode-count", "simulate-samples-1",
         "landmarks-3", "beta-db-nan", "t-max-0", "lmmse-t-max-0", "selector-t-max-0",

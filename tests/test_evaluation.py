@@ -9,6 +9,7 @@ earlier weight-tensor formula solved by np.linalg.solve.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import multiprocessing
 import os
@@ -20,7 +21,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdmorder import (
-    McConfig,
     NotAligned,
     ShapeSet,
     SimConfig,
@@ -199,36 +199,53 @@ class TestTrialSummary:
             TrialSummary(cells=cells, trials=2, failures=1)
 
 
-class TestMcConfig:
+class TestMonteCarloArguments:
+    """monte_carlo_order refuses a bad argument before any job: no set is
+    drawn and no worker process starts, even at threads=2."""
+
+    @pytest.fixture(autouse=True)
+    def no_jobs(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        def refuse(*args, **kwargs):
+            raise AssertionError("a job started before the arguments were checked")
+
+        monkeypatch.setattr(evaluation, "sample_shapes", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+    @staticmethod
+    def _run(**changes) -> None:
+        args = dict(seed_pdm=_seed_model(), beta_db=20.0, sample_counts=(10, 12), trials=2,
+                    rng_seed=1, threads=2)
+        monte_carlo_order(**{**args, **changes})
+
     def test_rejects_zero_trials(self) -> None:
-        with pytest.raises(ValueError):
-            McConfig(seed_pdm=_seed_model(), beta_db=20.0, sample_counts=(10,),
-                     trials=0, rng_seed=1)
+        with pytest.raises(ValueError, match="trial"):
+            self._run(trials=0)
 
     def test_rejects_empty_sample_counts(self) -> None:
-        with pytest.raises(ValueError):
-            McConfig(seed_pdm=_seed_model(), beta_db=20.0, sample_counts=(),
-                     trials=1, rng_seed=1)
+        with pytest.raises(ValueError, match="sample count"):
+            self._run(sample_counts=())
 
     def test_rejects_unknown_method(self) -> None:
-        with pytest.raises(ValueError):
-            McConfig(
-                seed_pdm=_seed_model(),
-                beta_db=20.0,
-                sample_counts=(10,),
-                trials=1,
-                rng_seed=1,
-                methods=("proposed", "guesswork"),
-            )
+        with pytest.raises(ValueError, match="guesswork"):
+            self._run(methods=("proposed", "guesswork"))
+
+    def test_rejects_unknown_distribution(self) -> None:
+        with pytest.raises(ValueError, match="bogus"):
+            self._run(b_dist="bogus")
+
+    @pytest.mark.parametrize("beta_db", [math.nan, -math.inf, -4000.0])
+    def test_rejects_a_noise_variance_that_is_not_finite(self, beta_db: float) -> None:
+        with pytest.raises(ValueError, match="noise variance"):
+            self._run(beta_db=beta_db)
 
 
 class TestMonteCarloOrder:
     def test_single_trial_single_bin(self) -> None:
-        cfg = McConfig(
+        cfg = dict(
             seed_pdm=_seed_model(), beta_db=20.0, sample_counts=(30,), trials=1,
             rng_seed=401,
         )
-        summary = monte_carlo_order(cfg)
+        summary = monte_carlo_order(**cfg)
         assert summary.failures == 0
         for cell in summary.cells.values():
             assert sum(cell.hist.values()) == 1
@@ -236,33 +253,33 @@ class TestMonteCarloOrder:
             assert cell.var_t == 0.0
 
     def test_reproducible_across_runs(self) -> None:
-        cfg = McConfig(
+        cfg = dict(
             seed_pdm=_seed_model(), beta_db=10.0, sample_counts=(20, 30), trials=3,
             rng_seed=402,
         )
-        first = monte_carlo_order(cfg)
-        second = monte_carlo_order(cfg)
+        first = monte_carlo_order(**cfg)
+        second = monte_carlo_order(**cfg)
         assert first.cells.keys() == second.cells.keys()
         for key in first.cells:
             assert first.cells[key].hist == second.cells[key].hist
             assert first.cells[key].mean_t == second.cells[key].mean_t
 
     def test_threads_do_not_change_results(self) -> None:
-        cfg = McConfig(
+        cfg = dict(
             seed_pdm=_seed_model(), beta_db=10.0, sample_counts=(24,), trials=4,
             rng_seed=403,
         )
-        serial = monte_carlo_order(cfg, threads=1)
-        parallel = monte_carlo_order(cfg, threads=4)
+        serial = monte_carlo_order(**cfg, threads=1)
+        parallel = monte_carlo_order(**cfg, threads=4)
         for key in serial.cells:
             assert serial.cells[key].hist == parallel.cells[key].hist
 
     def test_cell_keys_cover_methods_and_counts(self) -> None:
-        cfg = McConfig(
+        cfg = dict(
             seed_pdm=_seed_model(), beta_db=20.0, sample_counts=(20, 40), trials=1,
             rng_seed=404,
         )
-        summary = monte_carlo_order(cfg)
+        summary = monte_carlo_order(**cfg)
         assert set(summary.cells) == {
             ("proposed", 20), ("proposed", 40),
             ("variance", 20), ("variance", 40),
@@ -270,11 +287,11 @@ class TestMonteCarloOrder:
 
     def test_high_snr_large_sample_recovers_truth(self) -> None:
         # 10 modes at 20 dB with 100 samples: every trial picks exactly 10.
-        cfg = McConfig(
+        cfg = dict(
             seed_pdm=_seed_model(), beta_db=20.0, sample_counts=(100,), trials=10,
             rng_seed=400,
         )
-        summary = monte_carlo_order(cfg, threads=4)
+        summary = monte_carlo_order(**cfg, threads=4)
         cell = summary.cells[("proposed", 100)]
         assert summary.failures == 0
         assert cell.mean_t == 10.0
@@ -282,20 +299,20 @@ class TestMonteCarloOrder:
         assert cell.hist == {10: 10}
 
     def test_count_below_two_raises(self) -> None:
-        cfg = McConfig(
+        cfg = dict(
             seed_pdm=_seed_model(), beta_db=20.0, sample_counts=(1,), trials=1,
             rng_seed=405,
         )
         with pytest.raises(TooFewSamples):
-            monte_carlo_order(cfg)
+            monte_carlo_order(**cfg)
 
     def test_noisy_regime_stays_near_truth(self) -> None:
         # 5 dB with 40 samples: slight underestimation, mean close to 9.
-        cfg = McConfig(
+        cfg = dict(
             seed_pdm=_seed_model(), beta_db=5.0, sample_counts=(40,), trials=20,
             rng_seed=410,
         )
-        summary = monte_carlo_order(cfg, threads=4)
+        summary = monte_carlo_order(**cfg, threads=4)
         cell = summary.cells[("proposed", 40)]
         assert summary.failures == 0
         assert 8.0 <= cell.mean_t <= 10.0
@@ -310,12 +327,12 @@ class TestWorkerPool:
             raise RuntimeError("broken selector")
 
         monkeypatch.setattr(evaluation, "select_order_variance", broken)
-        cfg = McConfig(
+        cfg = dict(
             seed_pdm=_seed_model(), beta_db=10.0, sample_counts=(12, 16), trials=2,
             rng_seed=406, methods=("variance",),
         )
         with pytest.raises(RuntimeError, match="broken selector"):
-            monte_carlo_order(cfg, threads=2)
+            monte_carlo_order(**cfg, threads=2)
         assert multiprocessing.active_children() == []
 
     def test_worker_pids_are_capped_children(self, base_set: ShapeSet, monkeypatch) -> None:
@@ -351,12 +368,12 @@ class TestWorkerPool:
         assert {t for cell in summary.cells.values() for t in cell.hist} == {1}
 
     def test_no_worker_outlives_the_call(self) -> None:
-        cfg = McConfig(
+        cfg = dict(
             seed_pdm=_seed_model(), beta_db=10.0, sample_counts=(3, 12), trials=2,
             rng_seed=407,
         )
-        serial = monte_carlo_order(cfg, threads=1)
-        pooled = monte_carlo_order(cfg, threads=2)
+        serial = monte_carlo_order(**cfg, threads=1)
+        pooled = monte_carlo_order(**cfg, threads=2)
         assert multiprocessing.active_children() == []
         # Count 3 fails in every trial: the failures come back from the workers too.
         assert serial.failures == pooled.failures == 2
@@ -471,8 +488,7 @@ _T_MAX_CALLS = {
     "lmmse_curve-selector_t_max": lambda ss, cap: lmmse_curve(ss, selector_t_max=cap),
     "order_sweep": lambda ss, cap: order_sweep(ss, (20,), 2, 1, t_max=cap),
     "monte_carlo_order": lambda ss, cap: monte_carlo_order(
-        McConfig(seed_pdm=_seed_model(), beta_db=20.0, sample_counts=(20,), trials=2,
-                 rng_seed=1, selector_t_max=cap)
+        _seed_model(), beta_db=20.0, sample_counts=(20,), trials=2, rng_seed=1, t_max=cap
     ),
 }
 

@@ -26,7 +26,7 @@ from pdmorder import (
     truncate,
 )
 from pdmorder.order_select import select_order_variance
-from pdmorder.pdm import RANK_REL_TOL, _modes
+from pdmorder.pdm import RANK_REL_TOL, _modes, _rank
 
 
 def _aligned_random_set(rng: np.random.Generator, n: int, m: int) -> ShapeSet:
@@ -156,7 +156,7 @@ class TestModes:
 
         rank = min(r, n - 2, m - 1)
         model = fit_pdm(shape_set)
-        assert model.order == model.positive_rank() == rank
+        assert model.order == _rank(model.lambdas) == rank
         assert np.all(model.lambdas > RANK_REL_TOL * model.lambdas[0])
         np.testing.assert_array_equal(model.basis, basis[:, :rank])
         np.testing.assert_array_equal(model.lambdas, lambdas[:rank])
@@ -219,9 +219,10 @@ class TestTruncate:
         np.testing.assert_array_equal(trunc.mean, model.mean)
         assert trunc.n_train == model.n_train == 6
 
-    def test_full_positive_rank(self):
+    def test_full_rank(self):
         model = self._model()
-        rank = model.positive_rank()
+        rank = model.order
+        assert _rank(model.lambdas) == rank
         # 6 samples with their mean removed span at most 5 directions, and
         # alignment removes more, so rank < N here.
         assert 0 < rank < model.n_coords
@@ -235,7 +236,7 @@ class TestTruncate:
     def test_order_beyond_rank_rejected(self):
         model = self._model()
         with pytest.raises(OrderOutOfRange):
-            truncate(model, model.positive_rank() + 1)
+            truncate(model, model.order + 1)
 
     def test_truncated_model_cuts_again(self):
         # Any model is cut to 1..order modes, a truncated one too.
@@ -250,7 +251,7 @@ class TestTruncate:
         n = 4
         vals = np.array([1.0, 1e-13, 1e-14, 1e-15])
         model = PdmModel(mean=np.zeros(n), basis=np.eye(n), lambdas=vals, n_train=5)
-        assert model.positive_rank() == 1
+        assert _rank(model.lambdas) == 1
 
 
 class TestPdmModelChecks:
@@ -600,11 +601,11 @@ class TestSerialization:
         with pytest.raises(OrderOutOfRange):
             save_pdm(model, tmp_path / "m.pdm", order=model.n_coords + 1)
 
-    def test_save_order_above_positive_rank(self, tmp_path):
+    def test_save_order_above_rank(self, tmp_path):
         # A fitted model holds exactly its positive modes, so every order
         # past its positive rank, N included, is refused unwritten.
         model = self._nasty_model()
-        rank = model.positive_rank()
+        rank = _rank(model.lambdas)
         assert rank == model.order < model.n_coords
         for order in (rank + 1, model.n_coords):
             with pytest.raises(OrderOutOfRange):

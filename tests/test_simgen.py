@@ -19,9 +19,9 @@ from pdmorder import (
     noise_variance,
     parse_spectrum,
     sample_shapes,
-    sample_shapes_with_truth,
     save_pdm,
 )
+from pdmorder.simgen import _draw_coeffs
 
 
 def _similarity_fields(mean: np.ndarray) -> np.ndarray:
@@ -201,6 +201,48 @@ class TestNoiseVariance:
         with pytest.raises(ValueError):
             noise_variance(np.array([1.0]), 0.0, "laplace")
 
+    def test_underflow_is_noiseless_like_inf(self):
+        # 10^(3100/10) is past the float range; the variance is 0, as at inf.
+        lam = np.array([4.0, 2.0, 1.0])
+        assert noise_variance(lam, 3100.0) == noise_variance(lam, math.inf) == 0.0
+
+    @pytest.mark.parametrize("beta_db", [math.nan, -math.inf, -4000.0])
+    def test_variance_that_is_not_finite_is_refused(self, beta_db):
+        with pytest.raises(ValueError, match="noise variance"):
+            noise_variance(np.array([4.0, 2.0, 1.0]), beta_db)
+
+    @given(
+        beta_db=st.floats(allow_nan=False),
+        smallest=st.floats(1e-300, 1e300),
+        b_dist=st.sampled_from(["uniform", "gaussian"]),
+    )
+    @example(beta_db=math.inf, smallest=1.0, b_dist="uniform")
+    @example(beta_db=-math.inf, smallest=1.0, b_dist="uniform")
+    @example(beta_db=3100.0, smallest=1.0, b_dist="uniform")
+    @example(beta_db=-4000.0, smallest=1.0, b_dist="uniform")
+    @example(beta_db=-100.0, smallest=1e300, b_dist="gaussian")
+    @example(beta_db=3000.0, smallest=1e-300, b_dist="uniform")
+    def test_finite_and_non_negative_or_refused(self, beta_db, smallest, b_dist):
+        # Wherever the plain formula factor * lambda / 10^(beta_db / 10) is
+        # finite (a power past the float range counting as inf), the result
+        # is that value bit for bit; elsewhere it is refused.  Never a
+        # warning or another error.
+        lam = np.array([1e300, smallest])
+        factor = noise_variance(np.array([1.0]), 0.0, b_dist)
+        try:
+            power = 10.0 ** (beta_db / 10.0)
+        except OverflowError:
+            power = math.inf
+        with np.errstate(all="ignore"):
+            plain = float(factor * lam[-1] / power)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if 0.0 <= plain < math.inf:
+                assert noise_variance(lam, beta_db, b_dist) == plain
+            else:
+                with pytest.raises(ValueError):
+                    noise_variance(lam, beta_db, b_dist)
+
 
 class TestSampling:
     def _seed(self):
@@ -234,7 +276,7 @@ class TestSampling:
 
     def test_noiseless_untransformed_lies_in_model_span(self):
         model = self._seed()
-        ss, truth = sample_shapes_with_truth(
+        ss = sample_shapes(
             model,
             SimConfig(
                 n_samples=12,
@@ -244,33 +286,48 @@ class TestSampling:
                 realign=False,
             ),
         )
-        assert truth.sigma2 == 0.0
-        np.testing.assert_array_equal(truth.noise, 0.0)
+        assert noise_variance(model.lambdas, math.inf) == 0.0
         dev = ss.as_matrix() - model.mean[:, None]
-        resid = dev - model.basis @ (model.basis.T @ dev)
+        coeffs = model.basis.T @ dev
+        resid = dev - model.basis @ coeffs
         assert np.max(np.abs(resid)) < 1e-10
-        np.testing.assert_allclose(
-            ss.as_matrix(), model.mean[:, None] + model.basis @ truth.coeffs, atol=1e-12
-        )
+        # The recovered coefficients are the first draws of each sample's stream.
+        drawn = np.column_stack([
+            _draw_coeffs(np.random.default_rng((13, sample)), np.sqrt(model.lambdas), "uniform")
+            for sample in range(12)
+        ])
+        np.testing.assert_allclose(coeffs, drawn, rtol=0, atol=1e-12)
 
     def test_truth_bookkeeping(self):
+        # Untransformed and not realigned, each sample is the mean plus its
+        # in-box coefficients and the noise at noise_variance, drawn in that
+        # order from the sample's own stream.
         seed = self._seed()
-        cfg = SimConfig(n_samples=25, beta_db=5.0, rng_seed=14)
-        _, truth = sample_shapes_with_truth(seed, cfg)
-        assert truth.sigma2 == noise_variance(seed.lambdas, 5.0)
-        limits = np.sqrt(seed.lambdas)[:, None]
-        assert np.all(np.abs(truth.coeffs) <= limits)
-        assert truth.coeffs.shape == (10, 25)
-        assert truth.noise.shape == (80, 25)
+        cfg = SimConfig(
+            n_samples=25, beta_db=5.0, rng_seed=14,
+            transform_ranges=TransformRanges.none(), realign=False,
+        )
+        limits = np.sqrt(seed.lambdas)
+        sigma = math.sqrt(noise_variance(seed.lambdas, 5.0))
+        expected = np.empty((80, 25))
+        for sample in range(25):
+            rng = np.random.default_rng((14, sample))
+            b = _draw_coeffs(rng, limits, "uniform")
+            assert b.shape == (10,) and np.all(np.abs(b) <= limits)
+            expected[:, sample] = seed.mean + seed.basis @ b + sigma * rng.standard_normal(80)
+        np.testing.assert_array_equal(sample_shapes(seed, cfg).as_matrix(), expected)
 
     def test_gaussian_draws_stay_in_box(self):
-        seed = self._seed()
-        cfg = SimConfig(n_samples=50, beta_db=10.0, rng_seed=15, b_dist="gaussian")
-        _, truth = sample_shapes_with_truth(seed, cfg)
-        limits = np.sqrt(seed.lambdas)[:, None]
-        assert np.all(np.abs(truth.coeffs) <= limits)
+        # The coefficients of SimConfig(n_samples=50, rng_seed=15,
+        # b_dist="gaussian"), drawn from the same per-sample streams.
+        limits = np.sqrt(self._seed().lambdas)
+        coeffs = np.column_stack([
+            _draw_coeffs(np.random.default_rng((15, sample)), limits, "gaussian")
+            for sample in range(50)
+        ])
+        assert np.all(np.abs(coeffs) <= limits[:, None])
         # Truncation must actually bite somewhere at this draw count.
-        assert np.max(np.abs(truth.coeffs) / limits) > 0.9
+        assert np.max(np.abs(coeffs) / limits[:, None]) > 0.9
 
     def test_noise_power_scales_with_beta(self):
         # Independent data route: project generated samples onto the
