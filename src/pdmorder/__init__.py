@@ -42,8 +42,6 @@ from .order_select import (
     split_data,
 )
 from .simgen import (
-    SimConfig,
-    TransformRanges,
     make_seed_pdm_procedural,
     noise_variance,
     parse_spectrum,

@@ -16,13 +16,12 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import inspect
 import json
 import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .errors import DataError, NumericalError, NotAligned
@@ -30,14 +29,7 @@ from .evaluation import TrialSummary, lmmse_curve, monte_carlo_order, order_swee
 from .order_select import select_order_proposed, select_order_variance
 from .pdm import PdmModel, _fmt, fit_pdm, load_pdm, save_pdm, truncate
 from .shapes import ShapeSet, generalized_procrustes, load_shape_set, mean_shape
-from .simgen import (
-    SimConfig,
-    TransformRanges,
-    make_seed_pdm_procedural,
-    noise_variance,
-    parse_spectrum,
-    sample_shapes,
-)
+from .simgen import make_seed_pdm_procedural, noise_variance, parse_spectrum, sample_shapes
 
 
 class UsageError(Exception):
@@ -52,6 +44,8 @@ SELECT_FLAGS = {
     "proposed": {"seed": None, "t_max": None, "tol": 1e-8, "max_iter": 100, "out": None},
     "variance": {"fraction": 0.95},
 }
+# simulate's pose flags default to the generator's own half-widths.
+_POSE = {k: p.default for k, p in inspect.signature(sample_shapes).parameters.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -181,6 +175,7 @@ _sample_count = _checked(int, lambda v: v >= 2, "an integer of at least 2")
 _landmark_count = _checked(int, lambda v: v >= 4, "an integer of at least 4")
 _decibels = _checked(float, lambda v: v > -math.inf, "a number (dB) other than NaN or -inf")
 _non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+_half_width = _checked(float, lambda v: 0 <= 2 * v < math.inf, "a number >= 0 with a finite span")
 _fraction = _checked(float, lambda v: 0.0 < v < 1.0, "a number strictly between 0 and 1")
 _methods = _checked(str, lambda v: set(v.split(",")) <= set(METHODS), "proposed and/or variance")
 
@@ -298,29 +293,21 @@ def cmd_select(args: argparse.Namespace) -> Path | None:
 
 def cmd_simulate(args: argparse.Namespace) -> Path:
     model = _seed_pdm_for(args)
-    config = SimConfig(
-        n_samples=args.samples,
-        beta_db=args.beta_db,
-        rng_seed=args.seed,
-        transform_ranges=TransformRanges(
-            rotation=args.rot_range,
-            log_scale=args.log_scale_range,
-            translation=args.translation_range,
-        ),
-        realign=not args.no_realign,
-        b_dist=args.b_dist,
+    shape_set = sample_shapes(
+        model, args.samples, args.beta_db, args.seed, b_dist=args.b_dist,
+        rotation=args.rot_range, log_scale=args.log_scale_range,
+        translation=args.translation_range, realign=not args.no_realign,
     )
-    shape_set = sample_shapes(model, config)
     out = Path(args.out)
     write_shapes_csv(out, shape_set)
     if args.out_truth is not None:
         source = f"from_data:{args.seed_model}" if args.seed_model else f"procedural:{args.seed}"
         record = {
             "order": model.order,
-            "sigma2": noise_variance(model.lambdas, config.beta_db, config.b_dist),
-            "beta_db": config.beta_db,
+            "sigma2": noise_variance(model.lambdas, args.beta_db, args.b_dist),
+            "beta_db": args.beta_db,
             "lambdas": [float(v) for v in model.lambdas],
-            "rng_seed": config.rng_seed,
+            "rng_seed": args.seed,
             "source": source,
         }
         _write_json(Path(args.out_truth), record)
@@ -430,11 +417,9 @@ def build_parser() -> _Parser:
     _add_model_flags(p)
     p.add_argument("--samples", type=_sample_count, required=True)
     p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--rot-range", type=_non_negative, default=float(np.pi), dest="rot_range")
-    p.add_argument("--log-scale-range", type=_non_negative, default=0.2, dest="log_scale_range")
-    p.add_argument(
-        "--translation-range", type=_non_negative, default=0.5, dest="translation_range"
-    )
+    p.add_argument("--rot-range", type=_half_width, default=_POSE["rotation"])
+    p.add_argument("--log-scale-range", type=_half_width, default=_POSE["log_scale"])
+    p.add_argument("--translation-range", type=_half_width, default=_POSE["translation"])
     p.add_argument("--no-realign", action="store_true", dest="no_realign")
     p.add_argument("--out", required=True)
     p.add_argument("--out-truth", default=None, dest="out_truth")

@@ -19,7 +19,7 @@ from .errors import NotAligned, PdmOrderError, SingularSystem, TooFewSamples, Ze
 from .order_select import select_order_proposed, select_order_variance
 from .pdm import PdmModel, _modes, _rank
 from .shapes import ShapeSet
-from .simgen import SimConfig, noise_variance, sample_shapes
+from .simgen import noise_variance, sample_shapes
 
 RIDGE_REL = 1e-10
 
@@ -205,7 +205,7 @@ def monte_carlo_order(
         seed_pdm: generator model, procedural or loaded from disk.  Every
             mode it keeps is a true mode, so its order is the answer each
             trial should recover.
-        beta_db, b_dist: noise level and coefficient draw (see SimConfig).
+        beta_db, b_dist: noise level and coefficient draw (see sample_shapes).
         sample_counts: shapes per set, each at least 2.
         trials: sets per sample count.
         rng_seed: master seed.  Each (sample count, trial) derives its own
@@ -225,7 +225,7 @@ def monte_carlo_order(
 
     def _draw(count: int, trial: int) -> ShapeSet:
         seed = _trial_seed(rng_seed, count, trial)
-        return sample_shapes(seed_pdm, SimConfig(count, beta_db, seed, b_dist=b_dist))
+        return sample_shapes(seed_pdm, count, beta_db, seed, b_dist=b_dist)
 
     return _tabulate(_draw, sample_counts, trials, methods, t_max, variance_fraction, threads)
 

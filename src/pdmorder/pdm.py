@@ -32,6 +32,8 @@ RANK_REL_TOL = 1e-12
 # Relative error, in units of machine epsilon, allowed to a computed column
 # mean before the centred data counts as rounding noise (see _modes).
 CENTRING_ULPS = 100.0
+# Largest entry of |P^T P - I| that load_pdm accepts in a stored basis P.
+ORTHONORMAL_TOL = 1e-8
 
 
 def _fmt(value: float) -> str:
@@ -52,7 +54,7 @@ class PdmModel:
 
     Every mode carries variance: a direction with a zero eigenvalue is not
     part of a model.  The checks cost O(N * order): the basis is trusted to
-    be orthonormal.
+    be orthonormal (load_pdm checks a stored one).
 
     Attributes:
         mean: (N,) mean shape coordinates, N even and at least 4.
@@ -308,8 +310,10 @@ def load_pdm(path: str | Path) -> PdmModel:
     """Read a model container written by save_pdm.
 
     Raises:
-        ParseError: unreadable file, malformed header, rows or numbers, or
-            arrays that do not make a PdmModel (a zero eigenvalue included).
+        ParseError: unreadable file, malformed header, rows or numbers,
+            eigenvector rows that are not orthonormal (an entry of
+            |P^T P - I| above ORTHONORMAL_TOL), or arrays that do not make a
+            PdmModel (a zero eigenvalue included).
     """
     path = Path(path)
     rows = [line.split(",") for _, line in _data_lines(path)]
@@ -338,6 +342,13 @@ def load_pdm(path: str | Path) -> PdmModel:
     lambdas = _floats(rows[2], "eigenvalue row", t)
     basis = np.column_stack([_floats(rows[3 + k], f"eigenvector row {k}", n) for k in range(t)])
     try:
-        return PdmModel(mean=mean, basis=basis, lambdas=lambdas, n_train=n_train)
+        model = PdmModel(mean=mean, basis=basis, lambdas=lambdas, n_train=n_train)
     except (ValueError, DataError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    gram_error = float(np.max(np.abs(basis.T @ basis - np.eye(t))))
+    if not gram_error <= ORTHONORMAL_TOL:
+        raise ParseError(
+            f"{path}: eigenvector rows are not orthonormal"
+            f" (max |P^T P - I| = {gram_error:.3g} > {ORTHONORMAL_TOL:g})"
+        )
+    return model

@@ -3,59 +3,23 @@
 The generator model is a plain PdmModel: a procedural one built by
 make_seed_pdm_procedural (a smooth closed mean contour and an orthonormal
 set of low-frequency deformation fields) or any model loaded from disk.
-Samples are drawn inside the plausibility box, white noise is added in the
-model frame, a random similarity transform poses each sample, and (by
-default) the set is re-aligned with generalized Procrustes, which is
-exactly the step that turns the white noise into correlated residuals.
+sample_shapes, the one generator, takes plain arguments and checks them
+before the first draw.  Samples are drawn inside the plausibility box,
+white noise is added in the model frame, a random similarity transform
+poses each sample, and (by default) the set is re-aligned with generalized
+Procrustes, which is exactly the step that turns the white noise into
+correlated residuals.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import OrderOutOfRange
 from .pdm import PdmModel, _fix_signs
 from .shapes import ShapeSet, generalized_procrustes, _as_complex, _as_coords
-
-
-@dataclass(frozen=True)
-class TransformRanges:
-    """Half-widths of the random similarity pose applied to each sample.
-
-    rotation is in radians, log_scale in natural log units, translation in
-    multiples of the sample's centroid size.
-    """
-
-    rotation: float = math.pi
-    log_scale: float = 0.2
-    translation: float = 0.5
-
-    @staticmethod
-    def none() -> "TransformRanges":
-        return TransformRanges(rotation=0.0, log_scale=0.0, translation=0.0)
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Recipe for one synthetic shape set."""
-
-    n_samples: int
-    beta_db: float
-    rng_seed: int
-    transform_ranges: TransformRanges = field(default_factory=TransformRanges)
-    realign: bool = True
-    b_dist: str = "uniform"
-
-    def __post_init__(self) -> None:
-        if self.n_samples < 2:
-            raise ValueError("a synthetic set needs at least 2 samples")
-        if math.isnan(self.beta_db) or self.beta_db == -math.inf:
-            raise ValueError("beta_db must not be NaN or -inf")
-        if self.b_dist not in ("uniform", "gaussian"):
-            raise ValueError(f"unknown coefficient distribution {self.b_dist!r}")
 
 
 def parse_spectrum(text: str, order: int) -> np.ndarray:
@@ -240,38 +204,61 @@ def _draw_coeffs(rng: np.random.Generator, sqrt_lambdas: np.ndarray, b_dist: str
     return draw
 
 
-def sample_shapes(model: PdmModel, config: SimConfig) -> ShapeSet:
-    """Generate a synthetic shape set from the modes of model.
+def sample_shapes(
+    model: PdmModel,
+    n_samples: int,
+    beta_db: float,
+    rng_seed: int,
+    b_dist: str = "uniform",
+    rotation: float = math.pi,
+    log_scale: float = 0.2,
+    translation: float = 0.5,
+    realign: bool = True,
+) -> ShapeSet:
+    """Generate a synthetic set of n_samples shapes from the modes of model.
 
     Any PdmModel serves, procedural or loaded from disk; every mode it
     keeps is a signal mode, and the noise variance is
-    noise_variance(model.lambdas, config.beta_db, config.b_dist).  Each
-    sample has its own RNG stream derived from (rng_seed, sample index), so
-    a set is bit-identical across runs and unaffected by how many other sets
-    are generated around it.
+    noise_variance(model.lambdas, beta_db, b_dist).  Each sample has its own
+    RNG stream derived from (rng_seed, sample index), so a set is
+    bit-identical across runs and unaffected by how many other sets are
+    generated around it.
+
+    b_dist draws the coefficients uniformly in the box or, "gaussian", from
+    a normal truncated to it.  rotation, log_scale and translation are the
+    half-widths of each sample's random pose, in radians, natural log units
+    and centroid sizes; all zero leaves the samples in the model frame.
 
     Raises:
-        ValueError: the noise variance is not finite (see noise_variance).
+        ValueError: before any draw, if n_samples is below 2, a pose
+            half-width is negative, NaN or so large that twice it is not
+            finite, or the noise variance is not finite or b_dist unknown
+            (see noise_variance).
     """
+    if n_samples < 2:
+        raise ValueError("a synthetic set needs at least 2 samples")
+    pose = {"rotation": rotation, "log_scale": log_scale, "translation": translation}
+    for name, width in pose.items():
+        if not 0.0 <= 2.0 * width < math.inf:  # numpy draws need high - low finite
+            raise ValueError(f"{name} half-width must be >= 0 with a finite span, got {width!r}")
     n = model.n_coords
     sqrt_lambdas = np.sqrt(model.lambdas)
-    sigma = math.sqrt(noise_variance(model.lambdas, config.beta_db, config.b_dist))
-    ranges = config.transform_ranges
+    sigma = math.sqrt(noise_variance(model.lambdas, beta_db, b_dist))
 
-    matrix = np.empty((n, config.n_samples))
-    for sample in range(config.n_samples):
-        rng = np.random.default_rng((config.rng_seed, sample))
-        b = _draw_coeffs(rng, sqrt_lambdas, config.b_dist)
+    matrix = np.empty((n, n_samples))
+    for sample in range(n_samples):
+        rng = np.random.default_rng((rng_seed, sample))
+        b = _draw_coeffs(rng, sqrt_lambdas, b_dist)
         eps = sigma * rng.standard_normal(n)
         x = model.mean + model.basis @ b + eps
-        rotation = rng.uniform(-ranges.rotation, ranges.rotation)
-        log_scale = rng.uniform(-ranges.log_scale, ranges.log_scale)
-        shift = rng.uniform(-ranges.translation, ranges.translation, 2)
+        angle = rng.uniform(-rotation, rotation)
+        scale = rng.uniform(-log_scale, log_scale)
+        shift = rng.uniform(-translation, translation, 2)
         z = _as_complex(x)
         size = float(np.linalg.norm(z - z.mean()))
-        z = math.exp(log_scale) * np.exp(1j * rotation) * z
+        z = math.exp(scale) * np.exp(1j * angle) * z
         z = z + (shift[0] + 1j * shift[1]) * size
         matrix[:, sample] = _as_coords(z)
 
     raw = ShapeSet.from_matrix(matrix, aligned=False)
-    return generalized_procrustes(raw) if config.realign else raw
+    return generalized_procrustes(raw) if realign else raw

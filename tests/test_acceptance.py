@@ -18,7 +18,6 @@ import pytest
 
 from pdmorder import (
     ShapeSet,
-    SimConfig,
     Shape,
     clamp_to_box,
     fit_pdm,
@@ -67,9 +66,7 @@ def run_moderate_snr():
 
 @pytest.fixture(scope="module")
 def occlusion_curve():
-    shape_set = sample_shapes(
-        _seed_model(), SimConfig(n_samples=100, beta_db=10.0, rng_seed=700)
-    )
+    shape_set = sample_shapes(_seed_model(), 100, 10.0, 700)
     return lmmse_curve(shape_set)
 
 

@@ -7,6 +7,7 @@ output can be asserted without spawning subprocesses.
 from __future__ import annotations
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -19,12 +20,14 @@ from pdmorder import (
     fit_pdm,
     generalized_procrustes,
     load_shape_set,
+    make_seed_pdm_procedural,
     mean_shape,
     noise_variance,
+    sample_shapes,
     select_order_proposed,
     select_order_variance,
 )
-from pdmorder.cli import build_parser, main
+from pdmorder.cli import build_parser, main, write_shapes_csv
 from pdmorder.errors import SingularSystem
 from pdmorder.pdm import load_pdm, save_pdm
 
@@ -482,6 +485,48 @@ class TestArtifacts:
         assert len(err.strip().splitlines()) == 1
         assert str(model) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [
+        "simulate --samples 5",
+        "montecarlo --samples 10 --trials 1",
+    ])
+    @pytest.mark.parametrize("rows", [
+        ("1,0,0,0,0,0,0,0", "1,0,0,0,0,0,0,0"),
+        ("1,0,0,0,0,0,0,0", "0,0,0,0,0,0,0,0"),
+        ("30,0,0,0,0,0,0,0", "0,1,0,0,0,0,0,0"),
+    ], ids=["identical-rows", "zero-row", "row-of-norm-30"])
+    def test_seed_model_that_is_not_orthonormal_is_a_parse_error(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture, command: str, rows: tuple
+    ) -> None:
+        model = tmp_path / "bad.pdm"
+        model.write_text("8,2,5\n0,0,0,0,0,0,0,0\n2,1\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "out.csv"
+        argv = command.split() + [
+            "--seed-model", str(model), "--landmarks", "4", "--order", "2",
+            "--beta-db", "20", "--seed", "1", "--out", str(out),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {model}: eigenvector rows are not orthonormal")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_simulate_pose_defaults_are_the_generators(self, tmp_path: Path) -> None:
+        # Without the pose flags, simulate writes exactly the library's
+        # default set, and its manifest records those half-widths.
+        out = tmp_path / "s.csv"
+        assert main([
+            "simulate", "--landmarks", "12", "--order", "3", "--beta-db", "15",
+            "--samples", "16", "--seed", "9", "--out", str(out),
+        ]) == 0
+        model = make_seed_pdm_procedural(12, 3, "geometric:0.7", 9)
+        expected = tmp_path / "expected.csv"
+        write_shapes_csv(expected, sample_shapes(model, 16, 15.0, 9))
+        assert out.read_bytes() == expected.read_bytes()
+        config = json.loads(Path(str(out) + ".manifest.json").read_text())["config"]
+        assert (config["rot_range"], config["log_scale_range"], config["translation_range"]) == (
+            math.pi, 0.2, 0.5
+        )
+
 
 
 _MC = (
@@ -541,6 +586,7 @@ _SIM = "simulate --order 3 --beta-db 20 --seed 1 --out {out}"
         (_SIM + " --landmarks 12 --samples 5 --rot-range nan", 1),
         (_SIM + " --landmarks 12 --samples 5 --log-scale-range inf", 1),
         (_SIM + " --landmarks 12 --samples 5 --translation-range -1", 1),
+        (_SIM + " --landmarks 12 --samples 5 --rot-range 1e308", 1),
         (_MC + " --threads -4", 1),
         ("select --input {csv} --split shuffled", 1),
         (_SIM + " --landmarks 12 --samples 5 --order 0", 1),
@@ -567,7 +613,8 @@ _SIM = "simulate --order 3 --beta-db 20 --seed 1 --out {out}"
         "variance-max-iter", "variance-mean", "select-clamp", "proposed-fraction",
         "select-warm-start", "select-threads", "seed-model-landmarks", "seed-model-spectrum",
         "seed-model-order", "select-tol-negative", "align-tol-nan", "rot-range-nan",
-        "log-scale-range-inf", "translation-range-negative", "threads-negative",
+        "log-scale-range-inf", "translation-range-negative", "rot-range-1e308",
+        "threads-negative",
         "shuffled-without-seed", "simulate-order-0", "montecarlo-order-negative", "fit-order-0",
         "simulate-seed-negative", "montecarlo-seed-negative",
         "sweep-seed-negative", "select-seed-negative", "fit-order-above-rank",

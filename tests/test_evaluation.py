@@ -23,8 +23,6 @@ from hypothesis import strategies as st
 from pdmorder import (
     NotAligned,
     ShapeSet,
-    SimConfig,
-    TransformRanges,
     generalized_procrustes,
     lmmse_curve,
     make_seed_pdm_procedural,
@@ -383,9 +381,7 @@ class TestWorkerPool:
 
 @pytest.fixture(scope="module")
 def base_set() -> ShapeSet:
-    return sample_shapes(
-        _seed_model(), SimConfig(n_samples=24, beta_db=20.0, rng_seed=402)
-    )
+    return sample_shapes(_seed_model(), 24, 20.0, 402)
 
 
 class TestOrderSweep:
@@ -636,7 +632,7 @@ class TestPredictLandmarksMatchesWeightTensor:
 
     def test_workload_sized_fold_matches_within_1e_12(self) -> None:
         # A fold as lmmse_curve fits it: 30 shapes, N = 80, orders 1..27.
-        shape_set = sample_shapes(_seed_model(), SimConfig(n_samples=30, beta_db=10.0, rng_seed=4))
+        shape_set = sample_shapes(_seed_model(), 30, 10.0, 4)
         x = shape_set.as_matrix()
         mean, basis, lambdas = _modes(shape_set.subset(range(1, 30)))
         y = x[:, 0] - mean
@@ -662,7 +658,7 @@ class TestLmmseCurve:
         # A workload-sized set (N = 80, M = 30).  The oracle fits every fold
         # by eigh of the 80 x 80 covariance, as before the SVD fit, and runs
         # the same kernel on that basis.
-        shape_set = sample_shapes(_seed_model(), SimConfig(n_samples=30, beta_db=10.0, rng_seed=7))
+        shape_set = sample_shapes(_seed_model(), 30, 10.0, 7)
         x = shape_set.as_matrix()
         n, m = x.shape
         folds = []
@@ -713,7 +709,7 @@ class TestLmmseCurve:
 
     def test_curve_dips_at_the_true_order(self) -> None:
         seed = make_seed_pdm_procedural(20, 5, "geometric:0.7", rng_seed=31)
-        shape_set = sample_shapes(seed, SimConfig(n_samples=20, beta_db=20.0, rng_seed=90))
+        shape_set = sample_shapes(seed, 20, 20.0, 90)
         result = lmmse_curve(shape_set)
         t_lo, t_hi = min(result.errors), max(result.errors)
         assert result.argmin_t == 5
@@ -731,13 +727,7 @@ class TestLmmseCurve:
         # Like fit_pdm and select_order_proposed, the curve runs no hidden
         # Procrustes of its own: the caller aligns (the CLI always does).
         seed = make_seed_pdm_procedural(20, 5, "geometric:0.7", rng_seed=31)
-        raw = sample_shapes(
-            seed,
-            SimConfig(
-                n_samples=12, beta_db=10.0, rng_seed=91,
-                transform_ranges=TransformRanges(), realign=False,
-            ),
-        )
+        raw = sample_shapes(seed, 12, 10.0, 91, realign=False)
         assert not raw.aligned
         with pytest.raises(NotAligned):
             lmmse_curve(raw)

@@ -13,7 +13,6 @@ from pdmorder import (
     PdmModel,
     RegressionFit,
     ShapeSet,
-    SimConfig,
     SingularSystem,
     TooFewSamples,
     ZeroVariance,
@@ -365,7 +364,7 @@ class TestSelectOrderProposed:
         # block of orders 1..8 without a score, and the other orders of the
         # block sweep on to exactly the fits of the clean run.
         seed = make_seed_pdm_procedural(20, 6, "geometric:0.7", rng_seed=41)
-        ss = sample_shapes(seed, SimConfig(n_samples=30, beta_db=5.0, rng_seed=42))
+        ss = sample_shapes(seed, 30, 5.0, 42)
         clean = select_order_proposed(ss)
         assert max(clean.scores) > order_select.ORDER_BLOCK
         monkeypatch.setattr(order_select, "_project_stacked", _singular_projection_at(5))
@@ -383,7 +382,7 @@ class TestSelectOrderProposed:
     @pytest.mark.parametrize("n_samples, t_max", [(30, None), (60, 11), (14, None)])
     def test_block_fits_match_standalone_fits(self, n_samples, t_max):
         seed = make_seed_pdm_procedural(20, 6, "geometric:0.7", rng_seed=43)
-        ss = sample_shapes(seed, SimConfig(n_samples=n_samples, beta_db=5.0, rng_seed=44))
+        ss = sample_shapes(seed, n_samples, 5.0, 44)
         result = select_order_proposed(ss, t_max=t_max)
         split = split_data(ss)
         model = fit_pdm(split.x1)
@@ -430,7 +429,7 @@ class TestSelectOrderProposed:
 
     def test_scale_equivariance_of_selection(self):
         seed = make_seed_pdm_procedural(20, 5, "geometric:0.7", rng_seed=31)
-        ss = sample_shapes(seed, SimConfig(n_samples=40, beta_db=20.0, rng_seed=32))
+        ss = sample_shapes(seed, 40, 20.0, 32)
         mat = ss.as_matrix()
         stars = []
         for c in (0.1, 1.0, 10.0):
@@ -440,14 +439,14 @@ class TestSelectOrderProposed:
 
     def test_clean_instance_recovers_true_order(self):
         seed = make_seed_pdm_procedural(40, 10, "geometric:0.7", rng_seed=11)
-        ss = sample_shapes(seed, SimConfig(n_samples=200, beta_db=20.0, rng_seed=5001))
+        ss = sample_shapes(seed, 200, 20.0, 5001)
         assert select_order_proposed(ss).t_star == 10
 
     def test_noisy_small_sample_underestimates(self):
         # At beta 5 dB and only 20 samples the criterion runs out of evidence
         # for the weakest modes and lands below the true order of 10.
         seed = make_seed_pdm_procedural(40, 10, "geometric:0.7", rng_seed=11)
-        ss = sample_shapes(seed, SimConfig(n_samples=20, beta_db=5.0, rng_seed=5003))
+        ss = sample_shapes(seed, 20, 5.0, 5003)
         assert select_order_proposed(ss).t_star == 7
 
 

@@ -660,7 +660,38 @@ class TestSerialization:
             load_pdm(p)
 
 
+def _store_of_rows(path, first: str, second: str):
+    """A store of 4 landmarks and 2 modes with the given eigenvector rows."""
+    path.write_text(f"8,2,5\n0,0,0,0,0,0,0,0\n2,1\n{first}\n{second}\n")
+    return path
+
+
 class TestLoadFailsLoudly:
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("1,0,0,0,0,0,0,0", "1,0,0,0,0,0,0,0"),
+            ("1,0,0,0,0,0,0,0", "0,0,0,0,0,0,0,0"),
+            ("30,0,0,0,0,0,0,0", "0,1,0,0,0,0,0,0"),
+        ],
+        ids=["identical-rows", "zero-row", "row-of-norm-30"],
+    )
+    def test_basis_that_is_not_orthonormal(self, tmp_path, first, second):
+        # Each file passes every other check and made a generator before.
+        with pytest.raises(ParseError, match="bad.pdm: eigenvector rows are not orthonormal"):
+            load_pdm(_store_of_rows(tmp_path / "bad.pdm", first, second))
+
+    @pytest.mark.parametrize("tilt, accepted", [(1e-9, True), (1e-7, False)])
+    def test_orthonormality_tolerance(self, tmp_path, tilt, accepted):
+        # Rows (1, tilt, 0...) and (0, 1, 0...) are off by tilt in P^T P.
+        # The two tilts straddle ORTHONORMAL_TOL (1e-8).
+        path = _store_of_rows(tmp_path / "m.pdm", f"1,{tilt!r},0,0,0,0,0,0", "0,1,0,0,0,0,0,0")
+        if accepted:
+            assert load_pdm(path).order == 2
+        else:
+            with pytest.raises(ParseError, match="not orthonormal"):
+                load_pdm(path)
+
     @pytest.mark.parametrize("n, t, m1", [(4, -1, 3), (4, 0, 3), (4, 5, 3), (4, 2, -1)])
     def test_header_out_of_range(self, tmp_path, n, t, m1):
         # Every row count matches the header, so only the range check can fail.

@@ -341,12 +341,10 @@ class TestGeneralizedProcrustes:
         assert err1 > 0.1
 
     def test_converges_quickly_on_low_noise_data(self):
-        from pdmorder import SimConfig, make_seed_pdm_procedural, sample_shapes
+        from pdmorder import make_seed_pdm_procedural, sample_shapes
 
         seed = make_seed_pdm_procedural(20, 5, "geometric:0.7", rng_seed=21)
-        raw = sample_shapes(
-            seed, SimConfig(n_samples=40, beta_db=20.0, rng_seed=22, realign=False)
-        )
+        raw = sample_shapes(seed, 40, 20.0, 22, realign=False)
         aligned = generalized_procrustes(raw, tol=1e-9)
         assert aligned.alignment_report.iterations < 50
 

@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 from pdmorder import (
     OrderOutOfRange,
-    SimConfig,
-    TransformRanges,
     load_pdm,
     make_seed_pdm_procedural,
     noise_variance,
@@ -21,6 +19,7 @@ from pdmorder import (
     sample_shapes,
     save_pdm,
 )
+from pdmorder import simgen
 from pdmorder.simgen import _draw_coeffs
 
 
@@ -165,9 +164,9 @@ class TestProceduralSeed:
         seed = make_seed_pdm_procedural(10, 3, "geometric:0.7", rng_seed=2)
         save_pdm(seed, tmp_path / "model.pdm")
         loaded = load_pdm(tmp_path / "model.pdm")
-        config = SimConfig(n_samples=6, beta_db=20.0, rng_seed=3)
         assert np.array_equal(
-            sample_shapes(loaded, config).as_matrix(), sample_shapes(seed, config).as_matrix()
+            sample_shapes(loaded, 6, 20.0, 3).as_matrix(),
+            sample_shapes(seed, 6, 20.0, 3).as_matrix(),
         )
 
 
@@ -245,46 +244,42 @@ class TestNoiseVariance:
 
 
 class TestSampling:
+    @pytest.fixture
+    def no_draw(self, monkeypatch):
+        def refuse(*args):
+            pytest.fail("a coefficient was drawn before the arguments were checked")
+
+        monkeypatch.setattr(simgen, "_draw_coeffs", refuse)
+
     def _seed(self):
         return make_seed_pdm_procedural(40, 10, "geometric:0.7", rng_seed=11)
 
     def test_bit_identical_regeneration(self):
         seed = self._seed()
-        cfg = SimConfig(n_samples=30, beta_db=10.0, rng_seed=42)
-        a = sample_shapes(seed, cfg)
-        b = sample_shapes(seed, cfg)
+        a = sample_shapes(seed, 30, 10.0, 42)
+        b = sample_shapes(seed, 30, 10.0, 42)
         np.testing.assert_array_equal(a.as_matrix(), b.as_matrix())
         assert a.aligned
 
     def test_seed_changes_data(self):
         seed = self._seed()
-        a = sample_shapes(seed, SimConfig(n_samples=10, beta_db=10.0, rng_seed=1))
-        b = sample_shapes(seed, SimConfig(n_samples=10, beta_db=10.0, rng_seed=2))
+        a = sample_shapes(seed, 10, 10.0, 1)
+        b = sample_shapes(seed, 10, 10.0, 2)
         assert not np.array_equal(a.as_matrix(), b.as_matrix())
 
     def test_per_sample_streams_give_prefix_property(self):
         # Sample counts only extend the set; a shorter run is a prefix of a
         # longer one before re-alignment mixes the samples together.
         seed = self._seed()
-        small = sample_shapes(
-            seed, SimConfig(n_samples=6, beta_db=10.0, rng_seed=9, realign=False)
-        )
-        large = sample_shapes(
-            seed, SimConfig(n_samples=10, beta_db=10.0, rng_seed=9, realign=False)
-        )
+        small = sample_shapes(seed, 6, 10.0, 9, realign=False)
+        large = sample_shapes(seed, 10, 10.0, 9, realign=False)
         np.testing.assert_array_equal(large.as_matrix()[:, :6], small.as_matrix())
 
     def test_noiseless_untransformed_lies_in_model_span(self):
         model = self._seed()
         ss = sample_shapes(
-            model,
-            SimConfig(
-                n_samples=12,
-                beta_db=math.inf,
-                rng_seed=13,
-                transform_ranges=TransformRanges.none(),
-                realign=False,
-            ),
+            model, 12, math.inf, 13,
+            rotation=0.0, log_scale=0.0, translation=0.0, realign=False,
         )
         assert noise_variance(model.lambdas, math.inf) == 0.0
         dev = ss.as_matrix() - model.mean[:, None]
@@ -303,10 +298,6 @@ class TestSampling:
         # in-box coefficients and the noise at noise_variance, drawn in that
         # order from the sample's own stream.
         seed = self._seed()
-        cfg = SimConfig(
-            n_samples=25, beta_db=5.0, rng_seed=14,
-            transform_ranges=TransformRanges.none(), realign=False,
-        )
         limits = np.sqrt(seed.lambdas)
         sigma = math.sqrt(noise_variance(seed.lambdas, 5.0))
         expected = np.empty((80, 25))
@@ -315,10 +306,13 @@ class TestSampling:
             b = _draw_coeffs(rng, limits, "uniform")
             assert b.shape == (10,) and np.all(np.abs(b) <= limits)
             expected[:, sample] = seed.mean + seed.basis @ b + sigma * rng.standard_normal(80)
-        np.testing.assert_array_equal(sample_shapes(seed, cfg).as_matrix(), expected)
+        actual = sample_shapes(
+            seed, 25, 5.0, 14, rotation=0.0, log_scale=0.0, translation=0.0, realign=False
+        )
+        np.testing.assert_array_equal(actual.as_matrix(), expected)
 
     def test_gaussian_draws_stay_in_box(self):
-        # The coefficients of SimConfig(n_samples=50, rng_seed=15,
+        # The coefficients of sample_shapes(model, 50, beta_db, 15,
         # b_dist="gaussian"), drawn from the same per-sample streams.
         limits = np.sqrt(self._seed().lambdas)
         coeffs = np.column_stack([
@@ -337,14 +331,8 @@ class TestSampling:
 
         def resid_power(beta: float, rng_seed: int) -> float:
             ss = sample_shapes(
-                model,
-                SimConfig(
-                    n_samples=2000,
-                    beta_db=beta,
-                    rng_seed=rng_seed,
-                    transform_ranges=TransformRanges.none(),
-                    realign=False,
-                ),
+                model, 2000, beta, rng_seed,
+                rotation=0.0, log_scale=0.0, translation=0.0, realign=False,
             )
             dev = ss.as_matrix() - model.mean[:, None]
             resid = dev - model.basis @ (model.basis.T @ dev)
@@ -356,14 +344,8 @@ class TestSampling:
     def test_spectral_gap_at_large_sample(self):
         seed = self._seed()
         ss = sample_shapes(
-            seed,
-            SimConfig(
-                n_samples=1000,
-                beta_db=20.0,
-                rng_seed=71,
-                transform_ranges=TransformRanges.none(),
-                realign=False,
-            ),
+            seed, 1000, 20.0, 71,
+            rotation=0.0, log_scale=0.0, translation=0.0, realign=False,
         )
         mat = ss.as_matrix()
         centered = mat - mat.mean(axis=1, keepdims=True)
@@ -381,14 +363,8 @@ class TestSampling:
 
         def stats(realign: bool) -> tuple[float, float]:
             ss = sample_shapes(
-                model,
-                SimConfig(
-                    n_samples=500,
-                    beta_db=5.0,
-                    rng_seed=70,
-                    transform_ranges=TransformRanges.none(),
-                    realign=realign,
-                ),
+                model, 500, 5.0, 70,
+                rotation=0.0, log_scale=0.0, translation=0.0, realign=realign,
             )
             mat = ss.as_matrix()
             centered = mat - mat.mean(axis=1, keepdims=True)
@@ -409,30 +385,31 @@ class TestSampling:
         assert aligned_energy < 0.015
         assert aligned_corr > white_corr + 0.001
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SimConfig(n_samples=1, beta_db=10.0, rng_seed=0)
-        with pytest.raises(ValueError):
-            SimConfig(n_samples=10, beta_db=math.nan, rng_seed=0)
+    def test_config_validation(self, no_draw):
+        seed = self._seed()
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            sample_shapes(seed, 1, 10.0, 0)
+        with pytest.raises(ValueError, match="nan puts the noise variance"):
+            sample_shapes(seed, 10, math.nan, 0)
         with pytest.raises(ValueError, match="-inf"):
-            SimConfig(n_samples=10, beta_db=-math.inf, rng_seed=0)
-        with pytest.raises(ValueError):
-            SimConfig(n_samples=10, beta_db=10.0, rng_seed=0, b_dist="cauchy")
+            sample_shapes(seed, 10, -math.inf, 0)
+        with pytest.raises(ValueError, match="unknown coefficient distribution 'cauchy'"):
+            sample_shapes(seed, 10, 10.0, 0, b_dist="cauchy")
+
+    @pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf, -1.0, 1e308])
+    @pytest.mark.parametrize("name", ["rotation", "log_scale", "translation"])
+    def test_pose_half_width_refused_before_any_draw(self, no_draw, name, width):
+        # numpy would fail inside the first sample instead: an OverflowError
+        # for a range that is NaN or not finite (1e308 - -1e308 included),
+        # "high - low < 0" for a negative one.
+        with pytest.raises(ValueError, match=f"{name} half-width must be >= 0 with a finite span"):
+            sample_shapes(self._seed(), 10, 10.0, 0, **{name: width})
 
     def test_transformed_samples_move(self):
         seed = self._seed()
-        posed = sample_shapes(
-            seed, SimConfig(n_samples=8, beta_db=20.0, rng_seed=18, realign=False)
-        )
+        posed = sample_shapes(seed, 8, 20.0, 18, realign=False)
         flat = sample_shapes(
-            seed,
-            SimConfig(
-                n_samples=8,
-                beta_db=20.0,
-                rng_seed=18,
-                transform_ranges=TransformRanges.none(),
-                realign=False,
-            ),
+            seed, 8, 20.0, 18, rotation=0.0, log_scale=0.0, translation=0.0, realign=False
         )
         # Same coefficients and noise, different poses.
         assert not posed.aligned
