@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error (an unreadable input or
 an output that cannot be written), 3 numerical failure.  Each command returns
-its artifact's path, and main then writes the sibling manifest
-<artifact>.manifest.json after the command's last file, recording the
-command, its canonicalized flags, a hash of them, and the tool version, so a
-run can be reproduced or audited later.  All numbers in
+its artifact's path (montecarlo and sweep with their run's stats), and main
+then writes the sibling manifest <artifact>.manifest.json after the
+command's last file, recording the command, its canonicalized flags, a hash
+of them, the tool version and any stats, so a run can be reproduced or
+audited later.  All numbers in
 data files carry 17 significant digits, which round-trips doubles exactly;
 rerunning a command with identical flags and inputs produces byte-identical
 data files.
@@ -75,7 +76,9 @@ def _write_json(path: Path, record: dict) -> None:
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-def write_manifest(artifact: Path, args: argparse.Namespace, started: str) -> None:
+def write_manifest(
+    artifact: Path, args: argparse.Namespace, started: str, stats: dict | None = None
+) -> None:
     config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command")}
     manifest = {
         "command": args.command,
@@ -85,6 +88,8 @@ def write_manifest(artifact: Path, args: argparse.Namespace, started: str) -> No
         "tool_version": __version__,
         "timestamps": {"started": started, "finished": _utc_now()},
     }
+    if stats is not None:
+        manifest["stats"] = stats
     _write_json(Path(str(artifact) + ".manifest.json"), manifest)
 
 
@@ -314,7 +319,7 @@ def cmd_simulate(args: argparse.Namespace) -> Path:
     return out
 
 
-def cmd_montecarlo(args: argparse.Namespace) -> Path:
+def cmd_montecarlo(args: argparse.Namespace) -> tuple[Path, dict]:
     summary = monte_carlo_order(
         _seed_pdm_for(args),
         beta_db=args.beta_db,
@@ -330,7 +335,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> Path:
     return _write_trials(summary, args)
 
 
-def cmd_sweep(args: argparse.Namespace) -> Path:
+def cmd_sweep(args: argparse.Namespace) -> tuple[Path, dict]:
     summary = order_sweep(
         _load_input(args),
         sample_counts=_parse_counts(args.samples),
@@ -345,7 +350,7 @@ def cmd_sweep(args: argparse.Namespace) -> Path:
     return _write_trials(summary, args)
 
 
-def _write_trials(summary: TrialSummary, args: argparse.Namespace) -> Path:
+def _write_trials(summary: TrialSummary, args: argparse.Namespace) -> tuple[Path, dict]:
     out = Path(args.out)
     rows, hist = ["method,M,mean_t,var_t"], ["method,M,t,count"]
     for (method, count), cell in sorted(summary.cells.items()):
@@ -355,7 +360,9 @@ def _write_trials(summary: TrialSummary, args: argparse.Namespace) -> Path:
     _write_lines(out.with_name(out.stem + "_hist" + out.suffix), hist)
     if summary.failures:
         print(f"failures={summary.failures}", file=sys.stderr)
-    return out
+        classes = ",".join(f"{name}:{n}" for name, n in summary.failure_classes.items())
+        print(f"failure_classes={classes}", file=sys.stderr)
+    return out, {"failures": summary.failures, "failure_classes": summary.failure_classes}
 
 
 def cmd_lmmse(args: argparse.Namespace) -> Path:
@@ -458,9 +465,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         started = _utc_now()
-        artifact = args.func(args)
+        artifact, stats = args.func(args), None
+        if isinstance(artifact, tuple):
+            artifact, stats = artifact
         if artifact is not None:
-            write_manifest(artifact, args, started)
+            write_manifest(artifact, args, started, stats)
         return 0
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import NotAligned, PdmOrderError, SingularSystem, TooFewSamples, ZeroVariance
-from .order_select import select_order_proposed, select_order_variance
+from .order_select import _select_many, select_order_proposed, select_order_variance
 from .pdm import PdmModel, _modes, _rank
 from .shapes import ShapeSet
 from .simgen import noise_variance, sample_shapes
@@ -50,14 +50,18 @@ class TrialSummary:
     """Selected-order statistics per (method, sample count).
 
     failures counts trials that aborted with a propagated error; their
-    picks are missing from the histograms.
+    picks are missing from the histograms.  failure_classes counts them by
+    the error's class name, e.g. {"TooFewSamples": 3}, and sums to failures.
     """
 
     cells: dict[tuple[str, int], CellStats]
     trials: int
     failures: int = 0
+    failure_classes: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if sum(self.failure_classes.values()) != self.failures:
+            raise ValueError(f"failure classes {self.failure_classes} do not sum to failures")
         # A failed trial drops every method's pick, so each method misses
         # exactly `failures` picks across its cells, and no cell overflows.
         missing: dict[str, list[int]] = {}
@@ -86,6 +90,27 @@ def _trial_seed(master: int, count: int, trial: int) -> int:
     return int(np.random.SeedSequence((master, count, trial)).generate_state(1, np.uint64)[0])
 
 
+# A job of _tabulate holds max(1, TRIAL_STACK_SHAPES // count) trials of one
+# sample count, whose selections share the kernel's stacks (_select_many).
+# The stack spreads numpy's per-call overhead, which dominates at M <= 40;
+# at M >= 100 a job keeps one trial, since those sweeps are compute-bound
+# and wider stacks leave the cache.  The `sweep` workload's 270 selections
+# (one 400-shape set, M = 10/20/40, 90 trials each), one process, one BLAS
+# thread, 2-core host: in-process time, medians of 8 alternating rounds in
+# each of two runs, and the command's peak RSS (39.6 MB when each set was
+# selected on its own):
+#   shapes  trials per job   time (s)      peak RSS (MB)
+#   1       1/1/1            2.96  2.86    39.7
+#   40      4/2/1            2.48  2.61    39.7
+#   80      8/4/2            2.06  1.94    40.4
+#   120     12/6/3           1.90  1.71    41.5
+#   160     16/8/4           1.85  1.68    42.4
+#   240     24/12/6          1.89  1.49    44.7
+# Past 120 the memory of the stacks and of the kept fits grows faster
+# than the time falls.
+TRIAL_STACK_SHAPES = 120
+
+
 def _tabulate(
     draw: Callable[[int, int], ShapeSet],
     sample_counts: tuple[int, ...],
@@ -95,38 +120,50 @@ def _tabulate(
     fraction: float,
     threads: int,
 ) -> TrialSummary:
-    """Run every method on draw(count, trial) for every job and tabulate the picks.
+    """Run every method on draw(count, trial) for every trial and tabulate the picks.
 
     draw derives its randomness from (count, trial) alone, so the result does
-    not depend on job order or on the number of worker processes.  A
-    PdmOrderError in a job counts as one failure that drops every method's
-    pick; sample counts below 2 are rejected up front, so every counted
-    failure comes from the data.  Any other error propagates.
+    not depend on job order or on the number of worker processes.  A job is
+    a chunk of consecutive trials of one count, whose proposed selections
+    share stacks (TRIAL_STACK_SHAPES).  A PdmOrderError in a trial's draw or
+    one of its methods fails that trial alone, drops each method's pick of
+    it and counts under its class name; sample counts below 2 are rejected
+    up front, so every counted failure comes from the data.  Any other error
+    propagates.
 
     With threads above 1 the jobs run in min(threads, jobs, usable CPUs)
     forked worker processes, which needs Linux.  The fork hands each worker
-    the job function with draw and its data, so only (count, trial) and the
-    picks cross the pipe; the largest sample counts go first, so the
-    slowest jobs do not finish last.  Each worker runs its BLAS on one
-    thread (see _adopt), and the pool joins them all before returning.
+    the job function with draw and its data, so only a chunk (count, first
+    trial, trials) and its outcomes cross the pipe; the largest sample
+    counts go first, so the slowest jobs do not finish last.  Each worker
+    runs its BLAS on one thread (see _adopt), and the pool joins them all.
     """
     if min(sample_counts) < 2:
         raise TooFewSamples(f"sample count {min(sample_counts)} is below 2 shapes")
     counts = tuple(dict.fromkeys(sample_counts))
 
-    def _one(job: tuple[int, int]) -> dict[str, int] | None:
-        try:
-            shape_set = draw(*job)
-            return {
-                method: select_order_proposed(shape_set, t_max=t_max).t_star
-                if method == "proposed"
-                else select_order_variance(shape_set, fraction=fraction)
-                for method in methods
-            }
-        except PdmOrderError:
-            return None
+    def _chunk(job: tuple[int, int, int]) -> list[dict[str, int] | str]:
+        """Each trial's picks, or the class name of the PdmOrderError that failed it."""
+        count, first, size = job
+        sets = [_or_error(draw, count, trial) for trial in range(first, first + size)]
+        outcomes = [{} if isinstance(s, ShapeSet) else s for s in sets]
+        for method in methods:
+            live = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, dict)]
+            if method == "proposed":
+                picks = _select_many([sets[i] for i in live], t_max=t_max)
+            else:
+                picks = [_or_error(select_order_variance, sets[i], fraction=fraction) for i in live]
+            for i, pick in zip(live, picks):
+                if isinstance(pick, PdmOrderError):
+                    outcomes[i] = pick
+                else:
+                    outcomes[i][method] = pick if method == "variance" else pick.t_star
+        return [o if isinstance(o, dict) else type(o).__name__ for o in outcomes]
 
-    jobs = [(count, trial) for count in counts for trial in range(trials)]
+    jobs = []
+    for count in counts:
+        per_job = max(1, TRIAL_STACK_SHAPES // count)
+        jobs += [(count, t, min(per_job, trials - t)) for t in range(0, trials, per_job)]
     workers = min(threads, len(jobs))
     if workers > 1:  # os.sched_getaffinity is Linux-only; a serial run never asks
         workers = min(workers, len(os.sched_getaffinity(0)))
@@ -137,24 +174,36 @@ def _tabulate(
         largest_first = sorted(jobs, key=lambda job: -job[0])
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(
-            workers, mp_context=fork, initializer=_adopt, initargs=(_one,)
+            workers, mp_context=fork, initializer=_adopt, initargs=(_chunk,)
         ) as pool:
             done = dict(zip(largest_first, pool.map(_run_adopted, largest_first)))
-        outcomes = [done[job] for job in jobs]
+        chunks = [done[job] for job in jobs]
     else:
-        outcomes = [_one(job) for job in jobs]
+        chunks = [_chunk(job) for job in jobs]
+    outcomes = {count: [] for count in counts}
+    for (count, _, _), chunk in zip(jobs, chunks):
+        outcomes[count] += chunk
     cells = {
         (method, count): CellStats.from_picks(
-            [picked[method] for (c, _), picked in zip(jobs, outcomes) if c == count and picked]
+            [picked[method] for picked in outcomes[count] if isinstance(picked, dict)]
         )
         for count in counts
         for method in methods
     }
-    return TrialSummary(cells=cells, trials=trials, failures=outcomes.count(None))
+    classes = Counter(o for chunk in chunks for o in chunk if isinstance(o, str))
+    return TrialSummary(cells, trials, classes.total(), dict(sorted(classes.items())))
+
+
+def _or_error(call: Callable, *args, **kwargs):
+    """call(*args, **kwargs), or the PdmOrderError it raised."""
+    try:
+        return call(*args, **kwargs)
+    except PdmOrderError as exc:
+        return exc
 
 
 # The job function of a forked worker, set once by the pool's initializer.
-_adopted: Callable[[tuple[int, int]], dict[str, int] | None] | None = None
+_adopted: Callable[[tuple[int, int, int]], list] | None = None
 # OpenBLAS's thread-count setter under the names that numpy's builds export.
 _BLAS_SETTERS = (
     "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
@@ -162,7 +211,7 @@ _BLAS_SETTERS = (
 )
 
 
-def _adopt(one: Callable[[tuple[int, int]], dict[str, int] | None]) -> None:
+def _adopt(one: Callable[[tuple[int, int, int]], list]) -> None:
     """Keep a worker's job function and pin its BLAS to one thread.
 
     The workers already fill the CPUs, so a BLAS thread pool in each would
@@ -183,7 +232,7 @@ def _adopt(one: Callable[[tuple[int, int]], dict[str, int] | None]) -> None:
         setter(1)
 
 
-def _run_adopted(job: tuple[int, int]) -> dict[str, int] | None:
+def _run_adopted(job: tuple[int, int, int]) -> list:
     return _adopted(job)
 
 
@@ -277,7 +326,9 @@ def order_sweep(
         key: CellStats(cell.mean_t, cell.var_t, {t: trials * n for t, n in cell.hist.items()})
         for key, cell in once.cells.items()
     }
-    return TrialSummary(cells=cells, trials=trials, failures=trials * once.failures)
+    classes = {name: trials * n for name, n in once.failure_classes.items()}
+    return TrialSummary(cells=cells, trials=trials, failures=trials * once.failures,
+                        failure_classes=classes)
 
 
 def _predict_landmarks(

@@ -12,14 +12,13 @@ white-noise criterion would.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularSystem, TooFewSamples, ZeroVariance
-from .pdm import PdmModel, _modes, _project_stacked, fit_pdm, truncate
+from .errors import DimensionMismatch, PdmOrderError, SingularSystem, TooFewSamples, ZeroVariance
+from .pdm import PdmModel, _modes, _project_stacked, fit_pdm
 from .shapes import ShapeSet
 
 # Noise variances are kept above this fraction of the mean data power so
@@ -37,6 +36,9 @@ SIGMA_FLOOR_REL = 1e-12
 #   block 4:  1.12 / 1.35 s      block 32:        0.91 / 1.40 s
 #   block 8:  1.06 / 1.20 s      all orders (80): 0.93 / 2.30 s
 # Wider blocks help the small sets a little and cost the large ones more.
+# These times are of one selection per set.  The trial harness also stacks
+# the same block of several sets (evaluation.TRIAL_STACK_SHAPES), which
+# spreads the overhead of the small sets further.
 ORDER_BLOCK = 8
 
 
@@ -164,7 +166,10 @@ def alternating_ml(
         raise TooFewSamples(f"regression needs at least 2 held-out samples, got {Y.shape[1]}")
     if sigma_floor is None:
         sigma_floor = SIGMA_FLOOR_REL * float(np.mean(Y * Y))
-    fit = _fit_orders(Y, pdm, [pdm.order], tol, max_iter, sigma_floor)[0]
+    fit = _fit_orders(
+        Y[None], pdm.basis[None], [pdm.order], pdm.lambdas[None], np.array([sigma_floor]),
+        tol, max_iter,
+    )[0]
     if isinstance(fit, SingularSystem):
         raise fit
     return fit
@@ -172,49 +177,49 @@ def alternating_ml(
 
 def _fit_orders(
     Y: np.ndarray,
-    pdm: PdmModel,
-    orders: Sequence[int],
+    basis: np.ndarray,
+    orders: np.ndarray,
+    lambdas: np.ndarray,
+    floors: np.ndarray,
     tol: float,
     max_iter: int,
-    sigma_floor: float,
 ) -> list[RegressionFit | SingularSystem]:
-    """Alternating fits of the leading `order` modes of pdm, for every order, in lockstep.
+    """Alternating fits of K stacked rows in lockstep, one per (data set, order).
 
-    orders must ascend and end at pdm.order.  Every order's basis is
-    zero-padded to pdm.order and the orders are swept together as stacked
-    arrays, which spreads numpy's per-call overhead over the block.  Each
-    order keeps its own sweeps, descent guard, objective trace and stopping
-    rule.  An order leaves the stack when it converges, runs out of sweeps
-    or its projection fails, and the others sweep on as if it were gone.
+    Row k fits the (K, N, M2) data Y[k] with the leading orders[k] columns
+    of the (K, N, T) basis[k], which is zero past them, the (K, T) squared
+    box widths lambdas[k] and the (K,) noise-variance floor floors[k].  The
+    stack spreads numpy's per-call overhead over its rows, which may come
+    from many sets.  Each row keeps its own sweeps, descent guard, objective
+    trace and stopping rule, and depends on its own row of every argument
+    alone.  A row leaves the stack when it converges, runs out of sweeps or
+    its projection fails, and the others sweep on as if it were gone.
 
     Returns:
-        One fit per order, in the order of `orders`, or the SingularSystem
-        of an order whose projection failed.
+        One fit per row, or the SingularSystem of a row whose projection failed.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if not tol >= 0:
         raise ValueError("tol must be a number >= 0")
-    if math.isnan(sigma_floor):
+    if np.any(np.isnan(floors)):
         raise ValueError("sigma_floor must not be NaN")
-    sigma_floor = max(sigma_floor, 1e-300)
-    m2 = Y.shape[1]
-    top = pdm.order
-    live = np.arange(top) < np.asarray(orders)[:, None]
-    basis = pdm.basis * live[:, None, :]
-    pad = (~live).astype(float)
-    slots = np.arange(len(orders))
+    floors = np.maximum(floors, 1e-300)[:, None]
+    rows, _, m2 = Y.shape
+    pad = (np.arange(basis.shape[2]) >= np.asarray(orders)[:, None]).astype(float)
+    slots = np.arange(rows)
 
-    sigma = np.ones((slots.size, Y.shape[0]))
-    coeffs = np.zeros((slots.size, top, m2))
-    residuals = np.broadcast_to(Y, (slots.size, *Y.shape))
+    sigma = np.ones(basis.shape[:2])
+    coeffs = np.zeros((rows, basis.shape[2], m2))
+    residuals = Y
     # The weighted column norms of the current residuals under the current
     # sigma: the descent guard's baseline, which the objective already sums.
     norms = _weighted_column_norms(residuals * residuals, sigma)
-    traces: list[list[float]] = [[] for _ in orders]
-    fits: list[RegressionFit | SingularSystem | None] = [None] * len(orders)
+    # trace[k, s] is row k's objective after sweep s + 1; columns double as needed.
+    trace = np.empty((rows, min(max_iter, 16)))
+    fits: list[RegressionFit | SingularSystem | None] = [None] * rows
     for sweep in range(1, max_iter + 1):
-        candidate, failed = _project_stacked(basis, pdm.lambdas, Y, sigma, pad)
+        candidate, failed = _project_stacked(basis, lambdas, Y, sigma, pad)
         cand_residuals = np.matmul(basis, candidate)
         np.subtract(Y, cand_residuals, out=cand_residuals)
         # The clamp makes the projection approximate, so a column can come
@@ -229,34 +234,35 @@ def _fit_orders(
             np.multiply(cand_residuals, cand_residuals, out=squares)
         coeffs = candidate
         residuals = cand_residuals
-        sigma = np.maximum(np.mean(squares, axis=2), sigma_floor)
+        sigma = np.maximum(np.mean(squares, axis=2), floors)
         norms = _weighted_column_norms(squares, sigma)
+        del squares  # so that it and the next sweep's are never both alive
         objectives = m2 * np.sum(np.log(sigma), axis=1) + np.sum(norms, axis=1)
 
-        finished = []
-        for row, (slot, objective) in enumerate(zip(slots.tolist(), objectives.tolist())):
-            trace = traces[slot]
-            trace.append(objective)
-            converged = len(trace) >= 2 and (
-                abs(trace[-2] - objective) <= tol * max(1.0, abs(trace[-2]))
+        if sweep > trace.shape[1]:
+            trace = np.hstack([trace, np.empty_like(trace)])
+        trace[:, sweep - 1] = objectives
+        prev = trace[:, sweep - 2] if sweep > 1 else np.nan  # NaN never converges
+        converged = np.abs(prev - objectives) <= tol * np.maximum(1.0, np.abs(prev))
+        done = converged | (sweep == max_iter)
+        done[list(failed)] = True
+        for row in np.flatnonzero(done).tolist():
+            slot = int(slots[row])
+            fits[slot] = failed.get(row) or RegressionFit(
+                coeffs=coeffs[row, : orders[slot]].copy(),
+                sigma_diag=sigma[row].copy(),
+                residuals=residuals[row].copy(),
+                iterations=sweep,
+                objective_trace=tuple(trace[row, :sweep].tolist()),
+                converged=bool(converged[row]),
             )
-            if row in failed or converged or sweep == max_iter:
-                finished.append(row)
-                fits[slot] = failed.get(row) or RegressionFit(
-                    coeffs=coeffs[row, : orders[slot]].copy(),
-                    sigma_diag=sigma[row].copy(),
-                    residuals=residuals[row].copy(),
-                    iterations=sweep,
-                    objective_trace=tuple(trace),
-                    converged=converged,
-                )
-        if len(finished) == slots.size:
+        if np.all(done):
             break
-        if finished:
-            stay = np.ones(slots.size, dtype=bool)
-            stay[finished] = False
-            basis, pad, slots, sigma, coeffs, residuals, norms = (
-                a[stay] for a in (basis, pad, slots, sigma, coeffs, residuals, norms)
+        if np.any(done):
+            Y, basis, lambdas, floors, pad, slots, sigma, coeffs, residuals, norms, trace = (
+                a[~done]
+                for a in (Y, basis, lambdas, floors, pad, slots, sigma, coeffs, residuals,
+                          norms, trace)
             )
     return fits
 
@@ -323,45 +329,90 @@ def select_order_proposed(
     Raises:
         ValueError: t_max is below 1.
     """
+    result = _select_many([shape_set], t_max, split_seed, tol, max_iter)[0]
+    if isinstance(result, PdmOrderError):
+        raise result
+    return result
+
+
+def _select_many(
+    shape_sets: Sequence[ShapeSet],
+    t_max: int | None = None,
+    split_seed: int | None = None,
+    tol: float = 1e-8,
+    max_iter: int = 100,
+) -> list[OrderSelectionResult | PdmOrderError]:
+    """select_order_proposed on every set, the same blocks of all sets in one stack.
+
+    Sets whose held-out data have one shape share the stacks of their
+    blocks of orders lo..top.  Each row keeps its set's data, basis, box
+    widths and sigma floor and its block's zero padding, so every result is
+    bit-identical to the set's own select_order_proposed.  A set's
+    PdmOrderError takes its slot in the returned list, and the other sets'
+    results do not depend on it.
+    """
     if t_max is not None and t_max < 1:
         raise ValueError("t_max must be at least 1")
-    split = split_data(shape_set, seed=split_seed)
-    model = fit_pdm(split.x1)
-    # At least one order: the split leaves M1 >= 2 and a fit keeps a mode.
-    t_hi = min(model.order, split.m1 - 1)
-    if t_max is not None:
-        t_hi = min(t_hi, t_max)
-    sigma_floor = SIGMA_FLOOR_REL * float(np.sum(model.lambdas)) / model.n_coords
+    results: list[OrderSelectionResult | PdmOrderError | None] = [None] * len(shape_sets)
+    splits: dict[int, tuple[SplitData, PdmModel, float]] = {}
+    groups: dict[tuple[int, int, tuple[int, int]], list[int]] = {}
+    for index, shape_set in enumerate(shape_sets):
+        try:
+            split = split_data(shape_set, seed=split_seed)
+            model = fit_pdm(split.x1)
+        except PdmOrderError as exc:
+            results[index] = exc
+            continue
+        floor = SIGMA_FLOOR_REL * float(np.sum(model.lambdas)) / model.n_coords
+        splits[index] = split, model, floor
+        # At least one order: the split leaves M1 >= 2 and a fit keeps a mode.
+        t_hi = min(model.order, split.m1 - 1)
+        if t_max is not None:
+            t_hi = min(t_hi, t_max)
+        for lo in range(1, t_hi + 1, ORDER_BLOCK):
+            key = lo, min(lo + ORDER_BLOCK - 1, t_hi), split.y.shape
+            groups.setdefault(key, []).append(index)
 
-    fits: dict[int, RegressionFit] = {}
-    diagnostics: dict[int, list[str]] = {}
-    fit_args = dict(tol=tol, max_iter=max_iter, sigma_floor=sigma_floor)
-    for lo in range(1, t_hi + 1, ORDER_BLOCK):
-        orders = range(lo, min(lo + ORDER_BLOCK - 1, t_hi) + 1)
-        block = _fit_orders(split.y, truncate(model, orders[-1]), orders, **fit_args)
-        for order, fit in zip(orders, block):
-            if isinstance(fit, SingularSystem):
-                diagnostics[order] = [f"fit failed: {fit}"]
-            else:
-                fits[order] = fit
+    fits: dict[int, dict[int, RegressionFit | SingularSystem]] = {i: {} for i in splits}
+    for (lo, top, _), members in groups.items():
+        orders = np.arange(lo, top + 1)
+        live = np.arange(top) < orders[:, None]
+        halves, models, floors = zip(*(splits[i] for i in members))
+        bases = np.stack([model.basis[:, :top] for model in models])
+        block = _fit_orders(
+            np.repeat(np.stack([split.y for split in halves]), orders.size, axis=0),
+            (bases[:, None] * live[:, None, :]).reshape(-1, *bases.shape[1:]),
+            np.tile(orders, len(members)),
+            np.repeat(np.stack([model.lambdas[:top] for model in models]), orders.size, axis=0),
+            np.repeat(floors, orders.size),
+            tol,
+            max_iter,
+        )
+        for row, fit in enumerate(block):
+            fits[members[row // orders.size]][int(orders[row % orders.size])] = fit
 
-    if not fits:
-        raise ZeroVariance("every candidate order failed to fit")
-
-    scores: dict[int, float] = {}
-    for order, fit in fits.items():
-        scores[order] = aic_score(fit, order)
-        if split.m2 <= order:
-            diagnostics.setdefault(order, []).append("underdetermined: M2 <= order")
-        if not fit.converged:
-            diagnostics.setdefault(order, []).append("sweep budget exhausted")
-
-    return OrderSelectionResult(
-        t_star=min(scores, key=lambda t: (scores[t], t)),
-        scores=scores,
-        diagnostics={k: tuple(v) for k, v in diagnostics.items()},
-        per_order_fits=fits,
-    )
+    for index, (split, _, _) in splits.items():
+        done = dict(sorted(fits[index].items()))
+        diagnostics = {
+            t: [f"fit failed: {fit}"] for t, fit in done.items() if isinstance(fit, SingularSystem)
+        }
+        good = {t: fit for t, fit in done.items() if t not in diagnostics}
+        if not good:
+            results[index] = ZeroVariance("every candidate order failed to fit")
+            continue
+        scores = {order: aic_score(fit, order) for order, fit in good.items()}
+        for order, fit in good.items():
+            if split.m2 <= order:
+                diagnostics.setdefault(order, []).append("underdetermined: M2 <= order")
+            if not fit.converged:
+                diagnostics.setdefault(order, []).append("sweep budget exhausted")
+        results[index] = OrderSelectionResult(
+            t_star=min(scores, key=lambda t: (scores[t], t)),
+            scores=scores,
+            diagnostics={k: tuple(v) for k, v in diagnostics.items()},
+            per_order_fits=good,
+        )
+    return results
 
 
 def select_order_variance(shape_set: ShapeSet, fraction: float = 0.95) -> int:

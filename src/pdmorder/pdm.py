@@ -54,7 +54,7 @@ class PdmModel:
 
     Every mode carries variance: a direction with a zero eigenvalue is not
     part of a model.  The checks cost O(N * order): the basis is trusted to
-    be orthonormal (load_pdm checks a stored one).
+    be orthonormal (save_pdm and load_pdm check a stored one).
 
     Attributes:
         mean: (N,) mean shape coordinates, N even and at least 4.
@@ -218,7 +218,7 @@ def project_constrained(pdm: PdmModel, Y: np.ndarray, sigma_diag: np.ndarray) ->
     if np.any(sigma <= 0):
         raise ValueError("sigma_diag entries must be strictly positive")
     stacked, failed = _project_stacked(
-        pdm.basis[None], pdm.lambdas, Y, sigma[None], np.zeros((1, pdm.order))
+        pdm.basis[None], pdm.lambdas[None], Y[None], sigma[None], np.zeros((1, pdm.order))
     )
     if failed:
         raise failed[0]
@@ -243,17 +243,19 @@ def _project_stacked(
     sigma: np.ndarray,
     pad: np.ndarray,
 ) -> tuple[np.ndarray, dict[int, SingularSystem]]:
-    """project_constrained for a stack of K models sharing the data Y.
+    """project_constrained for a stack of K models, each with its own data.
 
     One probe tests the whole stack; only when it fails is each model probed
-    on its own, and each failing model gets zero coefficients.
+    on its own, and each failing model gets zero coefficients.  Each model's
+    coefficients depend on its own row of every argument alone.
 
     Args:
         basis: (K, N, T) mode columns; a model with fewer than T modes has
             zero columns after its own.
-        lambdas: (T,) box widths shared by every model.  Any width will do
+        lambdas: (K, T) box widths, one row per model.  Any width will do
             at a padded mode: clipping keeps its zero coefficient zero.
-        Y: (N, M) data shared by every model.
+        Y: (K, N, M) data, one row per model (a broadcast view when the
+            models share it).
         sigma: (K, N) noise variances, one row per model.
         pad: (K, T) 1.0 at every padded mode and 0.0 elsewhere.  It is added
             to the diagonal of the weighted normal matrix, which makes that
@@ -276,7 +278,7 @@ def _project_stacked(
         gram[rows] = np.eye(gram.shape[-1])
         weighted[rows] = 0.0
     B = np.linalg.solve(gram, np.matmul(weighted.transpose(0, 2, 1), Y))
-    limits = np.sqrt(lambdas)[:, None]
+    limits = np.sqrt(lambdas)[:, :, None]
     return np.clip(B, -limits, limits), failed
 
 
@@ -295,9 +297,14 @@ def save_pdm(model: PdmModel, path: str | Path, order: int | None = None) -> Non
 
     Raises:
         OrderOutOfRange: order is outside 1..model.order; nothing is written.
+        ValueError: the stored basis P is not orthonormal (an entry of
+            |P^T P - I| above ORTHONORMAL_TOL), so load_pdm would refuse the
+            file; nothing is written.
     """
     if order is not None:
         model = truncate(model, order)
+    if why := _not_orthonormal(model.basis):
+        raise ValueError(f"the basis is not orthonormal ({why})")
     lines = [f"{model.n_coords},{model.order},{model.n_train}"]
     lines.append(",".join(_fmt(v) for v in model.mean))
     lines.append(",".join(_fmt(v) for v in model.lambdas))
@@ -345,10 +352,14 @@ def load_pdm(path: str | Path) -> PdmModel:
         model = PdmModel(mean=mean, basis=basis, lambdas=lambdas, n_train=n_train)
     except (ValueError, DataError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    gram_error = float(np.max(np.abs(basis.T @ basis - np.eye(t))))
-    if not gram_error <= ORTHONORMAL_TOL:
-        raise ParseError(
-            f"{path}: eigenvector rows are not orthonormal"
-            f" (max |P^T P - I| = {gram_error:.3g} > {ORTHONORMAL_TOL:g})"
-        )
+    if why := _not_orthonormal(basis):
+        raise ParseError(f"{path}: eigenvector rows are not orthonormal ({why})")
     return model
+
+
+def _not_orthonormal(basis: np.ndarray) -> str | None:
+    """Why a (N, t) basis P fails max |P^T P - I| <= ORTHONORMAL_TOL, or None."""
+    gram_error = float(np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))))
+    if gram_error <= ORTHONORMAL_TOL:
+        return None
+    return f"max |P^T P - I| = {gram_error:.3g} > {ORTHONORMAL_TOL:g}"

@@ -27,6 +27,7 @@ from pdmorder import (
     select_order_proposed,
     select_order_variance,
 )
+from pdmorder import evaluation
 from pdmorder.cli import build_parser, main, write_shapes_csv
 from pdmorder.errors import SingularSystem
 from pdmorder.pdm import load_pdm, save_pdm
@@ -166,6 +167,7 @@ class TestManifest:
         second = json.loads((tmp_path / "mc.csv.manifest.json").read_text())
         assert second["config_hash"] == first_hash
         assert second["rng_seed"] == 3
+        assert second["stats"] == {"failures": 0, "failure_classes": {}}
         assert out.read_bytes() == first_data
         assert (tmp_path / "mc_hist.csv").read_bytes() == first_hist
 
@@ -436,18 +438,24 @@ class TestArtifacts:
         self, small_csv: Path, tmp_path: Path, capsys: pytest.CaptureFixture, command: str
     ) -> None:
         # Sample count 3 fails in every trial (its training half holds one
-        # shape), so the failure tally on stderr must match as well.
+        # shape), so the failure tally on stderr and in the manifest must
+        # match as well.  15 trials make jobs of 12 + 3 trials at count 10
+        # and of 10 + 5 at count 12, which the workers share.
+        assert evaluation.TRIAL_STACK_SHAPES // 12 == 10
         runs = []
         for threads in (1, 2, 4):
             out = tmp_path / f"t{threads}.csv"
             argv = command.format(csv=small_csv).split() + [
-                "--samples", "3,10,12", "--trials", "3", "--seed", "5",
+                "--samples", "3,10,12", "--trials", "15", "--seed", "5",
                 "--threads", str(threads), "--out", str(out),
             ]
             assert main(argv) == 0
             hist = out.with_name(out.stem + "_hist.csv")
-            runs.append((out.read_bytes(), hist.read_bytes(), capsys.readouterr().err))
-        assert "failures=3" in runs[0][2].splitlines()
+            stats = json.loads(Path(f"{out}.manifest.json").read_text())["stats"]
+            runs.append((out.read_bytes(), hist.read_bytes(), capsys.readouterr().err, stats))
+        assert "failures=15" in runs[0][2].splitlines()
+        assert "failure_classes=TooFewSamples:15" in runs[0][2].splitlines()
+        assert runs[0][3] == {"failures": 15, "failure_classes": {"TooFewSamples": 15}}
         assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("model, order", [("full", "3"), ("order2", "2")])

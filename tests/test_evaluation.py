@@ -34,8 +34,9 @@ from pdmorder import (
     truncate,
 )
 from pdmorder import evaluation
-from pdmorder.errors import SingularSystem, TooFewSamples
+from pdmorder.errors import DegenerateShape, SingularSystem, TooFewSamples, ZeroVariance
 from pdmorder.evaluation import CellStats, TrialSummary, _predict_landmarks
+from pdmorder.order_select import _select_many
 from pdmorder.pdm import RANK_REL_TOL, PdmModel, _modes
 
 RIDGE_REL = 1e-10
@@ -176,13 +177,29 @@ class TestTrialSummary:
 
     def test_failures_relax_the_total_check(self) -> None:
         cell = CellStats.from_picks([4])
-        summary = TrialSummary(cells={("proposed", 10): cell}, trials=2, failures=1)
+        summary = TrialSummary(
+            cells={("proposed", 10): cell}, trials=2, failures=1,
+            failure_classes={"ZeroVariance": 1},
+        )
         assert summary.failures == 1
 
     def test_failures_must_match_missing_picks(self) -> None:
         cell = CellStats.from_picks([4])
-        with pytest.raises(ValueError):
-            TrialSummary(cells={("proposed", 10): cell}, trials=2, failures=5)
+        with pytest.raises(ValueError, match="missing picks"):
+            TrialSummary(
+                cells={("proposed", 10): cell}, trials=2, failures=5,
+                failure_classes={"ZeroVariance": 5},
+            )
+
+    def test_failure_classes_must_sum_to_failures(self) -> None:
+        cell = CellStats.from_picks([4])
+        with pytest.raises(ValueError, match="failure classes"):
+            TrialSummary(cells={("proposed", 10): cell}, trials=2, failures=1)
+        with pytest.raises(ValueError, match="failure classes"):
+            TrialSummary(
+                cells={("proposed", 10): cell}, trials=2, failures=1,
+                failure_classes={"ZeroVariance": 1, "TooFewSamples": 1},
+            )
 
     def test_failures_count_across_cells(self) -> None:
         cells = {
@@ -191,10 +208,11 @@ class TestTrialSummary:
             ("variance", 10): CellStats.from_picks([3, 3]),
             ("variance", 20): CellStats.from_picks([6]),
         }
-        assert TrialSummary(cells=cells, trials=2, failures=1).failures == 1
+        classes = {"TooFewSamples": 1}
+        assert TrialSummary(cells=cells, trials=2, failures=1, failure_classes=classes).failures == 1
         cells[("variance", 20)] = CellStats.from_picks([6, 6])
-        with pytest.raises(ValueError):
-            TrialSummary(cells=cells, trials=2, failures=1)
+        with pytest.raises(ValueError, match="missing picks"):
+            TrialSummary(cells=cells, trials=2, failures=1, failure_classes=classes)
 
 
 class TestMonteCarloArguments:
@@ -373,10 +391,68 @@ class TestWorkerPool:
         serial = monte_carlo_order(**cfg, threads=1)
         pooled = monte_carlo_order(**cfg, threads=2)
         assert multiprocessing.active_children() == []
-        # Count 3 fails in every trial: the failures come back from the workers too.
+        # Count 3 fails in every trial: the failures come back from the workers too,
+        # with their class.
         assert serial.failures == pooled.failures == 2
+        assert serial.failure_classes == pooled.failure_classes == {"TooFewSamples": 2}
         for key, cell in serial.cells.items():
             assert pooled.cells[key].hist == cell.hist
+
+
+class TestTrialChunks:
+    """A job holds several trials of one count; each trial fails on its own."""
+
+    CFG = dict(beta_db=10.0, sample_counts=(10, 16), trials=6, rng_seed=408)
+
+    def _flaky_draw(self, monkeypatch, count: int, trial: int, error: Exception) -> None:
+        bad = evaluation._trial_seed(self.CFG["rng_seed"], count, trial)
+        draw = evaluation.sample_shapes
+
+        def flaky(model, n, beta_db, seed, **kwargs):
+            if seed == bad:
+                raise error
+            return draw(model, n, beta_db, seed, **kwargs)
+
+        monkeypatch.setattr(evaluation, "sample_shapes", flaky)
+
+    def test_chunks_hold_several_trials(self) -> None:
+        assert evaluation.TRIAL_STACK_SHAPES // 16 >= self.CFG["trials"]
+        assert evaluation.TRIAL_STACK_SHAPES // 100 <= 1
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_failed_draw_fails_its_trial_alone(self, monkeypatch, threads) -> None:
+        # Trial 2 of count 10 cannot be drawn.  It alone fails, under its
+        # class, and the other trials of its job pick what they pick with one
+        # trial per job.
+        self._flaky_draw(monkeypatch, 10, 2, DegenerateShape("shape 0 has no spatial extent"))
+        chunked = monte_carlo_order(_seed_model(), **self.CFG, threads=threads)
+        monkeypatch.setattr(evaluation, "TRIAL_STACK_SHAPES", 1)
+        alone = monte_carlo_order(_seed_model(), **self.CFG)
+        assert chunked.failures == alone.failures == 1
+        assert chunked.failure_classes == alone.failure_classes == {"DegenerateShape": 1}
+        assert sum(chunked.cells[("proposed", 10)].hist.values()) == 5
+        for key, cell in alone.cells.items():
+            assert chunked.cells[key].hist == cell.hist
+
+    def test_a_failed_selection_fails_its_trial_alone(self, monkeypatch) -> None:
+        # The variance rule refuses one set of a job: its trial fails under
+        # that class, and the proposed picks of the others stay as they are.
+        clean = monte_carlo_order(_seed_model(), **self.CFG)
+        calls = []
+
+        def picky(shape_set, fraction):
+            calls.append(shape_set)
+            if len(calls) == 4:
+                raise ZeroVariance("the shapes carry no variance")
+            return select_order_variance(shape_set, fraction=fraction)
+
+        monkeypatch.setattr(evaluation, "select_order_variance", picky)
+        summary = monte_carlo_order(_seed_model(), **self.CFG)
+        assert summary.failure_classes == {"ZeroVariance": 1}
+        proposed = summary.cells[("proposed", 10)].hist
+        assert sum(proposed.values()) == 5
+        assert all(proposed.get(t, 0) <= n for t, n in clean.cells[("proposed", 10)].hist.items())
+        assert summary.cells[("proposed", 16)].hist == clean.cells[("proposed", 16)].hist
 
 
 @pytest.fixture(scope="module")
@@ -402,11 +478,11 @@ class TestOrderSweep:
         # is counted `trials` times, and a count that fails fails every trial.
         calls = []
 
-        def counting(shape_set, **kwargs):
-            calls.append(shape_set.n_shapes)
-            return select_order_proposed(shape_set, **kwargs)
+        def counting(shape_sets, **kwargs):
+            calls.extend(shape_set.n_shapes for shape_set in shape_sets)
+            return _select_many(shape_sets, **kwargs)
 
-        monkeypatch.setattr(evaluation, "select_order_proposed", counting)
+        monkeypatch.setattr(evaluation, "_select_many", counting)
         summary = order_sweep(
             base_set, sample_counts=(3, 12, 18), trials=4, rng_seed=7, mode="prefix",
             methods=("proposed",),

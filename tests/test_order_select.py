@@ -230,13 +230,21 @@ class TestFitOrdersKernelExit:
         basis = self.HADAMARD[:, [1, 2, 3, 4, fifth_mode, 6]]
         return PdmModel(mean=np.zeros(16), basis=basis, lambdas=self.LAMBDAS, n_train=0)
 
+    def _fit_orders(self, Y: np.ndarray, fifth_mode: int) -> list:
+        """The kernel on one stacked row per order 1..6 of the block."""
+        model = self._block(fifth_mode)
+        orders = np.arange(1, 7)
+        live = np.arange(6) < orders[:, None]
+        return order_select._fit_orders(
+            np.broadcast_to(Y, (6, *Y.shape)), model.basis * live[:, None, :], orders,
+            np.broadcast_to(self.LAMBDAS, live.shape), np.full(6, 1e-12), 1e-8, 100,
+        )
+
     def test_only_orders_holding_both_copies_fail(self):
         Y = np.random.default_rng(19).normal(0.0, 0.5, (16, 10))
-        args = (1e-8, 100, 1e-12)
-        orders = range(1, 7)
-        clean = order_select._fit_orders(Y, self._block(5), orders, *args)
+        clean = self._fit_orders(Y, 5)
         # The fifth mode repeats the third, so orders 5 and 6 hold both copies.
-        broken = order_select._fit_orders(Y, self._block(3), orders, *args)
+        broken = self._fit_orders(Y, 3)
         assert all(isinstance(fit, RegressionFit) for fit in clean)
         for fit in broken[4:]:
             assert isinstance(fit, SingularSystem)
@@ -448,6 +456,94 @@ class TestSelectOrderProposed:
         seed = make_seed_pdm_procedural(40, 10, "geometric:0.7", rng_seed=11)
         ss = sample_shapes(seed, 20, 5.0, 5003)
         assert select_order_proposed(ss).t_star == 7
+
+
+def _same_result(got, alone) -> None:
+    """Bit-for-bit equality of two selections (or the same error)."""
+    if isinstance(alone, Exception):
+        assert type(got) is type(alone) and str(got) == str(alone)
+        return
+    assert got.t_star == alone.t_star
+    assert got.scores == alone.scores
+    assert got.diagnostics == alone.diagnostics
+    assert got.per_order_fits.keys() == alone.per_order_fits.keys()
+    for order, fit in got.per_order_fits.items():
+        other = alone.per_order_fits[order]
+        assert (fit.iterations, fit.converged) == (other.iterations, other.converged)
+        assert fit.objective_trace == other.objective_trace
+        for name in ("coeffs", "sigma_diag", "residuals"):
+            np.testing.assert_array_equal(getattr(fit, name), getattr(other, name))
+
+
+def _alone(shape_set: ShapeSet, **kwargs):
+    try:
+        return select_order_proposed(shape_set, **kwargs)
+    except (TooFewSamples, ZeroVariance) as exc:
+        return exc
+
+
+class TestSelectMany:
+    """_select_many stacks the blocks of many sets; each set's result must be
+    the one select_order_proposed gives it alone, bit for bit."""
+
+    SEED = make_seed_pdm_procedural(12, 4, "geometric:0.7", rng_seed=51)
+
+    def _set(self, kind: str, count: int, seed: int) -> ShapeSet:
+        if kind == "too-small":  # three shapes cannot be split
+            return sample_shapes(self.SEED, 3, 10.0, seed)
+        shapes = sample_shapes(self.SEED, count, 10.0, seed)
+        if kind == "flat-training-half":  # the first half trains and has no variance
+            mat = shapes.as_matrix().copy()
+            mat[:, : (count + 1) // 2] = mat[:, :1]
+            return ShapeSet.from_matrix(mat, aligned=True)
+        return shapes
+
+    @given(
+        specs=st.lists(
+            st.tuples(
+                st.sampled_from(["sampled"] * 4 + ["too-small", "flat-training-half"]),
+                st.integers(4, 34),
+                st.integers(0, 2**32 - 1),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        t_max=st.sampled_from([None, 3, 9]),
+        split_seed=st.sampled_from([None, 5]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_set_matches_its_own_selection(self, specs, t_max, split_seed):
+        # Mixed sizes give rows of different t_hi and different (lo, top)
+        # blocks; a failing set keeps its own error and changes no neighbour.
+        sets = [self._set(*spec) for spec in specs]
+        results = order_select._select_many(sets, t_max=t_max, split_seed=split_seed)
+        assert len(results) == len(sets)
+        for got, shape_set in zip(results, sets):
+            _same_result(got, _alone(shape_set, t_max=t_max, split_seed=split_seed))
+
+    def test_errors_stay_in_their_slots(self):
+        sets = [
+            self._set("sampled", 30, 1), self._set("too-small", 3, 2),
+            self._set("flat-training-half", 12, 3), self._set("sampled", 9, 4),
+        ]
+        results = order_select._select_many(sets)
+        assert isinstance(results[1], TooFewSamples)
+        assert isinstance(results[2], ZeroVariance)
+        for i in (0, 3):
+            _same_result(results[i], select_order_proposed(sets[i]))
+
+    @pytest.mark.parametrize("failing_order", [1, 5, 9])
+    def test_singular_order_is_noted_in_every_set_alone(self, monkeypatch, failing_order):
+        sets = [self._set("sampled", count, count) for count in (34, 20, 12, 7)]
+        monkeypatch.setattr(
+            order_select, "_project_stacked", _singular_projection_at(failing_order)
+        )
+        results = order_select._select_many(sets)
+        for got, shape_set in zip(results, sets):
+            _same_result(got, _alone(shape_set))
+            noted = {t for t, notes in got.diagnostics.items() if "fit failed" in notes[0]}
+            t_hi = max(got.scores | {t: 0.0 for t in noted})
+            assert noted == ({failing_order} if failing_order <= t_hi else set())
 
 
 class TestSelectOrderVariance:

@@ -635,6 +635,46 @@ class TestSerialization:
         save_pdm(back, folder / "b.pdm")
         assert (folder / "b.pdm").read_bytes() == (folder / "a.pdm").read_bytes()
 
+    def test_save_refuses_a_basis_that_is_not_orthonormal(self, tmp_path):
+        # PdmModel trusts its basis; save_pdm checks it before opening the file.
+        model = PdmModel(np.zeros(8), 2 * np.eye(8)[:, :2], np.array([2.0, 1.0]), 5)
+        with pytest.raises(ValueError, match=r"not orthonormal \(max \|P\^T P - I\| = 3 > 1e-08\)"):
+            save_pdm(model, tmp_path / "m.pdm")
+        assert not (tmp_path / "m.pdm").exists()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 8),
+        tilt=st.sampled_from([0.0, 1e-12, 1e-9, 4e-9, 1e-8, 3e-8, 1e-6, 1e-2, 1.0]),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_whatever_save_writes_load_reads(self, tmp_path_factory, seed, k, tilt, data):
+        # A basis near orthonormal, off by up to tilt: save_pdm either refuses
+        # it and writes nothing, or writes a file that load_pdm reads back to
+        # the same model and that a second save reproduces byte for byte.
+        rng = np.random.default_rng(seed)
+        t = data.draw(st.integers(1, 2 * k), label="t")
+        q, _ = np.linalg.qr(rng.standard_normal((2 * k, t)))
+        basis = q + tilt * rng.uniform(-1.0, 1.0, q.shape)
+        lambdas = np.sort(rng.uniform(0.1, 10.0, t))[::-1]
+        model = PdmModel(rng.standard_normal(2 * k), basis, lambdas, int(rng.integers(0, 50)))
+        order = data.draw(st.integers(1, t), label="order")
+        folder = tmp_path_factory.mktemp("property")
+        try:
+            save_pdm(model, folder / "a.pdm", order=order)
+        except ValueError:
+            assert not (folder / "a.pdm").exists()
+            assert np.max(np.abs(basis[:, :order].T @ basis[:, :order] - np.eye(order))) > 1e-8
+            return
+        back = load_pdm(folder / "a.pdm")
+        np.testing.assert_array_equal(back.basis, model.basis[:, :order])
+        np.testing.assert_array_equal(back.lambdas, model.lambdas[:order])
+        np.testing.assert_array_equal(back.mean, model.mean)
+        assert back.n_train == model.n_train
+        save_pdm(back, folder / "b.pdm")
+        assert (folder / "b.pdm").read_bytes() == (folder / "a.pdm").read_bytes()
+
     def test_truncated_rejects_foreign_order(self, tmp_path):
         # A truncated model stores fewer of its modes, never more.
         trunc = truncate(self._nasty_model(), 3)
