@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error (an unreadable input or
 an output that cannot be written), 3 numerical failure.  Each command returns
-its artifact's path (montecarlo and sweep with their run's stats), and main
+its artifact's path (montecarlo, sweep and select --method proposed with
+their run's stats: failures and sweeps, or each order's sweeps), and main
 then writes the sibling manifest <artifact>.manifest.json after the
 command's last file, recording the command, its canonicalized flags, a hash
 of them, the tool version and any stats, so a run can be reproduced or
@@ -30,7 +31,9 @@ from .evaluation import TrialSummary, lmmse_curve, monte_carlo_order, order_swee
 from .order_select import select_order_proposed, select_order_variance
 from .pdm import PdmModel, _fmt, fit_pdm, load_pdm, save_pdm, truncate
 from .shapes import ShapeSet, generalized_procrustes, load_shape_set, mean_shape
-from .simgen import make_seed_pdm_procedural, noise_variance, parse_spectrum, sample_shapes
+from .simgen import (
+    _check_pose, make_seed_pdm_procedural, noise_variance, parse_spectrum, sample_shapes,
+)
 
 
 class UsageError(Exception):
@@ -267,7 +270,7 @@ def cmd_fit(args: argparse.Namespace) -> Path:
     return out
 
 
-def cmd_select(args: argparse.Namespace) -> Path | None:
+def cmd_select(args: argparse.Namespace) -> tuple[Path | None, dict | None]:
     for method, defaults in SELECT_FLAGS.items():
         for dest, default in defaults.items():
             if method != args.method and getattr(args, dest) is not None:
@@ -277,6 +280,7 @@ def cmd_select(args: argparse.Namespace) -> Path | None:
                 setattr(args, dest, default)
     shape_set = _load_input(args)
     out = None if args.out is None else Path(args.out)
+    stats = None
     if args.method == "proposed":
         result = select_order_proposed(
             shape_set,
@@ -290,13 +294,22 @@ def cmd_select(args: argparse.Namespace) -> Path | None:
             print(f"note: t={order}: {'; '.join(notes)}", file=sys.stderr)
         if out is not None:
             write_scores_csv(out, result)
+        orders = {
+            str(t): {"iterations": fit.iterations, "converged": fit.converged}
+            for t, fit in result.per_order_fits.items()
+        }
+        stats = {"sweeps": result.sweeps, "orders": orders}
     else:
         t_star = select_order_variance(shape_set, fraction=args.fraction)
     print(f"t_star={t_star}")
-    return out
+    return out, stats
 
 
 def cmd_simulate(args: argparse.Namespace) -> Path:
+    try:
+        _check_pose(args.rot_range, args.log_scale_range, args.translation_range)
+    except ValueError as exc:
+        raise UsageError(f"simulate: pose flags: {exc}") from exc
     model = _seed_pdm_for(args)
     shape_set = sample_shapes(
         model, args.samples, args.beta_db, args.seed, b_dist=args.b_dist,
@@ -362,7 +375,11 @@ def _write_trials(summary: TrialSummary, args: argparse.Namespace) -> tuple[Path
         print(f"failures={summary.failures}", file=sys.stderr)
         classes = ",".join(f"{name}:{n}" for name, n in summary.failure_classes.items())
         print(f"failure_classes={classes}", file=sys.stderr)
-    return out, {"failures": summary.failures, "failure_classes": summary.failure_classes}
+    return out, {
+        "failures": summary.failures,
+        "failure_classes": summary.failure_classes,
+        "sweeps": summary.sweeps,
+    }
 
 
 def cmd_lmmse(args: argparse.Namespace) -> Path:

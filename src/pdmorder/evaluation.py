@@ -52,12 +52,15 @@ class TrialSummary:
     failures counts trials that aborted with a propagated error; their
     picks are missing from the histograms.  failure_classes counts them by
     the error's class name, e.g. {"TooFewSamples": 3}, and sums to failures.
+    sweeps counts the alternation sweeps of the proposed selector's scored
+    fits (OrderSelectionResult.sweeps), summed over the selections run.
     """
 
     cells: dict[tuple[str, int], CellStats]
     trials: int
     failures: int = 0
     failure_classes: dict[str, int] = field(default_factory=dict)
+    sweeps: int = 0
 
     def __post_init__(self) -> None:
         if sum(self.failure_classes.values()) != self.failures:
@@ -90,25 +93,29 @@ def _trial_seed(master: int, count: int, trial: int) -> int:
     return int(np.random.SeedSequence((master, count, trial)).generate_state(1, np.uint64)[0])
 
 
-# A job of _tabulate holds max(1, TRIAL_STACK_SHAPES // count) trials of one
-# sample count, whose selections share the kernel's stacks (_select_many).
-# The stack spreads numpy's per-call overhead, which dominates at M <= 40;
-# at M >= 100 a job keeps one trial, since those sweeps are compute-bound
-# and wider stacks leave the cache.  The `sweep` workload's 270 selections
-# (one 400-shape set, M = 10/20/40, 90 trials each), one process, one BLAS
-# thread, 2-core host: in-process time, medians of 8 alternating rounds in
-# each of two runs, and the command's peak RSS (39.6 MB when each set was
-# selected on its own):
-#   shapes  trials per job   time (s)      peak RSS (MB)
-#   1       1/1/1            2.96  2.86    39.7
-#   40      4/2/1            2.48  2.61    39.7
-#   80      8/4/2            2.06  1.94    40.4
-#   120     12/6/3           1.90  1.71    41.5
-#   160     16/8/4           1.85  1.68    42.4
-#   240     24/12/6          1.89  1.49    44.7
-# Past 120 the memory of the stacks and of the kept fits grows faster
-# than the time falls.
-TRIAL_STACK_SHAPES = 120
+# A job of _tabulate holds max(1, min(TRIAL_STACK_SHAPES // count,
+# ceil(trials / workers))) trials of one sample count (_jobs), whose
+# selections stream the rows of each block of orders through one stack of
+# order_select.STACK_ROWS rows (_select_many).  A larger job gives the stream
+# a longer pool, so its stack stays full for longer and the tail of a pool,
+# where the stack empties, is paid less often; a job's memory is its sets
+# and one stack.  The `sweep` workload (one 400-shape set, M = 10/20/40, 90
+# trials each, one process, one BLAS thread, 2-core host): the CPU time of
+# its 270 proposed selections, the minimum of 10 alternating in-process
+# rounds (medians read 0.1-0.4 s higher on the shared host), and the peak
+# RSS of the whole command (42.8 MB when each job's stacks held the orders
+# of one block of at most 120 shapes' worth of sets, kept every fit and
+# shrank as rows converged):
+#   shapes  rows  trials per job  CPU (s)   peak RSS (MB)
+#   400     32    40/20/10        0.723     43.2
+#   800     32    80/40/20        0.702     44.2
+#   1200    32    90/60/30        0.714     44.9
+#   800     16    80/40/20        0.884     42.6     (a second series)
+#   800     24    80/40/20        0.802     43.4
+#   800     32    80/40/20        0.777     44.2
+#   800     48    80/40/20        0.761     45.6
+# The time levels off from 800 shapes while the memory keeps rising.
+TRIAL_STACK_SHAPES = 800
 
 
 def _tabulate(
@@ -124,15 +131,17 @@ def _tabulate(
 
     draw derives its randomness from (count, trial) alone, so the result does
     not depend on job order or on the number of worker processes.  A job is
-    a chunk of consecutive trials of one count, whose proposed selections
-    share stacks (TRIAL_STACK_SHAPES).  A PdmOrderError in a trial's draw or
-    one of its methods fails that trial alone, drops each method's pick of
-    it and counts under its class name; sample counts below 2 are rejected
-    up front, so every counted failure comes from the data.  Any other error
-    propagates.
+    a chunk of consecutive trials of one count (_jobs), whose proposed
+    selections share the streams of their blocks (_select_many) and keep no
+    fits, and it returns its picks with the sweeps of its proposed fits.  A
+    PdmOrderError in a trial's draw or one of its methods fails that trial
+    alone, drops each method's pick of it and counts under its class name;
+    sample counts below 2 are rejected up front, so every counted failure
+    comes from the data.  Any other error propagates.
 
     With threads above 1 the jobs run in min(threads, jobs, usable CPUs)
-    forked worker processes, which needs Linux.  The fork hands each worker
+    forked worker processes, which needs Linux; the jobs are cut for
+    min(threads, usable CPUs) workers.  The fork hands each worker
     the job function with draw and its data, so only a chunk (count, first
     trial, trials) and its outcomes cross the pipe; the largest sample
     counts go first, so the slowest jobs do not finish last.  Each worker
@@ -142,15 +151,18 @@ def _tabulate(
         raise TooFewSamples(f"sample count {min(sample_counts)} is below 2 shapes")
     counts = tuple(dict.fromkeys(sample_counts))
 
-    def _chunk(job: tuple[int, int, int]) -> list[dict[str, int] | str]:
-        """Each trial's picks, or the class name of the PdmOrderError that failed it."""
+    def _chunk(job: tuple[int, int, int]) -> tuple[list[dict[str, int] | str], int]:
+        """Each trial's picks, or the class name of the PdmOrderError that failed
+        it, and the sweeps of the job's proposed fits."""
         count, first, size = job
         sets = [_or_error(draw, count, trial) for trial in range(first, first + size)]
         outcomes = [{} if isinstance(s, ShapeSet) else s for s in sets]
+        sweeps = 0
         for method in methods:
             live = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, dict)]
             if method == "proposed":
-                picks = _select_many([sets[i] for i in live], t_max=t_max)
+                picks = _select_many([sets[i] for i in live], t_max=t_max, keep_fits=False)
+                sweeps = sum(p.sweeps for p in picks if not isinstance(p, PdmOrderError))
             else:
                 picks = [_or_error(select_order_variance, sets[i], fraction=fraction) for i in live]
             for i, pick in zip(live, picks):
@@ -158,15 +170,12 @@ def _tabulate(
                     outcomes[i] = pick
                 else:
                     outcomes[i][method] = pick if method == "variance" else pick.t_star
-        return [o if isinstance(o, dict) else type(o).__name__ for o in outcomes]
+        return [o if isinstance(o, dict) else type(o).__name__ for o in outcomes], sweeps
 
-    jobs = []
-    for count in counts:
-        per_job = max(1, TRIAL_STACK_SHAPES // count)
-        jobs += [(count, t, min(per_job, trials - t)) for t in range(0, trials, per_job)]
-    workers = min(threads, len(jobs))
-    if workers > 1:  # os.sched_getaffinity is Linux-only; a serial run never asks
-        workers = min(workers, len(os.sched_getaffinity(0)))
+    # os.sched_getaffinity is Linux-only; a serial run never asks.
+    workers = threads if threads <= 1 else min(threads, len(os.sched_getaffinity(0)))
+    jobs = _jobs(counts, trials, workers)
+    workers = min(workers, len(jobs))
     if workers > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -181,7 +190,7 @@ def _tabulate(
     else:
         chunks = [_chunk(job) for job in jobs]
     outcomes = {count: [] for count in counts}
-    for (count, _, _), chunk in zip(jobs, chunks):
+    for (count, _, _), (chunk, _) in zip(jobs, chunks):
         outcomes[count] += chunk
     cells = {
         (method, count): CellStats.from_picks(
@@ -190,8 +199,22 @@ def _tabulate(
         for count in counts
         for method in methods
     }
-    classes = Counter(o for chunk in chunks for o in chunk if isinstance(o, str))
-    return TrialSummary(cells, trials, classes.total(), dict(sorted(classes.items())))
+    classes = Counter(o for chunk, _ in chunks for o in chunk if isinstance(o, str))
+    sweeps = sum(n for _, n in chunks)
+    return TrialSummary(cells, trials, classes.total(), dict(sorted(classes.items())), sweeps)
+
+
+def _jobs(counts: tuple[int, ...], trials: int, workers: int) -> list[tuple[int, int, int]]:
+    """The jobs (count, first trial, trials) of _tabulate, in count order.
+
+    A job holds max(1, min(TRIAL_STACK_SHAPES // count, ceil(trials / workers)))
+    consecutive trials of one count, the last job of a count the rest.
+    """
+    jobs = []
+    for count in counts:
+        per_job = max(1, min(TRIAL_STACK_SHAPES // count, -(-trials // workers)))
+        jobs += [(count, t, min(per_job, trials - t)) for t in range(0, trials, per_job)]
+    return jobs
 
 
 def _or_error(call: Callable, *args, **kwargs):
@@ -203,7 +226,7 @@ def _or_error(call: Callable, *args, **kwargs):
 
 
 # The job function of a forked worker, set once by the pool's initializer.
-_adopted: Callable[[tuple[int, int, int]], list] | None = None
+_adopted: Callable[[tuple[int, int, int]], tuple[list, int]] | None = None
 # OpenBLAS's thread-count setter under the names that numpy's builds export.
 _BLAS_SETTERS = (
     "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
@@ -211,7 +234,7 @@ _BLAS_SETTERS = (
 )
 
 
-def _adopt(one: Callable[[tuple[int, int, int]], list]) -> None:
+def _adopt(one: Callable[[tuple[int, int, int]], tuple[list, int]]) -> None:
     """Keep a worker's job function and pin its BLAS to one thread.
 
     The workers already fill the CPUs, so a BLAS thread pool in each would
@@ -232,7 +255,7 @@ def _adopt(one: Callable[[tuple[int, int, int]], list]) -> None:
         setter(1)
 
 
-def _run_adopted(job: tuple[int, int, int]) -> list:
+def _run_adopted(job: tuple[int, int, int]) -> tuple[list, int]:
     return _adopted(job)
 
 
@@ -328,7 +351,7 @@ def order_sweep(
     }
     classes = {name: trials * n for name, n in once.failure_classes.items()}
     return TrialSummary(cells=cells, trials=trials, failures=trials * once.failures,
-                        failure_classes=classes)
+                        failure_classes=classes, sweeps=once.sweeps)
 
 
 def _predict_landmarks(

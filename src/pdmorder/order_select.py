@@ -12,7 +12,7 @@ white-noise criterion would.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,10 +36,17 @@ SIGMA_FLOOR_REL = 1e-12
 #   block 4:  1.12 / 1.35 s      block 32:        0.91 / 1.40 s
 #   block 8:  1.06 / 1.20 s      all orders (80): 0.93 / 2.30 s
 # Wider blocks help the small sets a little and cost the large ones more.
-# These times are of one selection per set.  The trial harness also stacks
-# the same block of several sets (evaluation.TRIAL_STACK_SHAPES), which
-# spreads the overhead of the small sets further.
+# These times are of one selection per set.  Every row of a block is padded
+# to the block's top order, so the rows of one block of many sets can share
+# a stack (STACK_ROWS; the trial harness selects evaluation.TRIAL_STACK_SHAPES
+# shapes' worth of sets at once), which spreads the overhead further.
 ORDER_BLOCK = 8
+
+# The rows of one block stream through a lockstep stack of at most this many
+# rows (_fit_orders): a row that leaves passes its slot to the next pending
+# row of the block, so the stack stays full until the block's pool drains.
+# Measured in the table at evaluation.TRIAL_STACK_SHAPES.
+STACK_ROWS = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,8 +119,8 @@ class RegressionFit:
 
 
 def _weighted_column_norms(squares: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """(K, M) sums over i of squares[k, i, m] / sigma[k, i], for (K, N, M) squares."""
-    return np.matmul((1.0 / sigma)[:, None, :], squares)[:, 0, :]
+    """(K, M) sums over i of squares[k, m, i] / sigma[k, i], for (K, M, N) squares."""
+    return np.matmul(squares, (1.0 / sigma)[:, :, None])[:, :, 0]
 
 
 def alternating_ml(
@@ -166,10 +173,10 @@ def alternating_ml(
         raise TooFewSamples(f"regression needs at least 2 held-out samples, got {Y.shape[1]}")
     if sigma_floor is None:
         sigma_floor = SIGMA_FLOOR_REL * float(np.mean(Y * Y))
-    fit = _fit_orders(
-        Y[None], pdm.basis[None], [pdm.order], pdm.lambdas[None], np.array([sigma_floor]),
-        tol, max_iter,
-    )[0]
+    _, fit = next(_fit_orders(
+        Y.T[None], pdm.basis[None], pdm.lambdas[None], np.array([sigma_floor]), [(0, pdm.order)],
+        1, tol, max_iter,
+    ))
     if isinstance(fit, SingularSystem):
         raise fit
     return fit
@@ -178,25 +185,32 @@ def alternating_ml(
 def _fit_orders(
     Y: np.ndarray,
     basis: np.ndarray,
-    orders: np.ndarray,
     lambdas: np.ndarray,
     floors: np.ndarray,
+    rows: Sequence[tuple[int, int]],
+    capacity: int,
     tol: float,
     max_iter: int,
-) -> list[RegressionFit | SingularSystem]:
-    """Alternating fits of K stacked rows in lockstep, one per (data set, order).
+) -> Iterator[tuple[int, RegressionFit | SingularSystem]]:
+    """Stream alternating fits through a lockstep stack of `capacity` rows.
 
-    Row k fits the (K, N, M2) data Y[k] with the leading orders[k] columns
-    of the (K, N, T) basis[k], which is zero past them, the (K, T) squared
-    box widths lambdas[k] and the (K,) noise-variance floor floors[k].  The
-    stack spreads numpy's per-call overhead over its rows, which may come
-    from many sets.  Each row keeps its own sweeps, descent guard, objective
-    trace and stopping rule, and depends on its own row of every argument
-    alone.  A row leaves the stack when it converges, runs out of sweeps or
-    its projection fails, and the others sweep on as if it were gone.
+    Row r, rows[r] = (s, t), fits set s's held-out data Y[s], stored
+    coordinates-last as (M2, N), with the leading t columns of the set's
+    (N, T) basis[s], zero past them, its (T,) squared box widths lambdas[s]
+    and its noise-variance floor floors[s].  Rows enter the stack in the
+    order given, each gathered from its set's arrays as it enters.  A row
+    leaves when it converges, runs out of sweeps or its projection fails,
+    and its slot passes to the next pending row; once none is pending, the
+    stack's last row moves into the freed slot, so the stack stays full
+    until its pool drains.  One stack of numpy calls sweeps every row, which
+    spreads numpy's per-call overhead, but each row keeps its own sweep
+    count, descent guard, objective trace and stopping rule, and depends on
+    its own set's arrays and order alone: its fit does not depend on the
+    capacity, the admission order or the other rows.
 
-    Returns:
-        One fit per row, or the SingularSystem of a row whose projection failed.
+    Yields:
+        (r, fit) as row r leaves the stack, or (r, SingularSystem) for a row
+        whose projection failed.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -204,24 +218,52 @@ def _fit_orders(
         raise ValueError("tol must be a number >= 0")
     if np.any(np.isnan(floors)):
         raise ValueError("sigma_floor must not be NaN")
-    floors = np.maximum(floors, 1e-300)[:, None]
-    rows, _, m2 = Y.shape
-    pad = (np.arange(basis.shape[2]) >= np.asarray(orders)[:, None]).astype(float)
-    slots = np.arange(rows)
-
-    sigma = np.ones(basis.shape[:2])
-    coeffs = np.zeros((rows, basis.shape[2], m2))
-    residuals = Y
+    row_set, row_order = np.array(rows, dtype=int).reshape(-1, 2).T
+    _, m2, n = Y.shape
+    top = basis.shape[2]
+    live = min(capacity, len(rows))
+    slots = np.arange(live)
+    # The norms every row starts from: its data's, under unit variances.
+    first_norms = _weighted_column_norms(Y * Y, np.ones(Y.shape[::2]))
+    ones = np.ones(m2)
+    # The state of the stack, one entry per slot: the row it holds, that
+    # row's data, basis, box widths, floor and padding, and its fit so far.
+    held = np.empty(live, dtype=int)
+    data = np.empty((live, m2, n))
+    bases = np.empty((live, n, top))
+    widths = np.empty((live, top))
+    lows = np.empty((live, 1))
+    pad = np.empty((live, top))
+    sigma = np.empty((live, n))
+    coeffs = np.empty((live, top, m2))
+    residuals = np.empty((live, m2, n))
     # The weighted column norms of the current residuals under the current
     # sigma: the descent guard's baseline, which the objective already sums.
-    norms = _weighted_column_norms(residuals * residuals, sigma)
-    # trace[k, s] is row k's objective after sweep s + 1; columns double as needed.
-    trace = np.empty((rows, min(max_iter, 16)))
-    fits: list[RegressionFit | SingularSystem | None] = [None] * rows
-    for sweep in range(1, max_iter + 1):
-        candidate, failed = _project_stacked(basis, lambdas, Y, sigma, pad)
-        cand_residuals = np.matmul(basis, candidate)
-        np.subtract(Y, cand_residuals, out=cand_residuals)
+    norms = np.empty((live, m2))
+    sweeps = np.empty(live, dtype=int)
+    # trace[k, s] is slot k's objective after sweep s + 1; columns double as needed.
+    trace = np.empty((live, min(max_iter, 16)))
+    entering, pending = slots, 0
+    while live:
+        if entering.size:
+            new = np.arange(pending, pending + entering.size)
+            pending += entering.size
+            sets, orders = row_set[new], row_order[new]
+            kept = np.arange(top) < orders[:, None]
+            held[entering] = new
+            data[entering] = residuals[entering] = Y[sets]
+            bases[entering] = basis[sets] * kept[:, None, :]
+            widths[entering] = lambdas[sets]
+            lows[entering, 0] = np.maximum(floors[sets], 1e-300)
+            pad[entering] = ~kept
+            sigma[entering] = 1.0
+            coeffs[entering] = 0.0
+            norms[entering] = first_norms[sets]
+            sweeps[entering] = 0
+
+        candidate, failed = _project_stacked(bases, widths, data.transpose(0, 2, 1), sigma, pad)
+        cand_residuals = np.matmul(candidate.transpose(0, 2, 1), bases.transpose(0, 2, 1))
+        np.subtract(data, cand_residuals, out=cand_residuals)
         # The clamp makes the projection approximate, so a column can come
         # back worse than the one it replaces.  Keeping the better column
         # under the current weights makes every sweep a descent step, which
@@ -230,41 +272,50 @@ def _fit_orders(
         worse = _weighted_column_norms(squares, sigma) > norms
         if np.any(worse):
             np.copyto(candidate, coeffs, where=worse[:, None, :])
-            np.copyto(cand_residuals, residuals, where=worse[:, None, :])
+            np.copyto(cand_residuals, residuals, where=worse[:, :, None])
             np.multiply(cand_residuals, cand_residuals, out=squares)
         coeffs = candidate
         residuals = cand_residuals
-        sigma = np.maximum(np.mean(squares, axis=2), floors)
+        # The mean over the held-out columns as one matrix-vector product per
+        # row runs along the contiguous coordinates: 2-3 times faster than
+        # np.mean over the middle axis.
+        sigma = np.maximum(np.matmul(ones, squares) / m2, lows)
         norms = _weighted_column_norms(squares, sigma)
         del squares  # so that it and the next sweep's are never both alive
         objectives = m2 * np.sum(np.log(sigma), axis=1) + np.sum(norms, axis=1)
 
-        if sweep > trace.shape[1]:
+        sweeps += 1
+        if sweeps.max() > trace.shape[1]:
             trace = np.hstack([trace, np.empty_like(trace)])
-        trace[:, sweep - 1] = objectives
-        prev = trace[:, sweep - 2] if sweep > 1 else np.nan  # NaN never converges
-        converged = np.abs(prev - objectives) <= tol * np.maximum(1.0, np.abs(prev))
-        done = converged | (sweep == max_iter)
+        slots = slots[:live]
+        trace[slots, sweeps - 1] = objectives
+        prev = np.where(sweeps > 1, trace[slots, sweeps - 2], np.nan)  # NaN never converges
+        with np.errstate(over="ignore"):  # a tol near the float range accepts any change
+            converged = np.abs(prev - objectives) <= tol * np.maximum(1.0, np.abs(prev))
+        done = converged | (sweeps == max_iter)
         done[list(failed)] = True
-        for row in np.flatnonzero(done).tolist():
-            slot = int(slots[row])
-            fits[slot] = failed.get(row) or RegressionFit(
-                coeffs=coeffs[row, : orders[slot]].copy(),
-                sigma_diag=sigma[row].copy(),
-                residuals=residuals[row].copy(),
-                iterations=sweep,
-                objective_trace=tuple(trace[row, :sweep].tolist()),
-                converged=bool(converged[row]),
+        leaving = np.flatnonzero(done)
+        for slot in leaving.tolist():
+            count = int(sweeps[slot])
+            yield int(held[slot]), failed.get(slot) or RegressionFit(
+                coeffs=coeffs[slot, : row_order[held[slot]]].copy(),
+                sigma_diag=sigma[slot].copy(),
+                residuals=residuals[slot].T.copy(),
+                iterations=count,
+                objective_trace=tuple(trace[slot, :count].tolist()),
+                converged=bool(converged[slot]),
             )
-        if np.all(done):
-            break
-        if np.any(done):
-            Y, basis, lambdas, floors, pad, slots, sigma, coeffs, residuals, norms, trace = (
-                a[~done]
-                for a in (Y, basis, lambdas, floors, pad, slots, sigma, coeffs, residuals,
-                          norms, trace)
+        entering = leaving[: len(rows) - pending]
+        if entering.size < leaving.size:
+            state = (held, data, bases, widths, lows, pad, sigma, coeffs, residuals, norms,
+                     sweeps, trace)
+            for slot in leaving[entering.size:][::-1].tolist():
+                live -= 1
+                for array in state:
+                    array[slot] = array[live]
+            held, data, bases, widths, lows, pad, sigma, coeffs, residuals, norms, sweeps, trace = (
+                array[:live] for array in state
             )
-    return fits
 
 
 def aic_score(fit: RegressionFit, order: int) -> float:
@@ -274,7 +325,9 @@ def aic_score(fit: RegressionFit, order: int) -> float:
 
     M2, the held-out sample count, is the column count of fit.residuals.
     The additive constant that does not depend on the order is dropped, so
-    only score differences between orders are meaningful.
+    only score differences between orders are meaningful.  The selector
+    takes the data term from the fit's last objective, the same sum up to
+    rounding.
     """
     sigma, residuals = fit.sigma_diag, fit.residuals
     m2 = residuals.shape[1]
@@ -292,12 +345,14 @@ class OrderSelectionResult:
         diagnostics: per-order notes, e.g. underdetermined fits, fit
             failures (failed orders carry no score), sweep exhaustion.
         per_order_fits: the regression fit of every scored order.
+        sweeps: alternation sweeps of the scored orders' fits, summed.
     """
 
     t_star: int
     scores: dict[int, float]
     diagnostics: dict[int, tuple[str, ...]] = field(default_factory=dict)
     per_order_fits: dict[int, RegressionFit] = field(default_factory=dict)
+    sweeps: int = 0
 
 
 def select_order_proposed(
@@ -341,20 +396,25 @@ def _select_many(
     split_seed: int | None = None,
     tol: float = 1e-8,
     max_iter: int = 100,
+    keep_fits: bool = True,
 ) -> list[OrderSelectionResult | PdmOrderError]:
-    """select_order_proposed on every set, the same blocks of all sets in one stack.
+    """select_order_proposed on every set, the same blocks of all sets in one stream.
 
-    Sets whose held-out data have one shape share the stacks of their
-    blocks of orders lo..top.  Each row keeps its set's data, basis, box
-    widths and sigma floor and its block's zero padding, so every result is
-    bit-identical to the set's own select_order_proposed.  A set's
-    PdmOrderError takes its slot in the returned list, and the other sets'
-    results do not depend on it.
+    The (set, order) rows of the sets whose held-out data have one shape
+    share the stream (_fit_orders) of their block of orders lo..top.  Each
+    row keeps its set's data, basis, box widths and sigma floor and its
+    block's zero padding, so every result is bit-identical to the set's own
+    select_order_proposed.  A set's PdmOrderError takes its slot in the
+    returned list, and the other sets' results do not depend on it.  With
+    keep_fits False the results carry no per_order_fits, so the memory of
+    a call is its sets and one stack.
     """
     if t_max is not None and t_max < 1:
         raise ValueError("t_max must be at least 1")
     results: list[OrderSelectionResult | PdmOrderError | None] = [None] * len(shape_sets)
-    splits: dict[int, tuple[SplitData, PdmModel, float]] = {}
+    # What the fits of a set read: its held-out data, coordinates last, and
+    # the modes, box widths and sigma floor of its training half's model.
+    kept: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, float]] = {}
     groups: dict[tuple[int, int, tuple[int, int]], list[int]] = {}
     for index, shape_set in enumerate(shape_sets):
         try:
@@ -363,54 +423,60 @@ def _select_many(
         except PdmOrderError as exc:
             results[index] = exc
             continue
-        floor = SIGMA_FLOOR_REL * float(np.sum(model.lambdas)) / model.n_coords
-        splits[index] = split, model, floor
         # At least one order: the split leaves M1 >= 2 and a fit keeps a mode.
         t_hi = min(model.order, split.m1 - 1)
         if t_max is not None:
             t_hi = min(t_hi, t_max)
+        floor = SIGMA_FLOOR_REL * float(np.sum(model.lambdas)) / model.n_coords
+        kept[index] = split.y.T.copy(), model.basis[:, :t_hi], model.lambdas[:t_hi], floor
         for lo in range(1, t_hi + 1, ORDER_BLOCK):
             key = lo, min(lo + ORDER_BLOCK - 1, t_hi), split.y.shape
             groups.setdefault(key, []).append(index)
 
-    fits: dict[int, dict[int, RegressionFit | SingularSystem]] = {i: {} for i in splits}
-    for (lo, top, _), members in groups.items():
-        orders = np.arange(lo, top + 1)
-        live = np.arange(top) < orders[:, None]
-        halves, models, floors = zip(*(splits[i] for i in members))
-        bases = np.stack([model.basis[:, :top] for model in models])
-        block = _fit_orders(
-            np.repeat(np.stack([split.y for split in halves]), orders.size, axis=0),
-            (bases[:, None] * live[:, None, :]).reshape(-1, *bases.shape[1:]),
-            np.tile(orders, len(members)),
-            np.repeat(np.stack([model.lambdas[:top] for model in models]), orders.size, axis=0),
-            np.repeat(floors, orders.size),
+    scores: dict[int, dict[int, float]] = {i: {} for i in kept}
+    notes: dict[int, dict[int, list[str]]] = {i: {} for i in kept}
+    fits: dict[int, dict[int, RegressionFit]] = {i: {} for i in kept}
+    sweeps = dict.fromkeys(kept, 0)
+    for (lo, top, (_, m2)), members in groups.items():
+        data, bases, lambdas, floors = zip(*(kept[i] for i in members))
+        rows = [(k, t) for k in range(len(members)) for t in range(lo, top + 1)]
+        stream = _fit_orders(
+            np.stack(data),
+            np.stack([basis[:, :top] for basis in bases]),
+            np.stack([widths[:top] for widths in lambdas]),
+            np.array(floors),
+            rows,
+            STACK_ROWS,
             tol,
             max_iter,
         )
-        for row, fit in enumerate(block):
-            fits[members[row // orders.size]][int(orders[row % orders.size])] = fit
+        # Each row is scored as it leaves the stack.  Its last objective is
+        # the data term of aic_score, summed as the sweeps sum it.
+        for row, fit in stream:
+            index, order = members[rows[row][0]], rows[row][1]
+            if isinstance(fit, SingularSystem):
+                notes[index][order] = [f"fit failed: {fit}"]
+                continue
+            scores[index][order] = fit.objective_trace[-1] + 2.0 * m2 * order
+            sweeps[index] += fit.iterations
+            if m2 <= order:
+                notes[index].setdefault(order, []).append("underdetermined: M2 <= order")
+            if not fit.converged:
+                notes[index].setdefault(order, []).append("sweep budget exhausted")
+            if keep_fits:
+                fits[index][order] = fit
 
-    for index, (split, _, _) in splits.items():
-        done = dict(sorted(fits[index].items()))
-        diagnostics = {
-            t: [f"fit failed: {fit}"] for t, fit in done.items() if isinstance(fit, SingularSystem)
-        }
-        good = {t: fit for t, fit in done.items() if t not in diagnostics}
-        if not good:
+    for index in kept:
+        if not scores[index]:
             results[index] = ZeroVariance("every candidate order failed to fit")
             continue
-        scores = {order: aic_score(fit, order) for order, fit in good.items()}
-        for order, fit in good.items():
-            if split.m2 <= order:
-                diagnostics.setdefault(order, []).append("underdetermined: M2 <= order")
-            if not fit.converged:
-                diagnostics.setdefault(order, []).append("sweep budget exhausted")
+        got = dict(sorted(scores[index].items()))
         results[index] = OrderSelectionResult(
-            t_star=min(scores, key=lambda t: (scores[t], t)),
-            scores=scores,
-            diagnostics={k: tuple(v) for k, v in diagnostics.items()},
-            per_order_fits=good,
+            t_star=min(got, key=lambda t: (got[t], t)),
+            scores=got,
+            diagnostics={t: tuple(v) for t, v in sorted(notes[index].items())},
+            per_order_fits=dict(sorted(fits[index].items())),
+            sweeps=sweeps[index],
         )
     return results
 

@@ -160,14 +160,16 @@ class TestManifest:
             "--samples", "10,14", "--trials", "2", "--seed", "3", "--out", str(out),
         ]
         assert main(argv) == 0
-        first_hash = json.loads((tmp_path / "mc.csv.manifest.json").read_text())["config_hash"]
+        first = json.loads((tmp_path / "mc.csv.manifest.json").read_text())
+        first_hash, first_sweeps = first["config_hash"], first["stats"]["sweeps"]
         first_data = out.read_bytes()
         first_hist = (tmp_path / "mc_hist.csv").read_bytes()
         assert main(argv) == 0
         second = json.loads((tmp_path / "mc.csv.manifest.json").read_text())
         assert second["config_hash"] == first_hash
         assert second["rng_seed"] == 3
-        assert second["stats"] == {"failures": 0, "failure_classes": {}}
+        assert second["stats"] == {"failures": 0, "failure_classes": {}, "sweeps": first_sweeps}
+        assert first_sweeps > 0
         assert out.read_bytes() == first_data
         assert (tmp_path / "mc_hist.csv").read_bytes() == first_hist
 
@@ -214,6 +216,21 @@ class TestEndToEnd:
             assert int(iterations) >= 1
             assert converged in ("true", "false")
         assert min(scores, key=lambda t: (scores[t], t)) == t_star
+
+    @pytest.mark.parametrize("max_iter", ["1", "100"])
+    def test_select_manifest_counts_the_sweeps_of_the_scores_file(
+        self, small_csv: Path, tmp_path: Path, max_iter: str
+    ) -> None:
+        out = tmp_path / "scores.csv"
+        rc = main(["select", "--input", str(small_csv), "--max-iter", max_iter, "--out", str(out)])
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        stats = json.loads(Path(f"{out}.manifest.json").read_text())["stats"]
+        assert stats["sweeps"] == sum(int(iterations) for _, _, iterations, _ in rows)
+        assert stats["orders"] == {
+            t: {"iterations": int(iterations), "converged": converged == "true"}
+            for t, _, iterations, converged in rows
+        }
 
     def test_select_prints_each_note_to_stderr(
         self, small_csv: Path, tmp_path: Path, capsys: pytest.CaptureFixture
@@ -439,9 +456,10 @@ class TestArtifacts:
     ) -> None:
         # Sample count 3 fails in every trial (its training half holds one
         # shape), so the failure tally on stderr and in the manifest must
-        # match as well.  15 trials make jobs of 12 + 3 trials at count 10
-        # and of 10 + 5 at count 12, which the workers share.
-        assert evaluation.TRIAL_STACK_SHAPES // 12 == 10
+        # match as well, and so must the sweep count.  The jobs are cut per
+        # worker: one job of 15 trials per count serially, 8 + 7 with two
+        # workers (and with four on two CPUs).
+        assert evaluation.TRIAL_STACK_SHAPES // 12 >= 15
         runs = []
         for threads in (1, 2, 4):
             out = tmp_path / f"t{threads}.csv"
@@ -455,7 +473,10 @@ class TestArtifacts:
             runs.append((out.read_bytes(), hist.read_bytes(), capsys.readouterr().err, stats))
         assert "failures=15" in runs[0][2].splitlines()
         assert "failure_classes=TooFewSamples:15" in runs[0][2].splitlines()
+        sweeps = runs[0][3].pop("sweeps")
         assert runs[0][3] == {"failures": 15, "failure_classes": {"TooFewSamples": 15}}
+        assert sweeps > 0
+        assert runs[1][3].pop("sweeps") == runs[2][3].pop("sweeps") == sweeps
         assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("model, order", [("full", "3"), ("order2", "2")])
@@ -595,6 +616,9 @@ _SIM = "simulate --order 3 --beta-db 20 --seed 1 --out {out}"
         (_SIM + " --landmarks 12 --samples 5 --log-scale-range inf", 1),
         (_SIM + " --landmarks 12 --samples 5 --translation-range -1", 1),
         (_SIM + " --landmarks 12 --samples 5 --rot-range 1e308", 1),
+        (_SIM + " --landmarks 12 --samples 5 --log-scale-range 1000", 1),
+        (_SIM + " --landmarks 12 --samples 5 --log-scale-range 300", 1),
+        (_SIM + " --landmarks 12 --samples 5 --translation-range 1e200", 1),
         (_MC + " --threads -4", 1),
         ("select --input {csv} --split shuffled", 1),
         (_SIM + " --landmarks 12 --samples 5 --order 0", 1),
@@ -622,6 +646,7 @@ _SIM = "simulate --order 3 --beta-db 20 --seed 1 --out {out}"
         "select-warm-start", "select-threads", "seed-model-landmarks", "seed-model-spectrum",
         "seed-model-order", "select-tol-negative", "align-tol-nan", "rot-range-nan",
         "log-scale-range-inf", "translation-range-negative", "rot-range-1e308",
+        "log-scale-range-1000", "log-scale-range-300", "translation-range-1e200",
         "threads-negative",
         "shuffled-without-seed", "simulate-order-0", "montecarlo-order-negative", "fit-order-0",
         "simulate-seed-negative", "montecarlo-seed-negative",
@@ -683,6 +708,17 @@ def test_valid_argv_runs_cleanly(
     assert main(argv) == 0
 
 
+# Every flag takes the small edge values.  The real-valued flags also take
+# the large and tiny finite ones; a count flag (--samples, --trials,
+# --landmarks, --threads, --t-max, --max-iter, ...) at 1000 would only make
+# a valid run long, so the others keep the small pool.
+_EDGE_VALUES = ["0", "-1", "nan", "inf", ""]
+_LARGE_EDGE_VALUES = ["1e308", "-1e308", "1000", "1e-320", "-0"]
+_REAL_FLAGS = {
+    "--tol", "--beta-db", "--fraction", "--rot-range", "--log-scale-range", "--translation-range",
+}
+
+
 @settings(
     max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -696,8 +732,9 @@ def test_edge_flag_values_exit_with_a_code(
     command = data.draw(st.sampled_from(sorted(_VALID_ARGV)))
     argv = _VALID_ARGV[command].format(csv=small_csv, model=seed_models["full"]).split()
     slots = [i for i in range(1, len(argv)) if argv[i - 1].startswith("--")]
-    value = data.draw(st.sampled_from(["0", "-1", "nan", "inf", ""]))
-    argv[data.draw(st.sampled_from(slots))] = value
+    slot = data.draw(st.sampled_from(slots))
+    pool = _EDGE_VALUES + (_LARGE_EDGE_VALUES if argv[slot - 1] in _REAL_FLAGS else [])
+    argv[slot] = data.draw(st.sampled_from(pool))
     monkeypatch.chdir(tempfile.mkdtemp(dir=tmp_path))
     assert main(argv) in (0, 1, 2, 3)
     assert "Traceback" not in capsys.readouterr().err

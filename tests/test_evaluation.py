@@ -417,7 +417,35 @@ class TestTrialChunks:
 
     def test_chunks_hold_several_trials(self) -> None:
         assert evaluation.TRIAL_STACK_SHAPES // 16 >= self.CFG["trials"]
-        assert evaluation.TRIAL_STACK_SHAPES // 100 <= 1
+        assert evaluation._jobs((10, 16), self.CFG["trials"], 1) == [(10, 0, 6), (16, 0, 6)]
+
+    def test_jobs_hold_a_workers_share_of_a_count(self) -> None:
+        # A job holds max(1, min(TRIAL_STACK_SHAPES // M, ceil(trials / workers)))
+        # trials: one job of 8 serially, one of 4 per worker, and at most
+        # TRIAL_STACK_SHAPES shapes, down to one trial.
+        assert evaluation._jobs((20,), 8, 1) == [(20, 0, 8)]
+        assert evaluation._jobs((20,), 8, 2) == [(20, 0, 4), (20, 4, 4)]
+        assert evaluation._jobs((20,), 7, 2) == [(20, 0, 4), (20, 4, 3)]
+        big = evaluation.TRIAL_STACK_SHAPES + 1
+        assert evaluation._jobs((big,), 3, 1) == [(big, 0, 1), (big, 1, 1), (big, 2, 1)]
+        per_job = evaluation.TRIAL_STACK_SHAPES // 10
+        assert evaluation._jobs((10,), per_job + 1, 1) == [(10, 0, per_job), (10, per_job, 1)]
+
+    def test_eight_trials_of_200_at_two_workers_form_two_jobs_of_four(self, monkeypatch) -> None:
+        # The jobs are cut for min(threads, usable CPUs) workers: two here.
+        monkeypatch.setattr(evaluation.os, "sched_getaffinity", lambda pid: {0, 1})
+        made = []
+        jobs = evaluation._jobs
+        monkeypatch.setattr(evaluation, "_jobs", lambda *args: made.append(jobs(*args)) or made[-1])
+        cfg = dict(seed_pdm=make_seed_pdm_procedural(8, 3, "geometric:0.7", rng_seed=12),
+                   beta_db=20.0, sample_counts=(200,), trials=8, rng_seed=409)
+        pooled = monte_carlo_order(**cfg, threads=2)
+        assert made == [[(200, 0, 4), (200, 4, 4)]]
+        serial = monte_carlo_order(**cfg, threads=1)
+        assert made[1] == [(200, 0, 4), (200, 4, 4)]
+        assert pooled.sweeps == serial.sweeps > 0
+        for key, cell in serial.cells.items():
+            assert pooled.cells[key].hist == cell.hist
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_a_failed_draw_fails_its_trial_alone(self, monkeypatch, threads) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -231,14 +232,14 @@ class TestFitOrdersKernelExit:
         return PdmModel(mean=np.zeros(16), basis=basis, lambdas=self.LAMBDAS, n_train=0)
 
     def _fit_orders(self, Y: np.ndarray, fifth_mode: int) -> list:
-        """The kernel on one stacked row per order 1..6 of the block."""
+        """The kernel on one stacked row per order 1..6 of the block, in row order."""
         model = self._block(fifth_mode)
-        orders = np.arange(1, 7)
-        live = np.arange(6) < orders[:, None]
-        return order_select._fit_orders(
-            np.broadcast_to(Y, (6, *Y.shape)), model.basis * live[:, None, :], orders,
-            np.broadcast_to(self.LAMBDAS, live.shape), np.full(6, 1e-12), 1e-8, 100,
+        stream = order_select._fit_orders(
+            Y.T[None], model.basis[None], self.LAMBDAS[None], np.array([1e-12]),
+            [(0, t) for t in range(1, 7)], 6, 1e-8, 100,
         )
+        fits = dict(stream)
+        return [fits[row] for row in range(6)]
 
     def test_only_orders_holding_both_copies_fail(self):
         Y = np.random.default_rng(19).normal(0.0, 0.5, (16, 10))
@@ -260,6 +261,61 @@ class TestFitOrdersKernelExit:
     def test_standalone_fit_raises(self):
         with pytest.raises(SingularSystem):
             alternating_ml(np.ones((16, 4)), self._block(3))
+
+
+class TestFitOrdersStream:
+    """The kernel streams a pool of rows through a stack of any capacity.
+
+    Every row's fit must be bit-identical whatever the capacity, the
+    admission order or the other rows of the pool, a failing row included.
+    """
+
+    HADAMARD = TestFitOrdersKernelExit.HADAMARD
+
+    @given(
+        n_sets=st.integers(1, 4),
+        m2=st.integers(2, 9),
+        top=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+        max_iter=st.integers(1, 40),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fits_do_not_depend_on_capacity_or_admission_order(
+        self, n_sets, m2, top, seed, max_iter, data
+    ):
+        rng = np.random.default_rng(seed)
+        # Hadamard columns keep every Gram entry of the first sweep exact, so
+        # the last set, whose column top - 1 repeats its column 0, is exactly
+        # singular at its order top and regular below it.
+        bases = np.stack([
+            self.HADAMARD[:, rng.choice(16, top, replace=False)] for _ in range(n_sets + 1)
+        ])
+        bases[n_sets, :, top - 1] = bases[n_sets, :, 0]
+        Y = rng.normal(0.0, 1.0, (n_sets + 1, m2, 16)) * rng.uniform(0.1, 2.0, (n_sets + 1, 1, 16))
+        lambdas = np.sort(rng.uniform(0.05, 3.0, (n_sets + 1, top)), axis=1)[:, ::-1].copy()
+        floors = 10.0 ** rng.uniform(-12.0, -1.0, n_sets + 1)
+        rows = data.draw(st.lists(
+            st.tuples(st.integers(0, n_sets), st.integers(1, top - 1)), min_size=1, max_size=14
+        ))
+        rows.insert(data.draw(st.integers(0, len(rows))), (n_sets, top))
+
+        def stream(pool, capacity):
+            fits = dict(order_select._fit_orders(
+                Y, bases, lambdas, floors, pool, capacity, 1e-8, max_iter
+            ))
+            assert sorted(fits) == list(range(len(pool)))
+            return [pickle.dumps(fits[row]) for row in range(len(pool))]
+
+        alone = stream(rows, 1)
+        singular = rows.index((n_sets, top))
+        assert isinstance(pickle.loads(alone[singular]), SingularSystem)
+        assert sum(isinstance(pickle.loads(fit), SingularSystem) for fit in alone) == 1
+        for capacity in (2, 5, len(rows)):
+            assert stream(rows, capacity) == alone
+        order = data.draw(st.permutations(range(len(rows))))
+        shuffled = stream([rows[i] for i in order], data.draw(st.sampled_from([2, 5])))
+        assert [shuffled[order.index(row)] for row in range(len(rows))] == alone
 
 
 class TestAicScore:
@@ -345,10 +401,11 @@ class TestSelectOrderProposed:
         # later one, and is never retried order by order.
         fit_orders = order_select._fit_orders
 
-        def broken(Y, pdm, orders, *args, **kwargs):
-            if failing_order in orders:
-                raise TypeError("not a numerical failure")
-            return fit_orders(Y, pdm, orders, *args, **kwargs)
+        def broken(Y, basis, lambdas, floors, rows, *args):
+            for row, fit in fit_orders(Y, basis, lambdas, floors, rows, *args):
+                if rows[row][1] == failing_order:
+                    raise TypeError("not a numerical failure")
+                yield row, fit
 
         monkeypatch.setattr(order_select, "_fit_orders", broken)
         with pytest.raises(TypeError):

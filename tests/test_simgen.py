@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdmorder import (
@@ -404,6 +405,49 @@ class TestSampling:
         # "high - low < 0" for a negative one.
         with pytest.raises(ValueError, match=f"{name} half-width must be >= 0 with a finite span"):
             sample_shapes(self._seed(), 10, 10.0, 0, **{name: width})
+
+    _POSE_SEED = make_seed_pdm_procedural(8, 3, "geometric:0.7", rng_seed=19)
+    _SPREAD = math.log(simgen.POSE_SPREAD_MAX)
+
+    @given(
+        rotation=st.one_of(st.floats(), st.floats(0.0, 10.0)),
+        log_scale=st.one_of(st.floats(), st.floats(0.0, 10.0)),
+        translation=st.one_of(st.floats(), st.floats(0.0, 2e6)),
+        realign=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rotation=-0.0, log_scale=-0.0, translation=-0.0, realign=False, seed=0)
+    @example(rotation=1.0, log_scale=1000.0, translation=0.5, realign=True, seed=0)
+    @example(rotation=1.0, log_scale=300.0, translation=0.5, realign=True, seed=0)
+    @example(rotation=1.0, log_scale=0.2, translation=1e200, realign=True, seed=0)
+    @example(rotation=1e300, log_scale=_SPREAD / 2 * (1 - 1e-12), translation=0.0,
+             realign=True, seed=1)
+    @example(rotation=3.0, log_scale=0.0, translation=(2.0**20 - 1) / 2 * (1 - 1e-12),
+             realign=True, seed=2)
+    @settings(max_examples=150, deadline=None)
+    def test_any_pose_gives_a_set_or_is_refused_before_any_draw(
+        self, rotation, log_scale, translation, realign, seed
+    ):
+        # Over the whole float range: the generator returns a finite set (an
+        # aligned one when it realigns) or refuses the pose with a ValueError
+        # before it draws anything, and it refuses exactly the poses whose
+        # spread exp(2 * log_scale) * (1 + 2 * translation) passes the cap.
+        with mock.patch.object(simgen, "_draw_coeffs", wraps=_draw_coeffs) as draws:
+            try:
+                shapes = sample_shapes(
+                    self._POSE_SEED, 6, 20.0, seed, rotation=rotation, log_scale=log_scale,
+                    translation=translation, realign=realign,
+                )
+            except ValueError:
+                assert draws.call_count == 0
+                refused = True
+            else:
+                assert shapes.n_shapes == 6 and shapes.aligned == realign
+                assert np.all(np.isfinite(shapes.as_matrix()))
+                refused = False
+        widths = (rotation, log_scale, translation)
+        if all(0.0 <= 2.0 * w < math.inf for w in widths):
+            assert refused == (2.0 * log_scale + math.log1p(2.0 * translation) > self._SPREAD)
 
     def test_transformed_samples_move(self):
         seed = self._seed()
