@@ -265,8 +265,11 @@ def cmd_align(args: argparse.Namespace) -> Path:
 
 
 def cmd_fit(args: argparse.Namespace) -> Path:
+    model = fit_pdm(_load_input(args))
+    if args.order is not None:
+        model = truncate(model, args.order)
     out = Path(args.out)
-    save_pdm(fit_pdm(_load_input(args)), out, order=args.order)
+    save_pdm(model, out)
     return out
 
 

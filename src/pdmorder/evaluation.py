@@ -26,67 +26,80 @@ RIDGE_REL = 1e-10
 
 @dataclass(frozen=True)
 class CellStats:
-    """Histogram of selected orders for one (method, sample count) cell."""
+    """The selected orders of one (method, sample count) cell, in trial order.
 
-    mean_t: float
-    var_t: float
-    hist: dict[int, int]
+    An empty cell, whose every trial failed, has a NaN mean and variance and
+    an empty histogram.
+    """
 
-    @staticmethod
-    def from_picks(picks: list[int]) -> "CellStats":
-        if not picks:
-            # Every trial in the cell failed; keep the cell but mark it empty.
-            return CellStats(mean_t=float("nan"), var_t=float("nan"), hist={})
-        values = np.array(picks, dtype=float)
-        return CellStats(
-            mean_t=float(values.mean()),
-            var_t=float(values.var()),
-            hist=dict(sorted(Counter(picks).items())),
-        )
+    picks: tuple[int, ...]
+
+    @property
+    def mean_t(self) -> float:
+        return float(np.array(self.picks, dtype=float).mean()) if self.picks else float("nan")
+
+    @property
+    def var_t(self) -> float:
+        """The population variance, not the sample estimate."""
+        return float(np.array(self.picks, dtype=float).var()) if self.picks else float("nan")
+
+    @property
+    def hist(self) -> dict[int, int]:
+        return dict(sorted(Counter(self.picks).items()))
 
 
 @dataclass(frozen=True, eq=False)
 class TrialSummary:
     """Selected-order statistics per (method, sample count).
 
-    failures counts trials that aborted with a propagated error; their
-    picks are missing from the histograms.  failure_classes counts them by
-    the error's class name, e.g. {"TooFewSamples": 3}, and sums to failures.
-    sweeps counts the alternation sweeps of the proposed selector's scored
-    fits (OrderSelectionResult.sweeps), summed over the selections run.
+    failure_classes counts the trials that aborted with a propagated error
+    by the error's class name, e.g. {"TooFewSamples": 3}; their picks are
+    missing from the cells.  sweeps counts the alternation sweeps of the
+    proposed selector's scored fits (OrderSelectionResult.sweeps), summed
+    over the selections run.
     """
 
     cells: dict[tuple[str, int], CellStats]
     trials: int
-    failures: int = 0
     failure_classes: dict[str, int] = field(default_factory=dict)
     sweeps: int = 0
 
     def __post_init__(self) -> None:
-        if sum(self.failure_classes.values()) != self.failures:
-            raise ValueError(f"failure classes {self.failure_classes} do not sum to failures")
         # A failed trial drops every method's pick, so each method misses
         # exactly `failures` picks across its cells, and no cell overflows.
         missing: dict[str, list[int]] = {}
         for (method, _), cell in self.cells.items():
-            missing.setdefault(method, []).append(self.trials - sum(cell.hist.values()))
+            missing.setdefault(method, []).append(self.trials - len(cell.picks))
         if any(min(absent) < 0 or sum(absent) != self.failures for absent in missing.values()):
             raise ValueError(f"missing picks {missing} do not match {self.failures} failures")
 
+    @property
+    def failures(self) -> int:
+        """Trials that aborted with a propagated error, over every class."""
+        return sum(self.failure_classes.values())
+
 
 def _check_trials(
-    sample_counts: tuple[int, ...], trials: int, methods: tuple[str, ...], t_max: int | None
+    sample_counts: tuple[int, ...], trials: int, rng_seed: int, methods: tuple[str, ...],
+    t_max: int | None, threads: int,
 ) -> None:
-    """Refuse no trials, no sample counts, an unknown method or a t_max below 1."""
+    """Refuse no trials, no sample counts or one below 2 (TooFewSamples), a
+    negative seed, an unknown method, a t_max below 1 or no worker."""
     if trials < 1:
         raise ValueError("at least one trial is required")
     if not sample_counts:
         raise ValueError("at least one sample count is required")
+    if min(sample_counts) < 2:
+        raise TooFewSamples(f"sample count {min(sample_counts)} is below 2 shapes")
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be a non-negative integer, got {rng_seed}")
     for method in methods:
         if method not in ("proposed", "variance"):
             raise ValueError(f"unknown selection method {method!r}")
     if t_max is not None and t_max < 1:
         raise ValueError("t_max must be at least 1")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
 
 
 def _trial_seed(master: int, count: int, trial: int) -> int:
@@ -136,8 +149,8 @@ def _tabulate(
     fits, and it returns its picks with the sweeps of its proposed fits.  A
     PdmOrderError in a trial's draw or one of its methods fails that trial
     alone, drops each method's pick of it and counts under its class name;
-    sample counts below 2 are rejected up front, so every counted failure
-    comes from the data.  Any other error propagates.
+    the callers refuse sample counts below 2 up front (_check_trials), so
+    every counted failure comes from the data.  Any other error propagates.
 
     With threads above 1 the jobs run in min(threads, jobs, usable CPUs)
     forked worker processes, which needs Linux; the jobs are cut for
@@ -147,8 +160,6 @@ def _tabulate(
     counts go first, so the slowest jobs do not finish last.  Each worker
     runs its BLAS on one thread (see _adopt), and the pool joins them all.
     """
-    if min(sample_counts) < 2:
-        raise TooFewSamples(f"sample count {min(sample_counts)} is below 2 shapes")
     counts = tuple(dict.fromkeys(sample_counts))
 
     def _chunk(job: tuple[int, int, int]) -> tuple[list[dict[str, int] | str], int]:
@@ -193,15 +204,15 @@ def _tabulate(
     for (count, _, _), (chunk, _) in zip(jobs, chunks):
         outcomes[count] += chunk
     cells = {
-        (method, count): CellStats.from_picks(
-            [picked[method] for picked in outcomes[count] if isinstance(picked, dict)]
+        (method, count): CellStats(
+            tuple(picked[method] for picked in outcomes[count] if isinstance(picked, dict))
         )
         for count in counts
         for method in methods
     }
     classes = Counter(o for chunk, _ in chunks for o in chunk if isinstance(o, str))
     sweeps = sum(n for _, n in chunks)
-    return TrialSummary(cells, trials, classes.total(), dict(sorted(classes.items())), sweeps)
+    return TrialSummary(cells, trials, dict(sorted(classes.items())), sweeps)
 
 
 def _jobs(counts: tuple[int, ...], trials: int, workers: int) -> list[tuple[int, int, int]]:
@@ -280,19 +291,19 @@ def monte_carlo_order(
         beta_db, b_dist: noise level and coefficient draw (see sample_shapes).
         sample_counts: shapes per set, each at least 2.
         trials: sets per sample count.
-        rng_seed: master seed.  Each (sample count, trial) derives its own
-            generation seed, so results depend neither on job order nor on
-            the number of worker processes.
+        rng_seed: master seed, at least 0.  Each (sample count, trial)
+            derives its own generation seed, so results depend neither on
+            job order nor on the number of worker processes.
         methods: selectors, all run on the same sets.
         variance_fraction, t_max: selector options.
-        threads: worker processes across trials (see _tabulate); 1 runs
-            them in this process.
+        threads: worker processes across trials, at least 1 (see
+            _tabulate); 1 runs them in this process.
 
     Every argument is checked, and refused with a ValueError (TooFewSamples
     for a sample count below 2), before the first set is drawn or the first
     worker starts; that includes a beta_db whose noise variance is not finite.
     """
-    _check_trials(sample_counts, trials, methods, t_max)
+    _check_trials(sample_counts, trials, rng_seed, methods, t_max, threads)
     noise_variance(seed_pdm.lambdas, beta_db, b_dist)  # refuses b_dist and beta_db
 
     def _draw(count: int, trial: int) -> ShapeSet:
@@ -321,15 +332,19 @@ def order_sweep(
         trials: independent random subsets per size.  Every prefix trial
             draws the same subset, so prefix mode selects once per size and
             counts that pick `trials` times.
-        rng_seed: master seed for the subset draws.
+        rng_seed: master seed for the subset draws, at least 0.
         methods: selectors to run on every subset.
         mode: "random" draws subsets without replacement; "prefix" takes
             the first samples in input order.
         t_max, variance_fraction: selector options.
-        threads: worker processes across trials (see _tabulate); 1 runs
-            them in this process.
+        threads: worker processes across trials, at least 1 (see
+            _tabulate); 1 runs them in this process.
+
+    Every argument is checked, and refused with a ValueError (TooFewSamples
+    for a subset size below 2 or above the set size), before the first
+    subset is drawn or the first worker starts.
     """
-    _check_trials(sample_counts, trials, methods, t_max)
+    _check_trials(sample_counts, trials, rng_seed, methods, t_max, threads)
     m = shape_set.n_shapes
     if max(sample_counts) > m:
         raise TooFewSamples(f"subset size {max(sample_counts)} exceeds the {m} available shapes")
@@ -345,13 +360,9 @@ def order_sweep(
     if mode == "random":
         return _tabulate(_draw, sample_counts, trials, methods, t_max, variance_fraction, threads)
     once = _tabulate(_draw, sample_counts, 1, methods, t_max, variance_fraction, threads)
-    cells = {
-        key: CellStats(cell.mean_t, cell.var_t, {t: trials * n for t, n in cell.hist.items()})
-        for key, cell in once.cells.items()
-    }
+    cells = {key: CellStats(cell.picks * trials) for key, cell in once.cells.items()}
     classes = {name: trials * n for name, n in once.failure_classes.items()}
-    return TrialSummary(cells=cells, trials=trials, failures=trials * once.failures,
-                        failure_classes=classes, sweeps=once.sweeps)
+    return TrialSummary(cells=cells, trials=trials, failure_classes=classes, sweeps=once.sweeps)
 
 
 def _predict_landmarks(
@@ -415,15 +426,20 @@ def _predict_landmarks(
 
 @dataclass(frozen=True, eq=False)
 class LmmseResult:
-    """Leave-one-out landmark prediction error per candidate order."""
+    """Leave-one-out landmark prediction error per candidate order.
+
+    Attributes:
+        errors: the error at every candidate order, at least one.
+        selected_orders: what each selector picks on the full set.
+    """
 
     errors: dict[int, float]
-    argmin_t: int
     selected_orders: dict[str, int]
 
-    def __post_init__(self) -> None:
-        if self.argmin_t not in self.errors:
-            raise ValueError("argmin_t must index into the error table")
+    @property
+    def argmin_t(self) -> int:
+        """The order of the smallest error, ties broken toward fewer modes."""
+        return min(self.errors, key=lambda t: (self.errors[t], t))
 
 
 def lmmse_curve(
@@ -501,7 +517,6 @@ def lmmse_curve(
         sums += np.sum((predicted - y.reshape(k, 1, 2)) ** 2, axis=(0, 2))
 
     errors = {t: sums[t - 1] / (m * k) for t in range(1, t_cap + 1)}
-    argmin_t = min(errors, key=lambda t: (errors[t], t))
 
     # Degenerate sets still have a well defined curve, but no order can be
     # selected; leave those entries out rather than failing the whole run.
@@ -514,4 +529,4 @@ def lmmse_curve(
         selected["variance"] = select_order_variance(shape_set)
     except ZeroVariance:
         pass
-    return LmmseResult(errors=errors, argmin_t=argmin_t, selected_orders=selected)
+    return LmmseResult(errors=errors, selected_orders=selected)

@@ -28,18 +28,23 @@ SIGMA_FLOOR_REL = 1e-12
 # The selector fits this many neighbouring orders at a time in one stacked
 # kernel (_fit_orders).  A block spreads numpy's per-call overhead, which
 # dominates the small systems of a selection, over its orders, but pays for
-# the padding of its lower orders.  Medians of 5 runs, one BLAS thread,
-# 2-core host: 90 selections on subsets of 10/20/40 of one 400-shape set /
-# 15 simulated sets of M = 10..200 at 5 dB (N = 80 throughout), against
-# 2.21 / 1.74 s when each order was fitted on its own:
-#   block 1:  2.00 / 1.72 s      block 16:        0.90 / 1.33 s
-#   block 4:  1.12 / 1.35 s      block 32:        0.91 / 1.40 s
-#   block 8:  1.06 / 1.20 s      all orders (80): 0.93 / 2.30 s
-# Wider blocks help the small sets a little and cost the large ones more.
-# These times are of one selection per set.  Every row of a block is padded
-# to the block's top order, so the rows of one block of many sets can share
-# a stack (STACK_ROWS; the trial harness selects evaluation.TRIAL_STACK_SHAPES
-# shapes' worth of sets at once), which spreads the overhead further.
+# the padding of its lower orders.  Every row of a block is padded to the
+# block's top order, so the rows of one block of many sets share a stack
+# (STACK_ROWS; the trial harness selects evaluation.TRIAL_STACK_SHAPES
+# shapes' worth of sets at once).  Minimum / median seconds over alternating
+# rounds, one BLAS thread, 2-core host, the same picks at every block: the
+# `sweep` workload's 270 selections (M = 10/20/40 of one 400-shape set,
+# N = 80; CPU time, serial, 12 rounds) and the `montecarlo` workload's 40
+# (M = 10..200 at 5 dB; wall time, 2 workers, 10 rounds):
+#   block   sweep           montecarlo
+#   1       0.815 / 0.873   1.533 / 1.656
+#   4       0.725 / 0.778   1.258 / 1.541
+#   8       0.723 / 0.795   1.318 / 1.588
+#   16      0.798 / 0.863   1.253 / 1.466
+# Against block 8, block 1 takes 20%, 16% and 6% longer at M = 10, 20 and
+# 40 (`sweep` medians).  Block 4 beats block 8 in 6 of 12 `sweep` rounds and
+# 6 of 10 `montecarlo` rounds, block 16 in 2 of 12 and 5 of 10: no block
+# wins on both workloads.
 ORDER_BLOCK = 8
 
 # The rows of one block stream through a lockstep stack of at most this many
@@ -103,7 +108,6 @@ class RegressionFit:
         coeffs: (order, M2) box-constrained mode coefficients.
         sigma_diag: (N,) per-coordinate noise variances, floored.
         residuals: (N, M2) data minus reconstruction.
-        iterations: alternation sweeps performed.
         objective_trace: negative log-likelihood (constants dropped) after
             every sweep; one entry per sweep.
         converged: whether the relative objective change fell below tol
@@ -113,9 +117,13 @@ class RegressionFit:
     coeffs: np.ndarray
     sigma_diag: np.ndarray
     residuals: np.ndarray
-    iterations: int
     objective_trace: tuple[float, ...]
     converged: bool
+
+    @property
+    def iterations(self) -> int:
+        """Alternation sweeps performed: one per objective_trace entry."""
+        return len(self.objective_trace)
 
 
 def _weighted_column_norms(squares: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -296,13 +304,11 @@ def _fit_orders(
         done[list(failed)] = True
         leaving = np.flatnonzero(done)
         for slot in leaving.tolist():
-            count = int(sweeps[slot])
             yield int(held[slot]), failed.get(slot) or RegressionFit(
                 coeffs=coeffs[slot, : row_order[held[slot]]].copy(),
                 sigma_diag=sigma[slot].copy(),
                 residuals=residuals[slot].T.copy(),
-                iterations=count,
-                objective_trace=tuple(trace[slot, :count].tolist()),
+                objective_trace=tuple(trace[slot, : sweeps[slot]].tolist()),
                 converged=bool(converged[slot]),
             )
         entering = leaving[: len(rows) - pending]
@@ -340,19 +346,23 @@ class OrderSelectionResult:
     """Outcome of a model order search.
 
     Attributes:
-        t_star: selected order.
-        scores: criterion value for every order that produced a fit.
+        scores: criterion value for every order that produced a fit, at
+            least one.
         diagnostics: per-order notes, e.g. underdetermined fits, fit
             failures (failed orders carry no score), sweep exhaustion.
         per_order_fits: the regression fit of every scored order.
         sweeps: alternation sweeps of the scored orders' fits, summed.
     """
 
-    t_star: int
     scores: dict[int, float]
     diagnostics: dict[int, tuple[str, ...]] = field(default_factory=dict)
     per_order_fits: dict[int, RegressionFit] = field(default_factory=dict)
     sweeps: int = 0
+
+    @property
+    def t_star(self) -> int:
+        """The selected order: the smallest score, ties broken toward fewer modes."""
+        return min(self.scores, key=lambda t: (self.scores[t], t))
 
 
 def select_order_proposed(
@@ -470,10 +480,8 @@ def _select_many(
         if not scores[index]:
             results[index] = ZeroVariance("every candidate order failed to fit")
             continue
-        got = dict(sorted(scores[index].items()))
         results[index] = OrderSelectionResult(
-            t_star=min(got, key=lambda t: (got[t], t)),
-            scores=got,
+            scores=dict(sorted(scores[index].items())),
             diagnostics={t: tuple(v) for t, v in sorted(notes[index].items())},
             per_order_fits=dict(sorted(fits[index].items())),
             sweeps=sweeps[index],

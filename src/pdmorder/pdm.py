@@ -282,27 +282,19 @@ def _project_stacked(
     return np.clip(B, -limits, limits), failed
 
 
-def save_pdm(model: PdmModel, path: str | Path, order: int | None = None) -> None:
-    """Write a model to a flat text container.
+def save_pdm(model: PdmModel, path: str | Path) -> None:
+    """Write a model, every mode it keeps, to a flat text container.
 
     Layout: a header row N,t,M1; the mean row; the eigenvalue row; then one
     eigenvector row per retained mode.  Numbers carry 17 significant digits
-    so a load followed by a save reproduces the file byte for byte.
-
-    Args:
-        model: the model to store.
-        path: output file.
-        order: store truncate(model, order) instead, 1..model.order; None
-            stores the model as it is.
+    so a load followed by a save reproduces the file byte for byte.  To
+    store fewer modes, save truncate(model, order).
 
     Raises:
-        OrderOutOfRange: order is outside 1..model.order; nothing is written.
-        ValueError: the stored basis P is not orthonormal (an entry of
+        ValueError: the basis P is not orthonormal (an entry of
             |P^T P - I| above ORTHONORMAL_TOL), so load_pdm would refuse the
             file; nothing is written.
     """
-    if order is not None:
-        model = truncate(model, order)
     if why := _not_orthonormal(model.basis):
         raise ValueError(f"the basis is not orthonormal ({why})")
     lines = [f"{model.n_coords},{model.order},{model.n_train}"]

@@ -6,6 +6,7 @@ output can be asserted without spawning subprocesses.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import tempfile
@@ -28,9 +29,10 @@ from pdmorder import (
     select_order_variance,
 )
 from pdmorder import evaluation
-from pdmorder.cli import build_parser, main, write_shapes_csv
+from pdmorder.evaluation import monte_carlo_order, order_sweep
+from pdmorder.cli import SELECT_FLAGS, build_parser, main, write_shapes_csv
 from pdmorder.errors import SingularSystem
-from pdmorder.pdm import load_pdm, save_pdm
+from pdmorder.pdm import load_pdm, save_pdm, truncate
 
 SUBCOMMANDS = (
     "align", "fit", "select", "simulate", "montecarlo", "sweep", "lmmse", "mean-shape",
@@ -58,7 +60,7 @@ def seed_models(small_csv: Path) -> dict[str, Path]:
     model = fit_pdm(generalized_procrustes(load_shape_set(small_csv)))
     paths = {"full": small_csv.with_name("full.pdm"), "order2": small_csv.with_name("order2.pdm")}
     save_pdm(model, paths["full"])
-    save_pdm(model, paths["order2"], order=2)
+    save_pdm(truncate(model, 2), paths["order2"])
     return paths
 
 
@@ -738,3 +740,69 @@ def test_edge_flag_values_exit_with_a_code(
     monkeypatch.chdir(tempfile.mkdtemp(dir=tmp_path))
     assert main(argv) in (0, 1, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# The least argv each command parses: its required flags, none of the
+# defaulted ones.
+_BARE_ARGV = {
+    "align": "align --input x --out o",
+    "simulate": "simulate --landmarks 4 --order 1 --beta-db 0 --samples 2 --seed 0 --out o",
+    "montecarlo": (
+        "montecarlo --landmarks 4 --order 1 --beta-db 0 --samples 2 --trials 1 --seed 0 --out o"
+    ),
+    "sweep": "sweep --input x --samples 2 --trials 1 --seed 0 --out o",
+}
+
+
+def _parsed_default(command: str, dest: str):
+    return getattr(build_parser().parse_args(_BARE_ARGV[command].split()), dest)
+
+
+def _methods(text: str) -> tuple[str, ...]:
+    return tuple(text.split(","))
+
+
+# (the CLI's default, the library function and parameter it stands for).
+_DEFAULTS = {
+    "select-tol": (lambda: SELECT_FLAGS["proposed"]["tol"], select_order_proposed, "tol"),
+    "select-max-iter": (
+        lambda: SELECT_FLAGS["proposed"]["max_iter"], select_order_proposed, "max_iter"
+    ),
+    "select-fraction": (
+        lambda: SELECT_FLAGS["variance"]["fraction"], select_order_variance, "fraction"
+    ),
+    "montecarlo-fraction": (
+        lambda: _parsed_default("montecarlo", "fraction"), monte_carlo_order, "variance_fraction"
+    ),
+    "montecarlo-methods": (
+        lambda: _methods(_parsed_default("montecarlo", "methods")), monte_carlo_order, "methods"
+    ),
+    "montecarlo-threads": (
+        lambda: _parsed_default("montecarlo", "threads"), monte_carlo_order, "threads"
+    ),
+    "montecarlo-b-dist": (
+        lambda: _parsed_default("montecarlo", "b_dist"), monte_carlo_order, "b_dist"
+    ),
+    "sweep-fraction": (
+        lambda: _parsed_default("sweep", "fraction"), order_sweep, "variance_fraction"
+    ),
+    "sweep-methods": (
+        lambda: _methods(_parsed_default("sweep", "methods")), order_sweep, "methods"
+    ),
+    "sweep-threads": (lambda: _parsed_default("sweep", "threads"), order_sweep, "threads"),
+    "sweep-mode": (lambda: _parsed_default("sweep", "mode"), order_sweep, "mode"),
+    "simulate-b-dist": (lambda: _parsed_default("simulate", "b_dist"), sample_shapes, "b_dist"),
+    "align-tol": (lambda: _parsed_default("align", "tol"), generalized_procrustes, "tol"),
+    "align-max-iter": (
+        lambda: _parsed_default("align", "max_iter"), generalized_procrustes, "max_iter"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DEFAULTS))
+def test_cli_defaults_match_the_library(case: str) -> None:
+    # A default written once in the CLI and once in the library must not drift.
+    cli_default, function, parameter = _DEFAULTS[case]
+    library_default = inspect.signature(function).parameters[parameter].default
+    assert library_default is not inspect.Parameter.empty
+    assert cli_default() == library_default

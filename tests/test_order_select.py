@@ -326,7 +326,6 @@ class TestAicScore:
             coeffs=np.zeros((1, residuals.shape[1])),
             sigma_diag=sigma,
             residuals=residuals,
-            iterations=1,
             objective_trace=(0.0,),
             converged=True,
         )

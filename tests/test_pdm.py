@@ -590,7 +590,7 @@ class TestSerialization:
     def test_save_full_model_at_order(self, tmp_path):
         model = self._nasty_model()
         p = tmp_path / "model.pdm"
-        save_pdm(model, p, order=2)
+        save_pdm(truncate(model, 2), p)
         back = load_pdm(p)
         assert back.order == 2
         np.testing.assert_array_equal(back.basis, model.basis[:, :2])
@@ -599,7 +599,7 @@ class TestSerialization:
     def test_save_order_out_of_range(self, tmp_path):
         model = self._nasty_model()
         with pytest.raises(OrderOutOfRange):
-            save_pdm(model, tmp_path / "m.pdm", order=model.n_coords + 1)
+            save_pdm(truncate(model, model.n_coords + 1), tmp_path / "m.pdm")
 
     def test_save_order_above_rank(self, tmp_path):
         # A fitted model holds exactly its positive modes, so every order
@@ -609,9 +609,9 @@ class TestSerialization:
         assert rank == model.order < model.n_coords
         for order in (rank + 1, model.n_coords):
             with pytest.raises(OrderOutOfRange):
-                save_pdm(model, tmp_path / "m.pdm", order=order)
+                save_pdm(truncate(model, order), tmp_path / "m.pdm")
             assert not (tmp_path / "m.pdm").exists()
-        save_pdm(model, tmp_path / "m.pdm", order=rank)
+        save_pdm(truncate(model, rank), tmp_path / "m.pdm")
         back = load_pdm(tmp_path / "m.pdm")
         assert back.order == rank
         np.testing.assert_array_equal(back.lambdas, model.lambdas)
@@ -629,7 +629,7 @@ class TestSerialization:
         model = fit_pdm(_aligned_random_set(np.random.default_rng(seed), 2 * k, m))
         order = data.draw(st.integers(1, model.order), label="order")
         folder = tmp_path_factory.mktemp("resave")
-        save_pdm(model, folder / "a.pdm", order=order)
+        save_pdm(truncate(model, order), folder / "a.pdm")
         back = load_pdm(folder / "a.pdm")
         assert (back.order, back.n_train) == (order, m)
         save_pdm(back, folder / "b.pdm")
@@ -662,7 +662,7 @@ class TestSerialization:
         order = data.draw(st.integers(1, t), label="order")
         folder = tmp_path_factory.mktemp("property")
         try:
-            save_pdm(model, folder / "a.pdm", order=order)
+            save_pdm(truncate(model, order), folder / "a.pdm")
         except ValueError:
             assert not (folder / "a.pdm").exists()
             assert np.max(np.abs(basis[:, :order].T @ basis[:, :order] - np.eye(order))) > 1e-8
@@ -679,9 +679,9 @@ class TestSerialization:
         # A truncated model stores fewer of its modes, never more.
         trunc = truncate(self._nasty_model(), 3)
         with pytest.raises(OrderOutOfRange):
-            save_pdm(trunc, tmp_path / "m.pdm", order=4)
+            save_pdm(truncate(trunc, 4), tmp_path / "m.pdm")
         assert not (tmp_path / "m.pdm").exists()
-        save_pdm(trunc, tmp_path / "m.pdm", order=2)
+        save_pdm(truncate(trunc, 2), tmp_path / "m.pdm")
         assert load_pdm(tmp_path / "m.pdm").order == 2
 
     def test_load_rejects_malformed(self, tmp_path):
