@@ -15,12 +15,10 @@ from .errors import (
 )
 from .shapes import (
     AlignmentReport,
-    Shape,
     ShapeSet,
     generalized_procrustes,
     load_shape_set,
     mean_shape,
-    rmsd,
 )
 from .pdm import (
     PdmModel,

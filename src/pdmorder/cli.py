@@ -128,7 +128,7 @@ def _load_input(args: argparse.Namespace, **procrustes) -> ShapeSet:
     shape_set = load_shape_set(args.input, fmt=fmt)
     if getattr(args, "no_align", False):
         try:
-            return ShapeSet.from_matrix(shape_set.as_matrix(), aligned=True)
+            return ShapeSet(shape_set.as_matrix(), aligned=True)
         except NotAligned as exc:
             raise NotAligned(
                 f"{args.command}: input is not aligned and --no-align was given ({exc})"
@@ -397,7 +397,7 @@ def cmd_lmmse(args: argparse.Namespace) -> Path:
 
 
 def cmd_mean_shape(args: argparse.Namespace) -> Path | None:
-    landmarks = mean_shape(_load_input(args)).coords.reshape(-1, 2)
+    landmarks = mean_shape(_load_input(args)).reshape(-1, 2)
     out = None if args.out is None else Path(args.out)
     _write_lines(out, ["x,y"] + [f"{_fmt(x)},{_fmt(y)}" for x, y in landmarks])
     return out

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, PdmOrderError, SingularSystem, TooFewSamples, ZeroVariance
 from .pdm import PdmModel, _modes, _project_stacked, fit_pdm
-from .shapes import ShapeSet
+from .shapes import ShapeSet, mean_shape
 
 # Noise variances are kept above this fraction of the mean data power so
 # logarithms and inverses stay finite even for exact fits.
@@ -96,7 +96,7 @@ def split_data(shape_set: ShapeSet, seed: int | None = None) -> SplitData:
     m1 = (m + 1) // 2
     x1 = shape_set.subset(indices[:m1])
     x2 = shape_set.subset(indices[m1:])
-    y = x2.as_matrix() - x1.as_matrix().mean(axis=1)[:, None]
+    y = x2.as_matrix() - mean_shape(x1)[:, None]
     return SplitData(x1=x1, x2=x2, y=y)
 
 

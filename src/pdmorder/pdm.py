@@ -25,7 +25,7 @@ from .errors import (
     SingularSystem,
     ZeroVariance,
 )
-from .shapes import ShapeSet, _data_lines
+from .shapes import ShapeSet, _data_lines, mean_shape
 
 # Relative eigenvalue threshold below which a direction counts as rank noise.
 RANK_REL_TOL = 1e-12
@@ -131,7 +131,7 @@ def _modes(shape_set: ShapeSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NotAligned("fit requires a Procrustes-aligned shape set")
     X = shape_set.as_matrix()
     n, m = X.shape
-    mu = X.mean(axis=1)
+    mu = mean_shape(shape_set)
     u, s, _ = np.linalg.svd(X - mu[:, None], full_matrices=m < n)
     lambdas = np.zeros(n)
     if s[0] > CENTRING_ULPS * np.finfo(float).eps * np.linalg.norm(X):

@@ -1,10 +1,10 @@
 """2D landmark shapes, shape sets, and Procrustes alignment.
 
-A shape is a flat vector of interleaved coordinates (x1, y1, x2, y2, ...).
-Internally the alignment routines view each shape as a complex vector with
-one entry per landmark, which turns planar similarity transforms into a
-single complex multiplication plus an offset and keeps every rotation
-proper (no reflections).
+A shape is one column of a ShapeSet: its interleaved coordinates
+(x1, y1, x2, y2, ...).  Internally the alignment routines view each shape
+as a complex vector with one entry per landmark, which turns planar
+similarity transforms into a single complex multiplication plus an offset
+and keeps every rotation proper (no reflections).
 """
 
 from __future__ import annotations
@@ -31,16 +31,6 @@ def _as_complex(coords: np.ndarray) -> np.ndarray:
     return coords[0::2] + 1j * coords[1::2]
 
 
-def _frozen_coords(coords: np.ndarray) -> np.ndarray:
-    """Check coordinates (one shape per column) and make them read-only."""
-    if coords.shape[0] < 4 or coords.shape[0] % 2 != 0:
-        raise ParseError(f"shape needs an even number of coordinates >= 4, got {coords.shape[0]}")
-    if not np.all(np.isfinite(coords)):
-        raise ParseError("shape coordinates must all be finite")
-    coords.flags.writeable = False
-    return coords
-
-
 def _stack(vectors: Sequence[np.ndarray], where: str = "") -> np.ndarray:
     """Equal-length coordinate vectors as the columns of one matrix."""
     for idx, vector in enumerate(vectors):
@@ -58,45 +48,6 @@ def _as_coords(z: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class Shape:
-    """One planar shape as interleaved landmark coordinates.
-
-    Attributes:
-        coords: 1-D float array (x1, y1, x2, y2, ...), even length >= 4,
-            all entries finite.  The array is frozen after construction.
-    """
-
-    coords: np.ndarray
-
-    def __post_init__(self) -> None:
-        coords = _frozen_coords(np.array(self.coords, dtype=float, copy=True).ravel())
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def n_coords(self) -> int:
-        return self.coords.size
-
-    @property
-    def n_landmarks(self) -> int:
-        return self.coords.size // 2
-
-    def as_complex(self) -> np.ndarray:
-        """Landmarks as one complex number each."""
-        return _as_complex(self.coords)
-
-    def centroid(self) -> np.ndarray:
-        """Mean landmark position (x, y)."""
-        z = self.as_complex().mean()
-        return np.array([z.real, z.imag])
-
-    def centroid_size(self) -> float:
-        """Euclidean norm of the centered coordinate vector."""
-        z = self.as_complex()
-        zc = z - z.mean()
-        return float(np.sqrt(np.sum(np.abs(zc) ** 2)))
-
-
 @dataclass(frozen=True)
 class AlignmentReport:
     """Outcome of a generalized Procrustes run."""
@@ -109,9 +60,11 @@ class AlignmentReport:
 class ShapeSet:
     """An immutable (n_coords, n_shapes) array of shapes, one column per shape.
 
-    Building it from shapes or from a matrix checks it once: at least two
-    shapes, an even coordinate count >= 4, finite entries, and for aligned
-    sets the mean centroid at the origin.
+    The constructor keeps a read-only float copy of its matrix and checks it
+    once: integer or float entries, 2-D, at least two shapes, an even
+    coordinate count >= 4, finite entries, and for aligned sets the mean
+    centroid at the origin.  subset takes columns of a checked set without
+    checking them again.
 
     Attributes:
         aligned: whether the set is the output of Procrustes alignment.
@@ -124,28 +77,27 @@ class ShapeSet:
 
     def __init__(
         self,
-        shapes: Iterable[Shape],
+        matrix: np.ndarray,
         aligned: bool = False,
         alignment_report: AlignmentReport | None = None,
     ) -> None:
-        self._set_matrix(_stack([shape.coords for shape in shapes]), aligned, alignment_report)
-
-    def _set_matrix(
-        self, matrix: np.ndarray, aligned: bool, alignment_report: AlignmentReport | None
-    ) -> None:
+        dtype = np.asarray(matrix).dtype
+        if dtype.kind not in "iuf":
+            raise ParseError(f"shape coordinates must be integers or floats, got dtype {dtype}")
+        matrix = np.array(matrix, dtype=float, order="C")
         if matrix.ndim != 2:
             raise ParseError(f"a shape matrix must be 2-D, got {matrix.ndim}-D")
-        if matrix.shape[1] < 2:
-            raise TooFewSamples(f"a shape set needs at least 2 shapes, got {matrix.shape[1]}")
-        _frozen_coords(matrix)
+        n, m = matrix.shape
+        if m < 2:
+            raise TooFewSamples(f"a shape set needs at least 2 shapes, got {m}")
+        if n < 4 or n % 2 != 0:
+            raise ParseError(f"shape needs an even number of coordinates >= 4, got {n}")
+        if not np.all(np.isfinite(matrix)):
+            raise ParseError("shape coordinates must all be finite")
         if aligned and max(abs(matrix[0::2].mean()), abs(matrix[1::2].mean())) > 1e-9:
             raise NotAligned("aligned set must have its mean centroid at the origin")
+        matrix.flags.writeable = False
         self.__dict__.update(_matrix=matrix, aligned=aligned, alignment_report=alignment_report)
-
-    @property
-    def shapes(self) -> tuple[Shape, ...]:
-        """The shapes in order, built from the matrix columns on each call."""
-        return tuple(Shape(column) for column in self._matrix.T)
 
     @property
     def n_shapes(self) -> int:
@@ -155,38 +107,29 @@ class ShapeSet:
     def n_coords(self) -> int:
         return self._matrix.shape[0]
 
-    @property
-    def n_landmarks(self) -> int:
-        return self._matrix.shape[0] // 2
-
     def as_matrix(self) -> np.ndarray:
         """The read-only (n_coords, n_shapes) column-per-shape matrix."""
         return self._matrix
 
-    def complex_matrix(self) -> np.ndarray:
-        """The set as an (n_shapes, n_landmarks) complex matrix."""
-        return np.ascontiguousarray(_as_complex(self._matrix).T)
-
     def subset(self, indices: Iterable[int]) -> "ShapeSet":
-        """A new set holding the selected shapes, alignment flag preserved."""
-        picked = np.take(self._matrix, np.fromiter(indices, dtype=np.intp), axis=1)
-        if picked.shape[1] < 2:
-            raise TooFewSamples(f"a shape set needs at least 2 shapes, got {picked.shape[1]}")
-        picked.flags.writeable = False
-        subset = object.__new__(ShapeSet)
-        subset.__dict__.update(_matrix=picked, aligned=self.aligned, alignment_report=None)
-        return subset
+        """A new set holding the selected shapes, alignment flag preserved.
 
-    @staticmethod
-    def from_matrix(
-        matrix: np.ndarray,
-        aligned: bool = False,
-        alignment_report: AlignmentReport | None = None,
-    ) -> "ShapeSet":
-        """A set holding a checked copy of an (n_coords, n_shapes) matrix."""
-        shape_set = object.__new__(ShapeSet)
-        shape_set._set_matrix(np.array(matrix, dtype=float, order="C"), aligned, alignment_report)
-        return shape_set
+        Raises:
+            ValueError: an index lies outside 0..n_shapes-1.
+            TooFewSamples: fewer than two indices.
+        """
+        picked = np.fromiter(indices, dtype=np.intp)
+        n = self.n_shapes
+        if picked.size and not (picked.min() >= 0 and picked.max() < n):
+            bad = picked[(picked < 0) | (picked >= n)][0]
+            raise ValueError(f"shape index {bad} is outside 0..{n - 1} of a {n}-shape set")
+        matrix = np.take(self._matrix, picked, axis=1)
+        if matrix.shape[1] < 2:
+            raise TooFewSamples(f"a shape set needs at least 2 shapes, got {matrix.shape[1]}")
+        matrix.flags.writeable = False
+        subset = object.__new__(ShapeSet)
+        subset.__dict__.update(_matrix=matrix, aligned=self.aligned, alignment_report=None)
+        return subset
 
 
 def _parse_row(fields: Sequence[str], where: str) -> np.ndarray:
@@ -254,7 +197,7 @@ def load_shape_set(path: str | Path, fmt: str = "csv_rows") -> ShapeSet:
     else:
         raise ValueError(f"unknown shape set format {fmt!r}")
 
-    return ShapeSet.from_matrix(_stack(rows, f"{path}: "))
+    return ShapeSet(_stack(rows, f"{path}: "))
 
 
 def _check_not_degenerate(norm: float, scale: float, what: str) -> None:
@@ -312,7 +255,7 @@ def generalized_procrustes(
         raise ValueError("max_iter must be at least 1")
     if not tol >= 0:
         raise ValueError("tol must be a number >= 0")
-    Z = shape_set.complex_matrix()
+    Z = np.ascontiguousarray(_as_complex(shape_set.as_matrix()).T)
     Zc = Z - Z.mean(axis=1, keepdims=True)
     powers = np.sum(np.abs(Zc) ** 2, axis=1)
     scale = float(np.max(np.abs(shape_set.as_matrix())))
@@ -337,21 +280,13 @@ def generalized_procrustes(
         if change < tol:
             break
 
-    return ShapeSet.from_matrix(
+    return ShapeSet(
         _as_coords(aligned.T),
         aligned=True,
         alignment_report=AlignmentReport(iterations=iterations, final_change=change),
     )
 
 
-def mean_shape(shapes: ShapeSet) -> Shape:
-    """Coordinate-wise average shape of a set."""
-    return Shape(shapes.as_matrix().mean(axis=1))
-
-
-def rmsd(a: Shape, b: Shape) -> float:
-    """Root mean squared landmark distance between two shapes."""
-    if a.n_coords != b.n_coords:
-        raise DimensionMismatch("shapes disagree on coordinate count")
-    d = a.as_complex() - b.as_complex()
-    return float(np.sqrt(np.mean(np.abs(d) ** 2)))
+def mean_shape(shape_set: ShapeSet) -> np.ndarray:
+    """Coordinate-wise average of a set's shapes, an (n_coords,) array."""
+    return shape_set.as_matrix().mean(axis=1)

@@ -298,5 +298,5 @@ def sample_shapes(
         z = z + (shift[0] + 1j * shift[1]) * size
         matrix[:, sample] = _as_coords(z)
 
-    raw = ShapeSet.from_matrix(matrix, aligned=False)
+    raw = ShapeSet(matrix)
     return generalized_procrustes(raw) if realign else raw

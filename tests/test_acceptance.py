@@ -18,14 +18,12 @@ import pytest
 
 from pdmorder import (
     ShapeSet,
-    Shape,
     clamp_to_box,
     fit_pdm,
     generalized_procrustes,
     lmmse_curve,
     make_seed_pdm_procedural,
     monte_carlo_order,
-    rmsd,
     sample_shapes,
     select_order_proposed,
 )
@@ -40,12 +38,17 @@ def _seed_model():
     return make_seed_pdm_procedural(40, 10, "geometric:0.7", rng_seed=11)
 
 
+def _rmsd(a: np.ndarray, b: np.ndarray) -> float:
+    """Root mean squared landmark distance between two coordinate vectors."""
+    return math.sqrt(2.0 * np.mean((a - b) ** 2))
+
+
 def _aligned_random_set(rng: np.random.Generator, k: int, m: int) -> ShapeSet:
     mat = rng.normal(size=(2 * k, m))
     for c in range(m):
         mat[0::2, c] -= mat[0::2, c].mean()
         mat[1::2, c] -= mat[1::2, c].mean()
-    return ShapeSet.from_matrix(mat, aligned=True)
+    return ShapeSet(mat, aligned=True)
 
 
 @pytest.fixture(scope="module")
@@ -156,10 +159,10 @@ def test_criterion_8_alignment_and_model_invariants() -> None:
             [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
         )
         pts = base.reshape(-1, 2) @ rot.T + rng.uniform(-1.0, 1.0, size=2)
-        shapes.append(Shape(pts.ravel()))
-    aligned = generalized_procrustes(ShapeSet(tuple(shapes)))
-    for shape in aligned.shapes[1:]:
-        assert rmsd(shape, aligned.shapes[0]) < 1e-8
+        shapes.append(pts.ravel())
+    aligned = generalized_procrustes(ShapeSet(np.column_stack(shapes))).as_matrix()
+    for m in range(1, aligned.shape[1]):
+        assert _rmsd(aligned[:, m], aligned[:, 0]) < 1e-8
 
     # eigenvector orthonormality and covariance reconstruction
     shape_set = _aligned_random_set(rng, k=8, m=30)

@@ -52,7 +52,7 @@ def _aligned_random_set(rng: np.random.Generator, k: int, m: int) -> ShapeSet:
     for c in range(m):
         mat[0::2, c] -= mat[0::2, c].mean()
         mat[1::2, c] -= mat[1::2, c].mean()
-    return ShapeSet.from_matrix(mat, aligned=True)
+    return ShapeSet(mat, aligned=True)
 
 
 def _full_rank_model(rng: np.random.Generator, k: int) -> PdmModel:
@@ -830,7 +830,7 @@ class TestLmmseCurve:
         for c in range(4):
             mat[0::2, c] -= mat[0::2, c].mean()
             mat[1::2, c] -= mat[1::2, c].mean()
-        result = lmmse_curve(ShapeSet.from_matrix(mat, aligned=True))
+        result = lmmse_curve(ShapeSet(mat, aligned=True))
         assert all(e == 0.0 for e in result.errors.values())
         # ties resolve to the smallest order, and no order can be selected
         assert result.argmin_t == min(result.errors)

@@ -37,7 +37,7 @@ def _aligned_random_set(rng: np.random.Generator, n: int, m: int) -> ShapeSet:
     for col in range(m):
         mat[0::2, col] -= mat[0::2, col].mean()
         mat[1::2, col] -= mat[1::2, col].mean()
-    return ShapeSet.from_matrix(mat, aligned=True)
+    return ShapeSet(mat, aligned=True)
 
 
 def _centered_truncated(
@@ -104,7 +104,7 @@ class TestSplitData:
         rng = np.random.default_rng(4)
         ss = _aligned_random_set(rng, 6, 9)
         split = split_data(ss)
-        mu = mean_shape(split.x1).coords
+        mu = mean_shape(split.x1)
         np.testing.assert_array_equal(split.y, split.x2.as_matrix() - mu[:, None])
 
     def test_too_few_samples(self):
@@ -126,7 +126,7 @@ class TestSplitData:
         again = split_data(ss, seed=seed)
         np.testing.assert_array_equal(again.x1.as_matrix(), split.x1.as_matrix())
         np.testing.assert_array_equal(again.x2.as_matrix(), split.x2.as_matrix())
-        mu = mean_shape(split.x1).coords
+        mu = mean_shape(split.x1)
         np.testing.assert_array_equal(split.y, split.x2.as_matrix() - mu[:, None])
         unseeded = split_data(ss)
         np.testing.assert_array_equal(unseeded.x1.as_matrix(), mat[:, : split.m1])
@@ -361,7 +361,7 @@ class TestSelectOrderProposed:
         lambdas = np.array([4.0, 2.0, 1.0])
         pdm = _centered_truncated(rng, 12, 3, lambdas)
         B = rng.uniform(-1.0, 1.0, (3, 16)) * np.sqrt(lambdas)[:, None]
-        return ShapeSet.from_matrix(pdm.basis @ B, aligned=True)
+        return ShapeSet(pdm.basis @ B, aligned=True)
 
     def test_noiseless_rank3_selects_three(self):
         result = select_order_proposed(self._noiseless_rank3())
@@ -487,7 +487,7 @@ class TestSelectOrderProposed:
 
     def test_zero_variance_training_half(self):
         mat = np.tile(np.array([1.0, -1.0, -1.0, 1.0])[:, None], (1, 8))
-        ss = ShapeSet.from_matrix(mat, aligned=True)
+        ss = ShapeSet(mat, aligned=True)
         with pytest.raises(ZeroVariance):
             select_order_proposed(ss)
 
@@ -497,7 +497,7 @@ class TestSelectOrderProposed:
         mat = ss.as_matrix()
         stars = []
         for c in (0.1, 1.0, 10.0):
-            scaled = ShapeSet.from_matrix(c * mat, aligned=True)
+            scaled = ShapeSet(c * mat, aligned=True)
             stars.append(select_order_proposed(scaled).t_star)
         assert stars == [5, 5, 5]
 
@@ -551,7 +551,7 @@ class TestSelectMany:
         if kind == "flat-training-half":  # the first half trains and has no variance
             mat = shapes.as_matrix().copy()
             mat[:, : (count + 1) // 2] = mat[:, :1]
-            return ShapeSet.from_matrix(mat, aligned=True)
+            return ShapeSet(mat, aligned=True)
         return shapes
 
     @given(
@@ -627,7 +627,7 @@ class TestSelectOrderVariance:
             self._share([0.0, 0.0])
         mat = np.tile(np.array([1.0, -1.0, -1.0, 1.0])[:, None], (1, 4))
         with pytest.raises(ZeroVariance):
-            select_order_variance(ShapeSet.from_matrix(mat, aligned=True))
+            select_order_variance(ShapeSet(mat, aligned=True))
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1, max_size=12).filter(

@@ -38,7 +38,7 @@ def _aligned_random_set(rng: np.random.Generator, n: int, m: int) -> ShapeSet:
         w = mat[1::2, col].mean()
         mat[0::2, col] -= z
         mat[1::2, col] -= w
-    return ShapeSet.from_matrix(mat, aligned=True)
+    return ShapeSet(mat, aligned=True)
 
 
 def _biased_cov(mat: np.ndarray) -> np.ndarray:
@@ -55,7 +55,7 @@ def _random_truncated(rng: np.random.Generator, n: int = 8, t: int = 3) -> PdmMo
 class TestFitPdm:
     def test_requires_alignment(self):
         rng = np.random.default_rng(0)
-        ss = ShapeSet.from_matrix(rng.standard_normal((6, 5)))
+        ss = ShapeSet(rng.standard_normal((6, 5)))
         with pytest.raises(NotAligned):
             fit_pdm(ss)
 
@@ -63,7 +63,7 @@ class TestFitPdm:
         # No mode carries variance, so there is no model to keep.
         mat = np.tile(np.array([1.0, -1.0, -1.0, 1.0])[:, None], (1, 4))
         with pytest.raises(ZeroVariance):
-            fit_pdm(ShapeSet.from_matrix(mat, aligned=True))
+            fit_pdm(ShapeSet(mat, aligned=True))
 
     def test_hand_computed_two_coordinate_spectrum(self):
         # Three samples whose first coordinate takes 1, -1, 0 and all other
@@ -71,7 +71,7 @@ class TestFitPdm:
         # spectrum is (2/3, 0, 0, 0) and the model keeps the one mode e_1.
         mat = np.zeros((4, 3))
         mat[0] = [1.0, -1.0, 0.0]
-        model = fit_pdm(ShapeSet.from_matrix(mat, aligned=True))
+        model = fit_pdm(ShapeSet(mat, aligned=True))
         assert model.order == 1
         np.testing.assert_allclose(model.lambdas, [2.0 / 3.0], rtol=1e-14)
         np.testing.assert_allclose(model.basis[:, 0], [1.0, 0.0, 0.0, 0.0], atol=1e-14)
@@ -146,7 +146,7 @@ class TestModes:
         mat += rng.standard_normal((n, 1))
         mat[0::2] -= mat[0::2].mean(axis=0)
         mat[1::2] -= mat[1::2].mean(axis=0)
-        shape_set = ShapeSet.from_matrix(mat, aligned=True)
+        shape_set = ShapeSet(mat, aligned=True)
         mean, basis, lambdas = _modes(shape_set)
         want, vecs = _eigh_oracle(mat)
         assert basis.shape == (n, n) and lambdas.shape == (n,)
@@ -170,7 +170,7 @@ class TestModes:
     def test_no_variance_raises_zero_variance(self, m):
         # M below and above N = 8; every column is the same shape.
         mat = np.tile(np.array([2.0, 3.0, -1.0, -4.0, 0.5, 1.0, -1.5, 0.0])[:, None], (1, m))
-        shape_set = ShapeSet.from_matrix(mat, aligned=True)
+        shape_set = ShapeSet(mat, aligned=True)
         np.testing.assert_array_equal(_modes(shape_set)[2], 0.0)
         with pytest.raises(ZeroVariance):
             fit_pdm(shape_set)
@@ -184,7 +184,7 @@ class TestModes:
         shape[1::2] -= shape[1::2].mean()
         mat = np.tile(shape[:, None], (1, 7))
         assert np.any(mat - mat.mean(axis=1, keepdims=True))
-        shape_set = ShapeSet.from_matrix(mat, aligned=True)
+        shape_set = ShapeSet(mat, aligned=True)
         np.testing.assert_array_equal(_modes(shape_set)[2], 0.0)
         with pytest.raises(ZeroVariance):
             fit_pdm(shape_set)
@@ -200,7 +200,7 @@ class TestModes:
         shape = np.random.default_rng(seed).standard_normal(2 * k) * 10.0**scale
         shape[0::2] -= shape[0::2].mean()
         shape[1::2] -= shape[1::2].mean()
-        shape_set = ShapeSet.from_matrix(np.tile(shape[:, None], (1, m)), aligned=True)
+        shape_set = ShapeSet(np.tile(shape[:, None], (1, m)), aligned=True)
         np.testing.assert_array_equal(_modes(shape_set)[2], 0.0)
 
 
