@@ -81,10 +81,11 @@ class TrialSummary:
 
 def _check_trials(
     sample_counts: tuple[int, ...], trials: int, rng_seed: int, methods: tuple[str, ...],
-    t_max: int | None, threads: int,
+    t_max: int | None, fraction: float, threads: int,
 ) -> None:
     """Refuse no trials, no sample counts or one below 2 (TooFewSamples), a
-    negative seed, an unknown method, a t_max below 1 or no worker."""
+    negative seed, an unknown method, a t_max below 1, a variance fraction
+    outside (0, 1) or no worker."""
     if trials < 1:
         raise ValueError("at least one trial is required")
     if not sample_counts:
@@ -98,6 +99,8 @@ def _check_trials(
             raise ValueError(f"unknown selection method {method!r}")
     if t_max is not None and t_max < 1:
         raise ValueError("t_max must be at least 1")
+    if not 0.0 < fraction < 1.0:
+        raise ValueError("fraction must lie strictly between 0 and 1")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
 
@@ -157,7 +160,7 @@ def _tabulate(
     min(threads, usable CPUs) workers.  The fork hands each worker
     the job function with draw and its data, so only a chunk (count, first
     trial, trials) and its outcomes cross the pipe; the largest sample
-    counts go first, so the slowest jobs do not finish last.  Each worker
+    counts go first (_jobs), so the slowest jobs do not finish last.  Each worker
     runs its BLAS on one thread (see _adopt), and the pool joins them all.
     """
     counts = tuple(dict.fromkeys(sample_counts))
@@ -191,13 +194,11 @@ def _tabulate(
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        largest_first = sorted(jobs, key=lambda job: -job[0])
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(
             workers, mp_context=fork, initializer=_adopt, initargs=(_chunk,)
         ) as pool:
-            done = dict(zip(largest_first, pool.map(_run_adopted, largest_first)))
-        chunks = [done[job] for job in jobs]
+            chunks = list(pool.map(_run_adopted, jobs))
     else:
         chunks = [_chunk(job) for job in jobs]
     outcomes = {count: [] for count in counts}
@@ -216,13 +217,14 @@ def _tabulate(
 
 
 def _jobs(counts: tuple[int, ...], trials: int, workers: int) -> list[tuple[int, int, int]]:
-    """The jobs (count, first trial, trials) of _tabulate, in count order.
+    """The jobs (count, first trial, trials) of _tabulate, largest count first.
 
     A job holds max(1, min(TRIAL_STACK_SHAPES // count, ceil(trials / workers)))
-    consecutive trials of one count, the last job of a count the rest.
+    consecutive trials of one count, the last job of a count the rest; the
+    jobs of one count keep trial order.
     """
     jobs = []
-    for count in counts:
+    for count in sorted(counts, reverse=True):
         per_job = max(1, min(TRIAL_STACK_SHAPES // count, -(-trials // workers)))
         jobs += [(count, t, min(per_job, trials - t)) for t in range(0, trials, per_job)]
     return jobs
@@ -303,7 +305,7 @@ def monte_carlo_order(
     for a sample count below 2), before the first set is drawn or the first
     worker starts; that includes a beta_db whose noise variance is not finite.
     """
-    _check_trials(sample_counts, trials, rng_seed, methods, t_max, threads)
+    _check_trials(sample_counts, trials, rng_seed, methods, t_max, variance_fraction, threads)
     noise_variance(seed_pdm.lambdas, beta_db, b_dist)  # refuses b_dist and beta_db
 
     def _draw(count: int, trial: int) -> ShapeSet:
@@ -344,7 +346,7 @@ def order_sweep(
     for a subset size below 2 or above the set size), before the first
     subset is drawn or the first worker starts.
     """
-    _check_trials(sample_counts, trials, rng_seed, methods, t_max, threads)
+    _check_trials(sample_counts, trials, rng_seed, methods, t_max, variance_fraction, threads)
     m = shape_set.n_shapes
     if max(sample_counts) > m:
         raise TooFewSamples(f"subset size {max(sample_counts)} exceeds the {m} available shapes")

@@ -60,13 +60,11 @@ class SplitData:
 
     Attributes:
         x1: training shapes (model half).
-        x2: held-out shapes (scoring half).
         y: (N, M2) held-out coordinates minus the training mean shape, one
             column per held-out sample.
     """
 
     x1: ShapeSet
-    x2: ShapeSet
     y: np.ndarray
 
     @property
@@ -75,7 +73,7 @@ class SplitData:
 
     @property
     def m2(self) -> int:
-        return self.x2.n_shapes
+        return self.y.shape[1]
 
 
 def split_data(shape_set: ShapeSet, seed: int | None = None) -> SplitData:
@@ -95,9 +93,8 @@ def split_data(shape_set: ShapeSet, seed: int | None = None) -> SplitData:
     indices = np.arange(m) if seed is None else np.random.default_rng(seed).permutation(m)
     m1 = (m + 1) // 2
     x1 = shape_set.subset(indices[:m1])
-    x2 = shape_set.subset(indices[m1:])
-    y = x2.as_matrix() - mean_shape(x1)[:, None]
-    return SplitData(x1=x1, x2=x2, y=y)
+    y = shape_set.as_matrix()[:, indices[m1:]] - mean_shape(x1)[:, None]
+    return SplitData(x1=x1, y=y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +180,7 @@ def alternating_ml(
         sigma_floor = SIGMA_FLOOR_REL * float(np.mean(Y * Y))
     _, fit = next(_fit_orders(
         Y.T[None], pdm.basis[None], pdm.lambdas[None], np.array([sigma_floor]), [(0, pdm.order)],
-        1, tol, max_iter,
+        tol, max_iter,
     ))
     if isinstance(fit, SingularSystem):
         raise fit
@@ -196,11 +193,10 @@ def _fit_orders(
     lambdas: np.ndarray,
     floors: np.ndarray,
     rows: Sequence[tuple[int, int]],
-    capacity: int,
     tol: float,
     max_iter: int,
 ) -> Iterator[tuple[int, RegressionFit | SingularSystem]]:
-    """Stream alternating fits through a lockstep stack of `capacity` rows.
+    """Stream alternating fits through a lockstep stack of STACK_ROWS rows.
 
     Row r, rows[r] = (s, t), fits set s's held-out data Y[s], stored
     coordinates-last as (M2, N), with the leading t columns of the set's
@@ -214,7 +210,7 @@ def _fit_orders(
     spreads numpy's per-call overhead, but each row keeps its own sweep
     count, descent guard, objective trace and stopping rule, and depends on
     its own set's arrays and order alone: its fit does not depend on the
-    capacity, the admission order or the other rows.
+    stack size, the admission order or the other rows.
 
     Yields:
         (r, fit) as row r leaves the stack, or (r, SingularSystem) for a row
@@ -229,7 +225,7 @@ def _fit_orders(
     row_set, row_order = np.array(rows, dtype=int).reshape(-1, 2).T
     _, m2, n = Y.shape
     top = basis.shape[2]
-    live = min(capacity, len(rows))
+    live = min(STACK_ROWS, len(rows))
     slots = np.arange(live)
     # The norms every row starts from: its data's, under unit variances.
     first_norms = _weighted_column_norms(Y * Y, np.ones(Y.shape[::2]))
@@ -438,7 +434,7 @@ def _select_many(
         if t_max is not None:
             t_hi = min(t_hi, t_max)
         floor = SIGMA_FLOOR_REL * float(np.sum(model.lambdas)) / model.n_coords
-        kept[index] = split.y.T.copy(), model.basis[:, :t_hi], model.lambdas[:t_hi], floor
+        kept[index] = split.y.T, model.basis[:, :t_hi], model.lambdas[:t_hi], floor
         for lo in range(1, t_hi + 1, ORDER_BLOCK):
             key = lo, min(lo + ORDER_BLOCK - 1, t_hi), split.y.shape
             groups.setdefault(key, []).append(index)
@@ -456,7 +452,6 @@ def _select_many(
             np.stack([widths[:top] for widths in lambdas]),
             np.array(floors),
             rows,
-            STACK_ROWS,
             tol,
             max_iter,
         )

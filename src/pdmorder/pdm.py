@@ -112,8 +112,9 @@ def _modes(shape_set: ShapeSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     One SVD of the centred (N, M) data C = U S V^T gives the biased
     covariance C C^T / M = U diag(s^2 / M) U^T without forming C C^T, so
     small eigenvalues are not squared into rounding.  U holds the modes and
-    then their orthonormal complement, whose eigenvalues are zero; each
-    column is sign-fixed, so the fit is deterministic.
+    then their orthonormal complement, whose eigenvalues are zero, with the
+    signs the SVD gives them: fit_pdm fixes the signs of the modes it keeps,
+    and the spectrum and lmmse_curve's kernel do not depend on them.
 
     M copies of one shape x centre to e 1^T, where e = x - mean is the
     rounding of the computed mean, so s_0 / ||X||_F = ||e|| / ||x||: the
@@ -136,7 +137,7 @@ def _modes(shape_set: ShapeSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lambdas = np.zeros(n)
     if s[0] > CENTRING_ULPS * np.finfo(float).eps * np.linalg.norm(X):
         lambdas[: s.size] = s * s / m
-    return mu, _fix_signs(u), lambdas
+    return mu, u, lambdas
 
 
 def fit_pdm(shape_set: ShapeSet) -> PdmModel:
@@ -145,7 +146,9 @@ def fit_pdm(shape_set: ShapeSet) -> PdmModel:
     The sample covariance uses the biased normalization (1/M) on centered
     data, and its eigenpairs come from one SVD (see _modes).  The model
     keeps the modes whose eigenvalues exceed RANK_REL_TOL times the leading
-    one, so its order is its positive rank: at most min(M - 1, N).
+    one, so its order is its positive rank: at most min(M - 1, N).  Each
+    kept mode's sign makes its largest-magnitude entry positive (_fix_signs),
+    so the fit is deterministic.
 
     Raises:
         NotAligned: the set was not Procrustes aligned first.
@@ -155,7 +158,7 @@ def fit_pdm(shape_set: ShapeSet) -> PdmModel:
     if lambdas[0] <= 0.0:
         raise ZeroVariance("the shapes carry no variance; a model needs one mode")
     order = _rank(lambdas)
-    return PdmModel(mu, basis[:, :order], lambdas[:order], shape_set.n_shapes)
+    return PdmModel(mu, _fix_signs(basis[:, :order]), lambdas[:order], shape_set.n_shapes)
 
 
 def truncate(model: PdmModel, order: int) -> PdmModel:

@@ -81,9 +81,14 @@ class ShapeSet:
         aligned: bool = False,
         alignment_report: AlignmentReport | None = None,
     ) -> None:
-        dtype = np.asarray(matrix).dtype
-        if dtype.kind not in "iuf":
-            raise ParseError(f"shape coordinates must be integers or floats, got dtype {dtype}")
+        try:
+            matrix = np.asarray(matrix)
+        except ValueError as exc:  # a ragged nest of rows
+            raise ParseError(f"a shape matrix must be rectangular: {exc}") from exc
+        if matrix.dtype.kind not in "iuf":
+            raise ParseError(
+                f"shape coordinates must be integers or floats, got dtype {matrix.dtype}"
+            )
         matrix = np.array(matrix, dtype=float, order="C")
         if matrix.ndim != 2:
             raise ParseError(f"a shape matrix must be 2-D, got {matrix.ndim}-D")
@@ -115,15 +120,21 @@ class ShapeSet:
         """A new set holding the selected shapes, alignment flag preserved.
 
         Raises:
-            ValueError: an index lies outside 0..n_shapes-1.
+            ValueError: the indices are not a flat sequence of integers, or
+                one lies outside 0..n_shapes-1.
             TooFewSamples: fewer than two indices.
         """
-        picked = np.fromiter(indices, dtype=np.intp)
+        picked = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices))
+        if picked.ndim != 1 or (picked.size and picked.dtype.kind not in "iu"):
+            raise ValueError(
+                f"shape indices must be a flat sequence of integers, "
+                f"got a {picked.ndim}-D array of dtype {picked.dtype}"
+            )
         n = self.n_shapes
         if picked.size and not (picked.min() >= 0 and picked.max() < n):
             bad = picked[(picked < 0) | (picked >= n)][0]
             raise ValueError(f"shape index {bad} is outside 0..{n - 1} of a {n}-shape set")
-        matrix = np.take(self._matrix, picked, axis=1)
+        matrix = np.take(self._matrix, picked.astype(np.intp, copy=False), axis=1)
         if matrix.shape[1] < 2:
             raise TooFewSamples(f"a shape set needs at least 2 shapes, got {matrix.shape[1]}")
         matrix.flags.writeable = False

@@ -257,6 +257,15 @@ class TestMonteCarloArguments:
         with pytest.raises(TooFewSamples, match="sample count 1 is below 2 shapes"):
             self._run(sample_counts=(10, 1))
 
+    @pytest.mark.parametrize("methods", [("proposed", "variance"), ("proposed",)])
+    @pytest.mark.parametrize("fraction", [2.0, 1.0, 0.0, -0.5, math.nan])
+    def test_rejects_a_variance_fraction_outside_zero_one(
+        self, fraction: float, methods: tuple[str, ...]
+    ) -> None:
+        # Refused even when no method reads it.
+        with pytest.raises(ValueError, match="fraction must lie strictly between 0 and 1"):
+            self._run(variance_fraction=fraction, methods=methods)
+
 
 class TestMonteCarloOrder:
     def test_single_trial_single_bin(self) -> None:
@@ -420,7 +429,8 @@ class TestTrialChunks:
 
     def test_chunks_hold_several_trials(self) -> None:
         assert evaluation.TRIAL_STACK_SHAPES // 16 >= self.CFG["trials"]
-        assert evaluation._jobs((10, 16), self.CFG["trials"], 1) == [(10, 0, 6), (16, 0, 6)]
+        # Largest count first, so the slowest jobs do not finish last.
+        assert evaluation._jobs((10, 16), self.CFG["trials"], 1) == [(16, 0, 6), (10, 0, 6)]
 
     def test_jobs_hold_a_workers_share_of_a_count(self) -> None:
         # A job holds max(1, min(TRIAL_STACK_SHAPES // M, ceil(trials / workers)))
@@ -466,14 +476,15 @@ class TestTrialChunks:
             assert chunked.cells[key].hist == cell.hist
 
     def test_a_failed_selection_fails_its_trial_alone(self, monkeypatch) -> None:
-        # The variance rule refuses one set of a job: its trial fails under
-        # that class, and the proposed picks of the others stay as they are.
+        # The variance rule refuses the fourth 10-shape set of its job: that
+        # trial fails under that class, and the proposed picks of the others
+        # stay as they are.
         clean = monte_carlo_order(_seed_model(), **self.CFG)
         calls = []
 
         def picky(shape_set, fraction):
-            calls.append(shape_set)
-            if len(calls) == 4:
+            calls.append(shape_set.n_shapes)
+            if calls.count(10) == 4 and calls[-1] == 10:
                 raise ZeroVariance("the shapes carry no variance")
             return select_order_variance(shape_set, fraction=fraction)
 
@@ -534,12 +545,22 @@ class TestOrderSweep:
             (dict(trials=0), "at least one trial"),
             (dict(sample_counts=()), "at least one sample count"),
             (dict(methods=("bogus",)), "unknown selection method"),
+            (dict(variance_fraction=2.0), "fraction must lie strictly between 0 and 1"),
+            (dict(variance_fraction=0.0), "fraction must lie strictly between 0 and 1"),
+            (dict(variance_fraction=math.nan), "fraction must lie strictly between 0 and 1"),
+            (dict(variance_fraction=1.5, methods=("proposed",)),
+             "fraction must lie strictly between 0 and 1"),
         ],
-        ids=["zero-trials", "empty-sample-counts", "unknown-method"],
+        ids=["zero-trials", "empty-sample-counts", "unknown-method", "fraction-2",
+             "fraction-0", "fraction-nan", "fraction-unread"],
     )
     def test_refuses_what_monte_carlo_refuses(
-        self, base_set: ShapeSet, kwargs: dict, message: str
+        self, base_set: ShapeSet, monkeypatch: pytest.MonkeyPatch, kwargs: dict, message: str
     ) -> None:
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trial ran before the arguments were checked")
+
+        monkeypatch.setattr(evaluation, "_tabulate", refuse)
         call = dict(sample_counts=(12,), trials=1, rng_seed=5) | kwargs
         with pytest.raises(ValueError, match=message):
             order_sweep(base_set, **call)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import pickle
 
@@ -15,6 +16,7 @@ from pdmorder import (
     RegressionFit,
     ShapeSet,
     SingularSystem,
+    SplitData,
     TooFewSamples,
     ZeroVariance,
     aic_score,
@@ -88,7 +90,8 @@ class TestSplitData:
         ss = _aligned_random_set(rng, 6, 8)
         split = split_data(ss)
         np.testing.assert_array_equal(split.x1.as_matrix(), ss.as_matrix()[:, :4])
-        np.testing.assert_array_equal(split.x2.as_matrix(), ss.as_matrix()[:, 4:])
+        mu = mean_shape(split.x1)
+        np.testing.assert_array_equal(split.y, ss.as_matrix()[:, 4:] - mu[:, None])
 
     def test_shuffled_is_deterministic_per_seed(self):
         rng = np.random.default_rng(3)
@@ -105,7 +108,11 @@ class TestSplitData:
         ss = _aligned_random_set(rng, 6, 9)
         split = split_data(ss)
         mu = mean_shape(split.x1)
-        np.testing.assert_array_equal(split.y, split.x2.as_matrix() - mu[:, None])
+        np.testing.assert_array_equal(split.y, ss.as_matrix()[:, split.m1 :] - mu[:, None])
+        assert split.m2 == split.y.shape[1] == 4
+
+    def test_split_keeps_only_the_training_set_and_the_heldout_matrix(self):
+        assert [f.name for f in dataclasses.fields(SplitData)] == ["x1", "y"]
 
     def test_too_few_samples(self):
         rng = np.random.default_rng(6)
@@ -119,18 +126,24 @@ class TestSplitData:
         mat = ss.as_matrix()
         split = split_data(ss, seed=seed)
         assert split.m1 == (m + 1) // 2
-        # The columns are distinct draws, so each one names its source shape.
-        halves = np.hstack([split.x1.as_matrix(), split.x2.as_matrix()])
-        sources = [int(np.flatnonzero((mat == col[:, None]).all(axis=0))[0]) for col in halves.T]
+        assert split.m2 == m - split.m1
+        # The columns are distinct draws, so each one names its source shape:
+        # a training column as it is, a held-out one minus the training mean.
+        mu = mean_shape(split.x1)
+        centred = mat - mu[:, None]
+        sources = [int(np.flatnonzero((mat == col[:, None]).all(axis=0))[0])
+                   for col in split.x1.as_matrix().T]
+        sources += [int(np.flatnonzero((centred == col[:, None]).all(axis=0))[0])
+                    for col in split.y.T]
         assert sorted(sources) == list(range(m))
         again = split_data(ss, seed=seed)
         np.testing.assert_array_equal(again.x1.as_matrix(), split.x1.as_matrix())
-        np.testing.assert_array_equal(again.x2.as_matrix(), split.x2.as_matrix())
-        mu = mean_shape(split.x1)
-        np.testing.assert_array_equal(split.y, split.x2.as_matrix() - mu[:, None])
+        np.testing.assert_array_equal(again.y, split.y)
         unseeded = split_data(ss)
         np.testing.assert_array_equal(unseeded.x1.as_matrix(), mat[:, : split.m1])
-        np.testing.assert_array_equal(unseeded.x2.as_matrix(), mat[:, split.m1 :])
+        np.testing.assert_array_equal(
+            unseeded.y, mat[:, split.m1 :] - mean_shape(unseeded.x1)[:, None]
+        )
 
 
 class TestAlternatingMl:
@@ -236,7 +249,7 @@ class TestFitOrdersKernelExit:
         model = self._block(fifth_mode)
         stream = order_select._fit_orders(
             Y.T[None], model.basis[None], self.LAMBDAS[None], np.array([1e-12]),
-            [(0, t) for t in range(1, 7)], 6, 1e-8, 100,
+            [(0, t) for t in range(1, 7)], 1e-8, 100,
         )
         fits = dict(stream)
         return [fits[row] for row in range(6)]
@@ -264,9 +277,9 @@ class TestFitOrdersKernelExit:
 
 
 class TestFitOrdersStream:
-    """The kernel streams a pool of rows through a stack of any capacity.
+    """The kernel streams a pool of rows through a stack of any size (STACK_ROWS).
 
-    Every row's fit must be bit-identical whatever the capacity, the
+    Every row's fit must be bit-identical whatever the stack size, the
     admission order or the other rows of the pool, a failing row included.
     """
 
@@ -300,10 +313,12 @@ class TestFitOrdersStream:
         ))
         rows.insert(data.draw(st.integers(0, len(rows))), (n_sets, top))
 
-        def stream(pool, capacity):
-            fits = dict(order_select._fit_orders(
-                Y, bases, lambdas, floors, pool, capacity, 1e-8, max_iter
-            ))
+        def stream(pool, stack_rows):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(order_select, "STACK_ROWS", stack_rows)
+                fits = dict(order_select._fit_orders(
+                    Y, bases, lambdas, floors, pool, 1e-8, max_iter
+                ))
             assert sorted(fits) == list(range(len(pool)))
             return [pickle.dumps(fits[row]) for row in range(len(pool))]
 
@@ -311,8 +326,8 @@ class TestFitOrdersStream:
         singular = rows.index((n_sets, top))
         assert isinstance(pickle.loads(alone[singular]), SingularSystem)
         assert sum(isinstance(pickle.loads(fit), SingularSystem) for fit in alone) == 1
-        for capacity in (2, 5, len(rows)):
-            assert stream(rows, capacity) == alone
+        for stack_rows in (2, 5, len(rows)):
+            assert stream(rows, stack_rows) == alone
         order = data.draw(st.permutations(range(len(rows))))
         shuffled = stream([rows[i] for i in order], data.draw(st.sampled_from([2, 5])))
         assert [shuffled[order.index(row)] for row in range(len(rows))] == alone

@@ -152,11 +152,33 @@ class TestShapeSet:
         np.testing.assert_array_equal(sub.as_matrix()[:, 0], ss.as_matrix()[:, 3])
         np.testing.assert_array_equal(sub.as_matrix()[:, 1], ss.as_matrix()[:, 1])
 
-    @pytest.mark.parametrize("indices, bad", [([-1, 0], -1), ([99], 99), ([0, 1, 5], 5)])
+    @pytest.mark.parametrize(
+        "indices, bad",
+        [
+            ([-1, 0], -1),
+            ([99], 99),
+            ([0, 1, 5], 5),
+            # Not integer indices: refused before any column is taken.
+            ([1.5, 2.7], "1-D array of dtype float64"),
+            (np.array([1.0, 2.0]), "1-D array of dtype float64"),
+            ([True, False], "1-D array of dtype bool"),
+            (["1", "2"], "1-D array of dtype <U1"),
+            ([[0, 1]], "2-D array of dtype int64"),
+        ],
+    )
     def test_subset_refuses_an_index_outside_the_set(self, indices, bad):
         ss = ShapeSet(np.arange(20.0).reshape(4, 5))
-        with pytest.raises(ValueError, match=rf"index {bad} .*5-shape set"):
+        if isinstance(bad, int):
+            message = rf"index {bad} .*5-shape set"
+        else:
+            message = f"a flat sequence of integers, got a {bad}"
+        with pytest.raises(ValueError, match=message):
             ss.subset(indices)
+
+    @pytest.mark.parametrize("indices", [[], np.array([], dtype=float), [2]])
+    def test_subset_of_fewer_than_two_raises_too_few_samples(self, indices):
+        with pytest.raises(TooFewSamples):
+            ShapeSet(np.arange(20.0).reshape(4, 5)).subset(indices)
 
 
 class TestLoadShapeSet:
@@ -440,14 +462,17 @@ class TestShapeSetArray:
             (np.ones((4, 3)) + 1j, ParseError),
             (np.full((4, 3), "1.0"), ParseError),
             (np.ones((4, 3), dtype=bool), ParseError),
+            ([[1, 2], [3, 4, 5], [6, 7], [8, 9]], ParseError),
         ],
         ids=["1-d", "odd-n", "n-below-4", "nan", "inf", "one-shape", "no-shapes",
-             "complex", "strings", "bool"],
+             "complex", "strings", "bool", "ragged"],
     )
     def test_from_matrix_rejects(self, mat, error):
         with pytest.raises(error) as err:
             ShapeSet(mat)
-        if mat.dtype.kind != "f":
+        if isinstance(mat, list):
+            assert "rectangular" in str(err.value)
+        elif mat.dtype.kind != "f":
             assert f"dtype {mat.dtype}" in str(err.value)
 
     def test_subset_of_aligned_set_stays_aligned(self):
@@ -486,8 +511,12 @@ class TestShapeSetArray:
 
         centroid = np.tile([got[0::2].mean(), got[1::2].mean()], rows // 2)
         indices = data.draw(st.lists(st.integers(0, cols - 1), min_size=2, max_size=8))
+        # Any flat integer sequence: a list, a tuple or an integer array.
+        passed = data.draw(st.sampled_from([
+            indices, tuple(indices), np.array(indices), np.array(indices, dtype=np.uint8),
+        ]))
         for aligned, source in ((False, mat), (True, got - centroid[:, None])):
             ss = ShapeSet(source, aligned=aligned)
-            sub = ss.subset(indices)
+            sub = ss.subset(passed)
             np.testing.assert_array_equal(sub.as_matrix(), np.take(ss.as_matrix(), indices, axis=1))
             assert sub.aligned is aligned
