@@ -6,8 +6,8 @@ its artifact's path (montecarlo, sweep and select --method proposed with
 their run's stats: failures and sweeps, or each order's sweeps), and main
 then writes the sibling manifest <artifact>.manifest.json after the
 command's last file, recording the command, its canonicalized flags, a hash
-of them, the tool version and any stats, so a run can be reproduced or
-audited later.  All numbers in
+of them, the tool version, the numeric environment and any stats, so a
+run can be reproduced or audited later.  All numbers in
 data files carry 17 significant digits, which round-trips doubles exactly;
 rerunning a command with identical flags and inputs produces byte-identical
 data files.
@@ -21,9 +21,13 @@ import hashlib
 import inspect
 import json
 import math
+import os
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .errors import DataError, NumericalError, NotAligned
@@ -79,6 +83,26 @@ def _write_json(path: Path, record: dict) -> None:
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
+def _environment() -> dict:
+    """What the numbers of a run depend on beyond its flags: Python, numpy, BLAS, threads, CPUs."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas["name"], "version": blas["version"]}
+    except TypeError:  # an older numpy has no mode argument
+        blas = None
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "thread_vars": {
+            var: os.environ.get(var)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        },
+        # os.sched_getaffinity is Linux-only.
+        "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+    }
+
+
 def write_manifest(
     artifact: Path, args: argparse.Namespace, started: str, stats: dict | None = None
 ) -> None:
@@ -89,6 +113,7 @@ def write_manifest(
         "config_hash": config_hash(args.command, config),
         "rng_seed": config.get("seed"),
         "tool_version": __version__,
+        "environment": _environment(),
         "timestamps": {"started": started, "finished": _utc_now()},
     }
     if stats is not None:

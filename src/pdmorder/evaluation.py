@@ -367,15 +367,38 @@ def order_sweep(
     return TrialSummary(cells=cells, trials=trials, failure_classes=classes, sweeps=once.sweeps)
 
 
+class _FoldBuffers:
+    """The scratch arrays of _predict_landmarks for one curve's N and t_cap.
+
+    lmmse_curve makes one set (about 0.6 MB at N = 80, t_cap = 27) and
+    passes it to every fold.  The kernel overwrites u, terms and tails whole
+    before it reads them, so nothing carries over from one fold to the next,
+    not even from a fold that raised; visible and lower are constants.
+    """
+
+    def __init__(self, n: int, t_cap: int) -> None:
+        k = n // 2
+        # Exact zeros on each hidden pair: c and mass sum the visible rows, no cancelling.
+        self.visible = 1.0 - np.repeat(np.eye(k), 2, axis=1)
+        self.lower = np.tril(np.ones((t_cap, t_cap)))
+        self.u = np.empty((k, t_cap, t_cap))
+        self.terms = np.empty((k, 5, n))
+        self.tails = np.empty((k, 5, n - 1))
+
+
 def _predict_landmarks(
-    basis: np.ndarray, lambdas: np.ndarray, y: np.ndarray, t_cap: int
+    basis: np.ndarray, lambdas: np.ndarray, y: np.ndarray, work: _FoldBuffers
 ) -> np.ndarray:
     """Predict every landmark of y from the others at every order 1..t_cap.
 
     basis is a full (N, N) orthonormal basis P with eigenvalues lambdas
     (a zero one acts as a mode outside the model), y a mean-removed (N,)
-    sample, and t_cap at most N - 2.  With p_j the hidden landmark's two rows
-    of column j, c_j = p_aj^T y_a its visible projection and
+    sample, and work the curve's buffers for this N and a t_cap of at most
+    N - 2.  The large intermediates are written there rather than allocated:
+    arrays allocated afresh land on fresh pages on every call, which the
+    process faults in again, while the folds of a curve reuse the same
+    pages.  With p_j the hidden landmark's two rows of column j,
+    c_j = p_aj^T y_a its visible projection and
     rho_t = RIDGE_REL * sum_{j<=t} lambda_j |p_aj|^2 / (N - 2)
     (1 where that sum is 0, so visible rows without variance predict zero),
     the estimate at order t is x_t = -A_t^-1 b_t with
@@ -403,20 +426,24 @@ def _predict_landmarks(
             no inf or NaN is returned.
     """
     n = basis.shape[0]
-    k = n // 2
+    k, t_cap = work.u.shape[:2]
     hidden = basis.reshape(k, 2, n)
     x0, x1 = hidden[:, 0], hidden[:, 1]
-    # Exact zeros on each hidden pair: c and mass sum the visible rows, no cancelling.
-    visible = 1.0 - np.repeat(np.eye(k), 2, axis=1)
+    visible, u, terms = work.visible, work.u, work.terms
     with np.errstate(all="ignore"):  # a non-finite or singular system is refused below
         c = (visible * y) @ basis
         mass = np.cumsum(lambdas[:t_cap] * (visible @ basis[:, :t_cap] ** 2), axis=1)
         rho = np.where(mass > 0.0, RIDGE_REL * mass / (n - 2), 1.0)[:, :, None]
-        u = np.tril(rho / (lambdas[:t_cap] + rho))
+        np.add(lambdas[:t_cap], rho, out=u)
+        np.divide(rho, u, out=u)
+        # Zeroes the upper triangle as np.tril would while its weights are
+        # finite, i.e. rho_t > 0 or lambda_j > 0, as at lmmse_curve's orders.
+        np.multiply(u, work.lower, out=u)
         # Per landmark and column: a, b, d of p_j p_j^T and the two rows of c_j p_j.
-        terms = np.stack([x0 * x0, x0 * x1, x1 * x1, c * x0, c * x1], axis=1)
+        for row, (left, right) in enumerate([(x0, x0), (x0, x1), (x1, x1), (c, x0), (c, x1)]):
+            np.multiply(left, right, out=terms[:, row])
         # tails[..., t - 1] sums the columns past order t.
-        tails = np.cumsum(terms[:, :, :0:-1], axis=2)[:, :, ::-1]
+        tails = np.cumsum(terms[:, :, :0:-1], axis=2, out=work.tails)[:, :, ::-1]
         sums = u @ terms[:, :, :t_cap].transpose(0, 2, 1) + tails[:, :, :t_cap].transpose(0, 2, 1)
         a, b, d, r0, r1 = np.moveaxis(sums, 2, 0)
         det = a * d - b * b
@@ -460,7 +487,10 @@ def lmmse_curve(
     visible ones under the covariance of the fold's leading t modes.  One
     kernel call per fold predicts every landmark at every order from the
     fold's complete (N, N) basis from one SVD (pdm._modes: its modes, then
-    their orthonormal complement with zero eigenvalues).  The modes past
+    their orthonormal complement with zero eigenvalues), writing its large
+    intermediates into one _FoldBuffers that the curve allocates once for
+    all folds, because arrays allocated on every call land on fresh pages
+    each time (~125 minor page faults a fold at N = 80).  The modes past
     each order enter with weight 1 through one reverse cumulative sum over
     the columns, and each landmark and order costs one closed-form 2 x 2
     solve whose determinant is checked to be finite and positive.  Orders
@@ -513,9 +543,10 @@ def lmmse_curve(
         t_cap = 1
 
     sums = np.zeros(t_cap)
+    work = _FoldBuffers(n, t_cap)
     for fold, (mean, basis, lambdas) in enumerate(folds):
         y = X[:, fold] - mean
-        predicted = _predict_landmarks(basis, lambdas, y, t_cap)
+        predicted = _predict_landmarks(basis, lambdas, y, work)
         sums += np.sum((predicted - y.reshape(k, 1, 2)) ** 2, axis=(0, 2))
 
     errors = {t: sums[t - 1] / (m * k) for t in range(1, t_cap + 1)}

@@ -28,7 +28,7 @@ from pdmorder import (
     select_order_proposed,
     select_order_variance,
 )
-from pdmorder import evaluation
+from pdmorder import cli, evaluation
 from pdmorder.evaluation import monte_carlo_order, order_sweep
 from pdmorder.cli import SELECT_FLAGS, build_parser, main, write_shapes_csv
 from pdmorder.errors import SingularSystem
@@ -150,10 +150,26 @@ class TestManifest:
         assert rc == 0
         manifest = json.loads((out.parent / "aligned.csv.manifest.json").read_text())
         assert set(manifest) == {
-            "command", "config", "config_hash", "rng_seed", "timestamps", "tool_version",
+            "command", "config", "config_hash", "environment", "rng_seed", "timestamps",
+            "tool_version",
         }
         assert manifest["command"] == "align"
         assert set(manifest["timestamps"]) == {"started", "finished"}
+        environment = manifest["environment"]
+        assert set(environment) == {"python", "numpy", "blas", "thread_vars", "usable_cpus"}
+        assert environment["numpy"] == np.__version__
+        assert set(environment["thread_vars"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+        }
+
+    def test_blas_is_null_on_a_numpy_without_config_dicts(
+        self, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        def show_config() -> None:  # an older numpy takes no mode
+            raise AssertionError("show_config printed")
+
+        monkeypatch.setattr(cli.np, "show_config", show_config)
+        assert cli._environment()["blas"] is None
 
     def test_config_hash_stable_across_reruns(self, tmp_path: Path) -> None:
         out = tmp_path / "mc.csv"

@@ -35,7 +35,7 @@ from pdmorder import (
 )
 from pdmorder import evaluation
 from pdmorder.errors import DegenerateShape, SingularSystem, TooFewSamples, ZeroVariance
-from pdmorder.evaluation import CellStats, TrialSummary, _predict_landmarks
+from pdmorder.evaluation import CellStats, TrialSummary, _FoldBuffers, _predict_landmarks
 from pdmorder.order_select import _select_many
 from pdmorder.pdm import RANK_REL_TOL, PdmModel, _modes
 
@@ -60,6 +60,11 @@ def _full_rank_model(rng: np.random.Generator, k: int) -> PdmModel:
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     lam = np.sort(rng.uniform(0.5, 4.0, size=n))[::-1]
     return PdmModel(mean=np.zeros(n), basis=q, lambdas=lam, n_train=0)
+
+
+def _predict(basis: np.ndarray, lambdas: np.ndarray, y: np.ndarray, t_cap: int) -> np.ndarray:
+    """_predict_landmarks at orders 1..t_cap on buffers of its own."""
+    return _predict_landmarks(basis, lambdas, y, _FoldBuffers(basis.shape[0], t_cap))
 
 
 def _exact_solve(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
@@ -655,7 +660,7 @@ def test_t_max_below_one_is_an_argument_error(
 class TestLmmseEstimateLandmark:
     """The per-fold kernel of lmmse_curve, read at one landmark and order.
 
-    _predict_landmarks(basis, lambdas, y, t)[landmark, -1] is the estimate
+    _predict(basis, lambdas, y, t)[landmark, -1] is the estimate
     from the leading t modes: modes past t get weight 1 whatever their
     eigenvalue, and the hidden pair of y is never read.
     """
@@ -671,7 +676,7 @@ class TestLmmseEstimateLandmark:
             y = rng.normal(size=10)
             avail = [i for i in range(10) if i not in (2 * landmark, 2 * landmark + 1)]
             want = _exact_ridge(model.basis, model.lambdas, y[avail], landmark)
-            got = _predict_landmarks(full.basis, full.lambdas, y, 8)[landmark, -1]
+            got = _predict(full.basis, full.lambdas, y, 8)[landmark, -1]
             np.testing.assert_allclose(got, want, rtol=1e-11)
 
     def test_in_span_sample_recovered_exactly(self) -> None:
@@ -684,7 +689,7 @@ class TestLmmseEstimateLandmark:
         y_full = model.basis @ b
         for landmark in (0, 3, 5):
             miss = [2 * landmark, 2 * landmark + 1]
-            est = _predict_landmarks(full.basis, full.lambdas, y_full, t)[landmark, -1]
+            est = _predict(full.basis, full.lambdas, y_full, t)[landmark, -1]
             np.testing.assert_allclose(est, y_full[miss], atol=1e-8)
 
     def test_rank_deficient_model_matches_exact_solve(self) -> None:
@@ -695,7 +700,7 @@ class TestLmmseEstimateLandmark:
         for landmark in range(4):
             avail = [i for i in range(8) if i not in (2 * landmark, 2 * landmark + 1)]
             want = _exact_ridge(model.basis, model.lambdas, y[avail], landmark)
-            got = _predict_landmarks(full.basis, full.lambdas, y, 3)[landmark, -1]
+            got = _predict(full.basis, full.lambdas, y, 3)[landmark, -1]
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(3, 6), data=st.data())
@@ -717,7 +722,7 @@ class TestLmmseEstimateLandmark:
         avail = [i for i in range(n) if i not in miss]
         # The ridge bias and the rounding both grow with cond(R_aa) = cond(A_a)**2.
         cond = np.linalg.cond(np.delete(model.basis * np.sqrt(model.lambdas), miss, axis=0))
-        got = _predict_landmarks(full.basis, full.lambdas, y, t)[landmark, -1]
+        got = _predict(full.basis, full.lambdas, y, t)[landmark, -1]
         np.testing.assert_allclose(got, y[miss], atol=1e-9 * cond**2 * np.abs(y).max())
         if t == n - 2:
             want = _exact_ridge(model.basis, model.lambdas, y[avail], landmark)
@@ -727,13 +732,13 @@ class TestLmmseEstimateLandmark:
         # The visible rows carry no variance, so they say nothing about it.
         lambdas = np.zeros(8)
         lambdas[0] = 2.0
-        est = _predict_landmarks(np.eye(8), lambdas, np.arange(8.0), 1)[0, -1]
+        est = _predict(np.eye(8), lambdas, np.arange(8.0), 1)[0, -1]
         assert np.array_equal(est, np.zeros(2))
 
     def test_zero_observation_gives_zero_estimate(self) -> None:
         rng = np.random.default_rng(6)
         full = _full_rank_model(rng, k=4)
-        est = _predict_landmarks(full.basis, full.lambdas, np.zeros(8), 6)[2, -1]
+        est = _predict(full.basis, full.lambdas, np.zeros(8), 6)[2, -1]
         assert np.array_equal(est, np.zeros(2))
 
 
@@ -775,7 +780,7 @@ class TestPredictLandmarksMatchesWeightTensor:
         rng = np.random.default_rng(seed)
         basis, lambdas = _model_of_kind(rng, k, kind)
         y = rng.normal(size=2 * k)
-        got = _predict_landmarks(basis, lambdas, y, 2 * k - 2)
+        got = _predict(basis, lambdas, y, 2 * k - 2)
         want, systems = _weight_tensor_oracle(basis, lambdas, y, 2 * k - 2)
         bound = 1e-14 * np.maximum(np.linalg.cond(systems), 100.0) * np.abs(want).max()
         assert np.all(np.abs(got - want).max(axis=-1) <= bound)
@@ -786,7 +791,7 @@ class TestPredictLandmarksMatchesWeightTensor:
         x = shape_set.as_matrix()
         mean, basis, lambdas = _modes(shape_set.subset(range(1, 30)))
         y = x[:, 0] - mean
-        got = _predict_landmarks(basis, lambdas, y, 27)
+        got = _predict(basis, lambdas, y, 27)
         want, _ = _weight_tensor_oracle(basis, lambdas, y, 27)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
@@ -795,12 +800,48 @@ class TestPredictLandmarksMatchesWeightTensor:
         basis, lambdas = _model_of_kind(np.random.default_rng(8), 4, "full")
         basis[3, 5] = bad
         with pytest.raises(SingularSystem):
-            _predict_landmarks(basis, lambdas, np.ones(8), 6)
+            _predict(basis, lambdas, np.ones(8), 6)
 
     def test_singular_system_raises_instead_of_inf(self) -> None:
         # A zero basis leaves every 2 x 2 system zero: det = 0.
         with pytest.raises(SingularSystem):
-            _predict_landmarks(np.zeros((8, 8)), np.ones(8), np.ones(8), 3)
+            _predict(np.zeros((8, 8)), np.ones(8), np.ones(8), 3)
+
+
+class TestFoldBuffers:
+    """One set of buffers serves every fold of a curve and carries nothing between them."""
+
+    def test_a_failed_fold_leaves_nothing_for_the_next(self) -> None:
+        # Fold B, with a NaN in its basis, fills the buffers with NaN before
+        # it raises; fold A run after it must not see any of that.
+        shape_set = sample_shapes(_seed_model(), 30, 10.0, 4)
+        mean, basis, lambdas = _modes(shape_set.subset(range(1, 30)))
+        y = shape_set.as_matrix()[:, 0] - mean
+        bad = basis.copy()
+        bad[7, 3] = np.nan
+        shared = _FoldBuffers(80, 27)
+        reused = [_predict_landmarks(basis, lambdas, y, shared)]
+        with pytest.raises(SingularSystem):
+            _predict_landmarks(bad, lambdas, y, shared)
+        reused.append(_predict_landmarks(basis, lambdas, y, shared))
+        fresh = [_predict(basis, lambdas, y, 27)]
+        with pytest.raises(SingularSystem):
+            _predict(bad, lambdas, y, 27)
+        fresh.append(_predict(basis, lambdas, y, 27))
+        assert all(np.array_equal(reused[0], other) for other in reused[1:] + fresh)
+
+    def test_curve_matches_fresh_buffers_per_fold(self) -> None:
+        # The workload-sized set: 30 shapes, N = 80, orders 1..27.
+        shape_set = sample_shapes(_seed_model(), 30, 10.0, 4)
+        x = shape_set.as_matrix()
+        n, m = x.shape
+        sums = np.zeros(27)
+        for fold in range(m):
+            mean, basis, lambdas = _modes(shape_set.subset(np.delete(np.arange(m), fold)))
+            y = x[:, fold] - mean
+            predicted = _predict(basis, lambdas, y, 27)
+            sums += np.sum((predicted - y.reshape(n // 2, 1, 2)) ** 2, axis=(0, 2))
+        assert lmmse_curve(shape_set).errors == {t: sums[t - 1] / (m * n // 2) for t in range(1, 28)}
 
 
 class TestLmmseCurve:
@@ -823,7 +864,7 @@ class TestLmmseCurve:
         sums = np.zeros(t_cap)
         for fold, (mean, basis, lambdas) in enumerate(folds):
             y = x[:, fold] - mean
-            predicted = _predict_landmarks(basis, lambdas, y, t_cap)
+            predicted = _predict(basis, lambdas, y, t_cap)
             sums += np.sum((predicted - y.reshape(n // 2, 1, 2)) ** 2, axis=(0, 2))
         oracle = {t: sums[t - 1] / (m * n // 2) for t in range(1, t_cap + 1)}
 
