@@ -2,12 +2,13 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error (an unreadable input or
 an output that cannot be written), 3 numerical failure.  Each command returns
-its artifact's path (montecarlo, sweep and select --method proposed with
-their run's stats: failures and sweeps, or each order's sweeps), and main
+its artifact's path, or (path, stats, workers): montecarlo and sweep with
+their run's failures and sweeps and the worker processes that ran them,
+select --method proposed with each order's sweeps and no workers.  main
 then writes the sibling manifest <artifact>.manifest.json after the
 command's last file, recording the command, its canonicalized flags, a hash
-of them, the tool version, the numeric environment and any stats, so a
-run can be reproduced or audited later.  All numbers in
+of them, the tool version, the numeric environment (with the workers, if
+any) and any stats, so a run can be reproduced or audited later.  All numbers in
 data files carry 17 significant digits, which round-trips doubles exactly;
 rerunning a command with identical flags and inputs produces byte-identical
 data files.
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError, NumericalError, NotAligned
-from .evaluation import TrialSummary, lmmse_curve, monte_carlo_order, order_sweep
+from .evaluation import TrialSummary, lmmse_curve, monte_carlo_order, order_sweep, usable_cpus
 from .order_select import select_order_proposed, select_order_variance
 from .pdm import PdmModel, _fmt, fit_pdm, load_pdm, save_pdm, truncate
 from .shapes import ShapeSet, generalized_procrustes, load_shape_set, mean_shape
@@ -98,22 +99,31 @@ def _environment() -> dict:
             var: os.environ.get(var)
             for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         },
-        # os.sched_getaffinity is Linux-only.
-        "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+        "usable_cpus": usable_cpus(),
     }
 
 
 def write_manifest(
-    artifact: Path, args: argparse.Namespace, started: str, stats: dict | None = None
+    artifact: Path,
+    args: argparse.Namespace,
+    started: str,
+    stats: dict | None = None,
+    workers: int | None = None,
 ) -> None:
+    """Write <artifact>.manifest.json.  workers, the processes a trial command
+    ran in, goes to the environment block, not to stats: it describes the
+    host and never changes a result."""
     config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command")}
+    environment = _environment()
+    if workers is not None:
+        environment["workers"] = workers
     manifest = {
         "command": args.command,
         "config": config,
         "config_hash": config_hash(args.command, config),
         "rng_seed": config.get("seed"),
         "tool_version": __version__,
-        "environment": _environment(),
+        "environment": environment,
         "timestamps": {"started": started, "finished": _utc_now()},
     }
     if stats is not None:
@@ -233,10 +243,13 @@ def _add_trial_flags(parser: argparse.ArgumentParser, samples_help: str) -> None
     parser.add_argument("--methods", type=_methods, default="proposed,variance")
     parser.add_argument("--fraction", type=_fraction, default=0.95)
     parser.add_argument("--t-max", type=_positive_int, default=None, dest="t_max")
+    # The default is read when the parser is built, so a manifest's config
+    # records the count that was asked for.
     parser.add_argument(
-        "--threads", type=_positive_int, default=1,
-        help="forked worker processes across trials, at most one per job and usable CPU; "
-        "1 (default) runs in this process; results never depend on it",
+        "--threads", type=_positive_int, default=usable_cpus(),
+        help="forked worker processes across trials (Linux), at most one per job and usable "
+        "CPU; default: the usable CPUs (%(default)s here); 1 runs in this process; results "
+        "never depend on it",
     )
     parser.add_argument("--out", required=True)
 
@@ -298,7 +311,7 @@ def cmd_fit(args: argparse.Namespace) -> Path:
     return out
 
 
-def cmd_select(args: argparse.Namespace) -> tuple[Path | None, dict | None]:
+def cmd_select(args: argparse.Namespace) -> tuple[Path | None, dict | None, None]:
     for method, defaults in SELECT_FLAGS.items():
         for dest, default in defaults.items():
             if method != args.method and getattr(args, dest) is not None:
@@ -330,7 +343,7 @@ def cmd_select(args: argparse.Namespace) -> tuple[Path | None, dict | None]:
     else:
         t_star = select_order_variance(shape_set, fraction=args.fraction)
     print(f"t_star={t_star}")
-    return out, stats
+    return out, stats, None
 
 
 def cmd_simulate(args: argparse.Namespace) -> Path:
@@ -360,7 +373,7 @@ def cmd_simulate(args: argparse.Namespace) -> Path:
     return out
 
 
-def cmd_montecarlo(args: argparse.Namespace) -> tuple[Path, dict]:
+def cmd_montecarlo(args: argparse.Namespace) -> tuple[Path, dict, int]:
     summary = monte_carlo_order(
         _seed_pdm_for(args),
         beta_db=args.beta_db,
@@ -376,7 +389,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> tuple[Path, dict]:
     return _write_trials(summary, args)
 
 
-def cmd_sweep(args: argparse.Namespace) -> tuple[Path, dict]:
+def cmd_sweep(args: argparse.Namespace) -> tuple[Path, dict, int]:
     summary = order_sweep(
         _load_input(args),
         sample_counts=_parse_counts(args.samples),
@@ -391,7 +404,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[Path, dict]:
     return _write_trials(summary, args)
 
 
-def _write_trials(summary: TrialSummary, args: argparse.Namespace) -> tuple[Path, dict]:
+def _write_trials(summary: TrialSummary, args: argparse.Namespace) -> tuple[Path, dict, int]:
     out = Path(args.out)
     rows, hist = ["method,M,mean_t,var_t"], ["method,M,t,count"]
     for (method, count), cell in sorted(summary.cells.items()):
@@ -403,11 +416,12 @@ def _write_trials(summary: TrialSummary, args: argparse.Namespace) -> tuple[Path
         print(f"failures={summary.failures}", file=sys.stderr)
         classes = ",".join(f"{name}:{n}" for name, n in summary.failure_classes.items())
         print(f"failure_classes={classes}", file=sys.stderr)
-    return out, {
+    stats = {
         "failures": summary.failures,
         "failure_classes": summary.failure_classes,
         "sweeps": summary.sweeps,
     }
+    return out, stats, summary.workers
 
 
 def cmd_lmmse(args: argparse.Namespace) -> Path:
@@ -510,11 +524,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         started = _utc_now()
-        artifact, stats = args.func(args), None
+        artifact, stats, workers = args.func(args), None, None
         if isinstance(artifact, tuple):
-            artifact, stats = artifact
+            artifact, stats, workers = artifact
         if artifact is not None:
-            write_manifest(artifact, args, started, stats)
+            write_manifest(artifact, args, started, stats, workers)
         return 0
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -56,13 +56,16 @@ class TrialSummary:
     by the error's class name, e.g. {"TooFewSamples": 3}; their picks are
     missing from the cells.  sweeps counts the alternation sweeps of the
     proposed selector's scored fits (OrderSelectionResult.sweeps), summed
-    over the selections run.
+    over the selections run.  workers is the number of processes the
+    trials ran in (1: the calling process); it describes the run, not its
+    result, so it takes no part in comparisons.
     """
 
     cells: dict[tuple[str, int], CellStats]
     trials: int
     failure_classes: dict[str, int] = field(default_factory=dict)
     sweeps: int = 0
+    workers: int = field(default=1, compare=False)
 
     def __post_init__(self) -> None:
         # A failed trial drops every method's pick, so each method misses
@@ -103,6 +106,12 @@ def _check_trials(
         raise ValueError("fraction must lie strictly between 0 and 1")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where os.sched_getaffinity is
+    missing: that is off Linux, where the forked trial workers cannot run."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _trial_seed(master: int, count: int, trial: int) -> int:
@@ -162,6 +171,8 @@ def _tabulate(
     trial, trials) and its outcomes cross the pipe; the largest sample
     counts go first (_jobs), so the slowest jobs do not finish last.  Each worker
     runs its BLAS on one thread (see _adopt), and the pool joins them all.
+    The summary's workers is the count that ran, after the jobs cap: 1 on
+    the serial branch.
     """
     counts = tuple(dict.fromkeys(sample_counts))
 
@@ -186,8 +197,7 @@ def _tabulate(
                     outcomes[i][method] = pick if method == "variance" else pick.t_star
         return [o if isinstance(o, dict) else type(o).__name__ for o in outcomes], sweeps
 
-    # os.sched_getaffinity is Linux-only; a serial run never asks.
-    workers = threads if threads <= 1 else min(threads, len(os.sched_getaffinity(0)))
+    workers = threads if threads <= 1 else min(threads, usable_cpus())
     jobs = _jobs(counts, trials, workers)
     workers = min(workers, len(jobs))
     if workers > 1:
@@ -213,7 +223,7 @@ def _tabulate(
     }
     classes = Counter(o for chunk, _ in chunks for o in chunk if isinstance(o, str))
     sweeps = sum(n for _, n in chunks)
-    return TrialSummary(cells, trials, dict(sorted(classes.items())), sweeps)
+    return TrialSummary(cells, trials, dict(sorted(classes.items())), sweeps, workers)
 
 
 def _jobs(counts: tuple[int, ...], trials: int, workers: int) -> list[tuple[int, int, int]]:
@@ -299,7 +309,10 @@ def monte_carlo_order(
         methods: selectors, all run on the same sets.
         variance_fraction, t_max: selector options.
         threads: worker processes across trials, at least 1 (see
-            _tabulate); 1 runs them in this process.
+            _tabulate); 1 runs them in this process.  The CLI defaults it
+            to the usable CPUs; a library caller owns its process model
+            (it may already run in a pool of its own, or not on Linux),
+            so here it stays 1 unless asked.
 
     Every argument is checked, and refused with a ValueError (TooFewSamples
     for a sample count below 2), before the first set is drawn or the first
@@ -340,7 +353,10 @@ def order_sweep(
             the first samples in input order.
         t_max, variance_fraction: selector options.
         threads: worker processes across trials, at least 1 (see
-            _tabulate); 1 runs them in this process.
+            _tabulate); 1 runs them in this process.  The CLI defaults it
+            to the usable CPUs; a library caller owns its process model
+            (it may already run in a pool of its own, or not on Linux),
+            so here it stays 1 unless asked.
 
     Every argument is checked, and refused with a ValueError (TooFewSamples
     for a subset size below 2 or above the set size), before the first
@@ -364,7 +380,7 @@ def order_sweep(
     once = _tabulate(_draw, sample_counts, 1, methods, t_max, variance_fraction, threads)
     cells = {key: CellStats(cell.picks * trials) for key, cell in once.cells.items()}
     classes = {name: trials * n for name, n in once.failure_classes.items()}
-    return TrialSummary(cells=cells, trials=trials, failure_classes=classes, sweeps=once.sweeps)
+    return TrialSummary(cells, trials, classes, once.sweeps, once.workers)
 
 
 class _FoldBuffers:

@@ -43,6 +43,11 @@ def test_bench_file_format(path: Path) -> None:
                 assert isinstance(run["correct"], bool) and run["failed"] >= 0
                 metrics = metrics or set(run["metrics"])
                 assert set(run["metrics"]) == metrics, (workload, side)
+                tree = {"tree_cpu_s", "tree_maxrss_mb"} & set(run)
+                if tree:  # the process tree's usage, recorded since the runs are reaped by wait4
+                    assert tree == {"tree_cpu_s", "tree_maxrss_mb"}
+                    assert run["tree_cpu_s"] > 0
+                    assert run["tree_maxrss_mb"] >= run["metrics"]["peak_rss_mb"]
             summary = entry["summary"][side]
             assert set(summary) == metrics
             for name, stats in summary.items():

@@ -6,11 +6,14 @@ output can be asserted without spawning subprocesses.
 
 from __future__ import annotations
 
+import concurrent.futures
 import inspect
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -45,6 +48,14 @@ def _simulate_small(out: Path, seed: int = 9) -> None:
         "--samples", "16", "--seed", str(seed), "--out", str(out),
     ])
     assert rc == 0
+
+
+@pytest.fixture
+def fresh_parser() -> Iterator[None]:
+    """build_parser reads the usable CPUs once; rebuild it around a test that changes them."""
+    build_parser.cache_clear()
+    yield
+    build_parser.cache_clear()
 
 
 @pytest.fixture(scope="module")
@@ -476,26 +487,51 @@ class TestArtifacts:
         # shape), so the failure tally on stderr and in the manifest must
         # match as well, and so must the sweep count.  The jobs are cut per
         # worker: one job of 15 trials per count serially, 8 + 7 with two
-        # workers (and with four on two CPUs).
+        # workers (and with four on two CPUs).  The last run takes the
+        # default, one worker per usable CPU.
         assert evaluation.TRIAL_STACK_SHAPES // 12 >= 15
+        cpus = evaluation.usable_cpus()
         runs = []
-        for threads in (1, 2, 4):
+        for threads in ("1", "2", "4", None):
             out = tmp_path / f"t{threads}.csv"
             argv = command.format(csv=small_csv).split() + [
-                "--samples", "3,10,12", "--trials", "15", "--seed", "5",
-                "--threads", str(threads), "--out", str(out),
-            ]
+                "--samples", "3,10,12", "--trials", "15", "--seed", "5", "--out", str(out),
+            ] + ([] if threads is None else ["--threads", threads])
             assert main(argv) == 0
             hist = out.with_name(out.stem + "_hist.csv")
-            stats = json.loads(Path(f"{out}.manifest.json").read_text())["stats"]
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+            asked = cpus if threads is None else int(threads)
+            assert manifest["config"]["threads"] == asked
+            workers = manifest["environment"]["workers"]
+            assert workers == 1 if asked == 1 else 1 <= workers <= min(asked, cpus)
+            stats = manifest["stats"]
             runs.append((out.read_bytes(), hist.read_bytes(), capsys.readouterr().err, stats))
         assert "failures=15" in runs[0][2].splitlines()
         assert "failure_classes=TooFewSamples:15" in runs[0][2].splitlines()
         sweeps = runs[0][3].pop("sweeps")
         assert runs[0][3] == {"failures": 15, "failure_classes": {"TooFewSamples": 15}}
         assert sweeps > 0
-        assert runs[1][3].pop("sweeps") == runs[2][3].pop("sweeps") == sweeps
-        assert runs[0] == runs[1] == runs[2]
+        assert [run[3].pop("sweeps") for run in runs[1:]] == [sweeps] * 3
+        assert runs[0] == runs[1] == runs[2] == runs[3]
+
+    @pytest.mark.parametrize("threads", [[], ["--threads", "4"]], ids=["default", "threads-4"])
+    def test_one_cpu_starts_no_pool(
+        self, small_csv: Path, tmp_path: Path, monkeypatch: pytest.MonkeyPatch,
+        fresh_parser: None, threads: list[str],
+    ) -> None:
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker pool started")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "sweep", "--input", str(small_csv), "--samples", "10,12", "--trials", "4",
+            "--seed", "5", *threads, "--out", str(out),
+        ]) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["config"]["threads"] == (int(threads[1]) if threads else 1)
+        assert manifest["environment"]["workers"] == 1
 
     @pytest.mark.parametrize("model, order", [("full", "3"), ("order2", "2")])
     def test_seed_model_runs(
@@ -793,9 +829,6 @@ _DEFAULTS = {
     "montecarlo-methods": (
         lambda: _methods(_parsed_default("montecarlo", "methods")), monte_carlo_order, "methods"
     ),
-    "montecarlo-threads": (
-        lambda: _parsed_default("montecarlo", "threads"), monte_carlo_order, "threads"
-    ),
     "montecarlo-b-dist": (
         lambda: _parsed_default("montecarlo", "b_dist"), monte_carlo_order, "b_dist"
     ),
@@ -805,7 +838,6 @@ _DEFAULTS = {
     "sweep-methods": (
         lambda: _methods(_parsed_default("sweep", "methods")), order_sweep, "methods"
     ),
-    "sweep-threads": (lambda: _parsed_default("sweep", "threads"), order_sweep, "threads"),
     "sweep-mode": (lambda: _parsed_default("sweep", "mode"), order_sweep, "mode"),
     "simulate-b-dist": (lambda: _parsed_default("simulate", "b_dist"), sample_shapes, "b_dist"),
     "align-tol": (lambda: _parsed_default("align", "tol"), generalized_procrustes, "tol"),
@@ -822,3 +854,17 @@ def test_cli_defaults_match_the_library(case: str) -> None:
     library_default = inspect.signature(function).parameters[parameter].default
     assert library_default is not inspect.Parameter.empty
     assert cli_default() == library_default
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("command, function", [
+    ("montecarlo", monte_carlo_order), ("sweep", order_sweep),
+])
+def test_cli_threads_default_to_the_usable_cpus(
+    monkeypatch: pytest.MonkeyPatch, fresh_parser: None, command: str, function, cpus: int
+) -> None:
+    # The one default the CLI does not share with the library: a command
+    # fills the CPUs it may use, a library caller keeps its own process.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert _parsed_default(command, "threads") == cpus
+    assert inspect.signature(function).parameters["threads"].default == 1

@@ -13,7 +13,11 @@ import from the same state.
 
 The file records the parent's commit, both sides' `src/` tree hash, the
 environment from perfbench's details file, every run with its `correct`,
-`failed`, `attempted` and end-to-end metrics, per side the median,
+`failed`, `attempted` and end-to-end metrics, beside them the run's whole
+process tree as the harness reaps it (`tree_cpu_s`, user plus system CPU
+seconds of perfbench and every process it waited for: forked trial
+workers and its import probes; `tree_maxrss_mb`, the largest peak RSS of
+any one of those processes), per side the median,
 quartiles, minimum and maximum of each metric, and per metric the number of
 pairs the change won (by the `better` direction of BENCHMARK.json).  It is
 written before the change is committed, so the change is known by its
@@ -26,9 +30,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import threading
 from pathlib import Path
 
 FORMAT = 1
@@ -60,18 +67,33 @@ def compile_src(directory: Path) -> None:
     subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=directory, check=True)
 
 
-def run_once(directory: Path, workload: str, seconds: float) -> tuple[dict, dict]:
-    """One perfbench run: (its result line, the environment of its details file)."""
-    child = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", str(seconds)],
-        cwd=directory, capture_output=True, text=True, timeout=1800,
-    )
+def run_once(directory: Path, workload: str, seconds: float) -> tuple[dict, dict, dict]:
+    """One perfbench run: (its result line, the environment of its details file,
+    the CPU seconds and peak RSS of its process tree).
+
+    The run is reaped with os.wait4, whose resource usage covers the run and
+    every process it waited for, so the CPU of forked workers is counted
+    with the parent's.  Its output goes to files, since reading pipes to
+    their end would need a wait that reaps the run first.
+    """
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", str(seconds)]
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        child = subprocess.Popen(argv, cwd=directory, stdout=out, stderr=err)
+        timeout = threading.Timer(1800, child.kill)
+        timeout.start()
+        _, status, usage = os.wait4(child.pid, 0)
+        timeout.cancel()
+        child.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read(), err.read()
     try:
-        result = json.loads(child.stdout.splitlines()[-1])
+        result = json.loads(stdout.splitlines()[-1])
     except (IndexError, json.JSONDecodeError):
-        sys.exit(f"{directory}: {workload} printed no result (exit {child.returncode}):\n{child.stderr}")
+        sys.exit(f"{directory}: {workload} printed no result (exit {child.returncode}):\n{stderr}")
     details = directory / ".perfbench_out" / f"{workload}-seed1-full-pinned-trace0.json"
-    return result, json.loads(details.read_text())["environment"]
+    tree = {"tree_cpu_s": usage.ru_utime + usage.ru_stime, "tree_maxrss_mb": usage.ru_maxrss / 1024.0}
+    return result, json.loads(details.read_text())["environment"], tree
 
 
 def summarise(runs: list[dict]) -> dict:
@@ -121,7 +143,7 @@ def main() -> int:
         threads = None
         for pair in range(int(pairs)):
             for position, side in enumerate(SIDES if pair % 2 == 0 else SIDES[::-1]):
-                result, env = run_once(dirs[side], workload, args.seconds)
+                result, env, tree = run_once(dirs[side], workload, args.seconds)
                 threads = env.pop("threads")
                 if record["environment"] is None:
                     record["environment"] = env
@@ -131,6 +153,7 @@ def main() -> int:
                     "pair": pair, "position": position, "correct": result["correct"],
                     "failed": result["failed"], "attempted": result["attempted"],
                     "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+                    **tree,
                 })
                 print(f"{workload} pair {pair} {side}: ops_per_s "
                       f"{runs[side][-1]['metrics']['ops_per_s']:.4g} correct {result['correct']}",
