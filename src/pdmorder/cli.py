@@ -25,6 +25,7 @@ import math
 import os
 import platform
 import sys
+from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -159,8 +160,7 @@ def _load_input(args: argparse.Namespace, **procrustes) -> ShapeSet:
     mean centroid is off the origin.  align passes its own Procrustes
     options; every other command aligns with the defaults and says so.
     """
-    fmt = "directory_of_files" if args.format == "directory" else "csv_rows"
-    shape_set = load_shape_set(args.input, fmt=fmt)
+    shape_set = load_shape_set(args.input)
     if getattr(args, "no_align", False):
         try:
             return ShapeSet(shape_set.as_matrix(), aligned=True)
@@ -178,18 +178,11 @@ def _load_input(args: argparse.Namespace, **procrustes) -> ShapeSet:
 
 
 def _add_input_flags(parser: argparse.ArgumentParser, no_align: bool = True) -> None:
-    parser.add_argument("--input", required=True, help="shape data path")
+    parser.add_argument("--input", required=True, help="CSV rows or a directory of shape files")
     if no_align:
         parser.add_argument(
             "--no-align", action="store_true", dest="no_align", help="input is already aligned"
         )
-    parser.add_argument(
-        "--format",
-        choices=("csv-rows", "directory"),
-        default="csv-rows",
-        dest="format",
-        help="input layout: CSV rows or one file per shape",
-    )
 
 
 def _parse_counts(text: str) -> tuple[int, ...]:
@@ -220,7 +213,9 @@ _decibels = _checked(float, lambda v: v > -math.inf, "a number (dB) other than N
 _non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 _half_width = _checked(float, lambda v: 0 <= 2 * v < math.inf, "a number >= 0 with a finite span")
 _fraction = _checked(float, lambda v: 0.0 < v < 1.0, "a number strictly between 0 and 1")
-_methods = _checked(str, lambda v: set(v.split(",")) <= set(METHODS), "proposed and/or variance")
+_methods = _checked(
+    str, lambda v: Counter(v.split(",")) <= Counter(METHODS), "proposed and/or variance, each once"
+)
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -50,31 +50,48 @@ class CellStats:
 
 @dataclass(frozen=True, eq=False)
 class TrialSummary:
-    """Selected-order statistics per (method, sample count).
+    """Each trial's outcome per sample count, and the statistics derived from them.
 
-    failure_classes counts the trials that aborted with a propagated error
-    by the error's class name, e.g. {"TooFewSamples": 3}; their picks are
-    missing from the cells.  sweeps counts the alternation sweeps of the
+    outcomes maps each sample count to its trials in trial order: a
+    completed trial's pick of each of methods, e.g. {"proposed": 4,
+    "variance": 6}, or the class name of the PdmOrderError that failed it,
+    e.g. "TooFewSamples".  sweeps counts the alternation sweeps of the
     proposed selector's scored fits (OrderSelectionResult.sweeps), summed
-    over the selections run.  workers is the number of processes the
-    trials ran in (1: the calling process); it describes the run, not its
-    result, so it takes no part in comparisons.
+    over the selections run.  workers is the number of processes the trials
+    ran in (1: the calling process); it describes the run, not its result,
+    so it takes no part in comparisons.
     """
 
-    cells: dict[tuple[str, int], CellStats]
-    trials: int
-    failure_classes: dict[str, int] = field(default_factory=dict)
+    outcomes: dict[int, tuple[dict[str, int] | str, ...]]
+    methods: tuple[str, ...]
     sweeps: int = 0
     workers: int = field(default=1, compare=False)
 
     def __post_init__(self) -> None:
-        # A failed trial drops every method's pick, so each method misses
-        # exactly `failures` picks across its cells, and no cell overflows.
-        missing: dict[str, list[int]] = {}
-        for (method, _), cell in self.cells.items():
-            missing.setdefault(method, []).append(self.trials - len(cell.picks))
-        if any(min(absent) < 0 or sum(absent) != self.failures for absent in missing.values()):
-            raise ValueError(f"missing picks {missing} do not match {self.failures} failures")
+        if len({len(trials) for trials in self.outcomes.values()}) > 1:
+            raise ValueError("every sample count must hold the same number of trials")
+        picked = [o for trials in self.outcomes.values() for o in trials if isinstance(o, dict)]
+        if any(picks.keys() != set(self.methods) for picks in picked):
+            raise ValueError(f"a completed trial must pick once per method of {self.methods}")
+
+    @property
+    def trials(self) -> int:
+        return len(next(iter(self.outcomes.values()), ()))
+
+    @property
+    def cells(self) -> dict[tuple[str, int], CellStats]:
+        """Each (method, sample count)'s picks in trial order, failed trials left out."""
+        return {
+            (method, count): CellStats(tuple(o[method] for o in trials if isinstance(o, dict)))
+            for count, trials in self.outcomes.items()
+            for method in self.methods
+        }
+
+    @property
+    def failure_classes(self) -> dict[str, int]:
+        """The failed trials by their error's class name, sorted by name."""
+        names = [o for trials in self.outcomes.values() for o in trials if isinstance(o, str)]
+        return dict(sorted(Counter(names).items()))
 
     @property
     def failures(self) -> int:
@@ -87,8 +104,8 @@ def _check_trials(
     t_max: int | None, fraction: float, threads: int,
 ) -> None:
     """Refuse no trials, no sample counts or one below 2 (TooFewSamples), a
-    negative seed, an unknown method, a t_max below 1, a variance fraction
-    outside (0, 1) or no worker."""
+    negative seed, no method, a repeated or unknown method, a t_max below 1,
+    a variance fraction outside (0, 1) or no worker."""
     if trials < 1:
         raise ValueError("at least one trial is required")
     if not sample_counts:
@@ -97,6 +114,8 @@ def _check_trials(
         raise TooFewSamples(f"sample count {min(sample_counts)} is below 2 shapes")
     if rng_seed < 0:
         raise ValueError(f"rng_seed must be a non-negative integer, got {rng_seed}")
+    if not methods or len(set(methods)) < len(methods):
+        raise ValueError(f"methods must name at least one selector, each once, got {methods}")
     for method in methods:
         if method not in ("proposed", "variance"):
             raise ValueError(f"unknown selection method {method!r}")
@@ -152,17 +171,17 @@ def _tabulate(
     fraction: float,
     threads: int,
 ) -> TrialSummary:
-    """Run every method on draw(count, trial) for every trial and tabulate the picks.
+    """Run every method on draw(count, trial) for every trial and collect the outcomes.
 
     draw derives its randomness from (count, trial) alone, so the result does
     not depend on job order or on the number of worker processes.  A job is
     a chunk of consecutive trials of one count (_jobs), whose proposed
     selections share the streams of their blocks (_select_many) and keep no
-    fits, and it returns its picks with the sweeps of its proposed fits.  A
-    PdmOrderError in a trial's draw or one of its methods fails that trial
-    alone, drops each method's pick of it and counts under its class name;
-    the callers refuse sample counts below 2 up front (_check_trials), so
-    every counted failure comes from the data.  Any other error propagates.
+    fits.  It returns its sweeps and each trial's outcome: the trial's picks,
+    or the class name of a PdmOrderError in its draw or one of its methods,
+    which fails that trial alone.  The summary joins the outcomes per count.
+    The callers refuse sample counts below 2 up front (_check_trials), so
+    every failure comes from the data.  Any other error propagates.
 
     With threads above 1 the jobs run in min(threads, jobs, usable CPUs)
     forked worker processes, which needs Linux; the jobs are cut for
@@ -211,19 +230,10 @@ def _tabulate(
             chunks = list(pool.map(_run_adopted, jobs))
     else:
         chunks = [_chunk(job) for job in jobs]
-    outcomes = {count: [] for count in counts}
+    outcomes = dict.fromkeys(counts, ())
     for (count, _, _), (chunk, _) in zip(jobs, chunks):
-        outcomes[count] += chunk
-    cells = {
-        (method, count): CellStats(
-            tuple(picked[method] for picked in outcomes[count] if isinstance(picked, dict))
-        )
-        for count in counts
-        for method in methods
-    }
-    classes = Counter(o for chunk, _ in chunks for o in chunk if isinstance(o, str))
-    sweeps = sum(n for _, n in chunks)
-    return TrialSummary(cells, trials, dict(sorted(classes.items())), sweeps, workers)
+        outcomes[count] += tuple(chunk)
+    return TrialSummary(outcomes, methods, sum(n for _, n in chunks), workers)
 
 
 def _jobs(counts: tuple[int, ...], trials: int, workers: int) -> list[tuple[int, int, int]]:
@@ -345,8 +355,8 @@ def order_sweep(
         shape_set: aligned input set.
         sample_counts: subset sizes, each from 2 up to the set size.
         trials: independent random subsets per size.  Every prefix trial
-            draws the same subset, so prefix mode selects once per size and
-            counts that pick `trials` times.
+            draws the same subset, so prefix mode selects once per size,
+            repeats that outcome `trials` times and counts its sweeps once.
         rng_seed: master seed for the subset draws, at least 0.
         methods: selectors to run on every subset.
         mode: "random" draws subsets without replacement; "prefix" takes
@@ -378,9 +388,7 @@ def order_sweep(
     if mode == "random":
         return _tabulate(_draw, sample_counts, trials, methods, t_max, variance_fraction, threads)
     once = _tabulate(_draw, sample_counts, 1, methods, t_max, variance_fraction, threads)
-    cells = {key: CellStats(cell.picks * trials) for key, cell in once.cells.items()}
-    classes = {name: trials * n for name, n in once.failure_classes.items()}
-    return TrialSummary(cells, trials, classes, once.sweeps, once.workers)
+    return replace(once, outcomes={count: trials * o for count, o in once.outcomes.items()})
 
 
 class _FoldBuffers:

@@ -173,31 +173,26 @@ def _data_lines(path: Path) -> list[tuple[int, str]]:
     return lines
 
 
-def load_shape_set(path: str | Path, fmt: str = "csv_rows") -> ShapeSet:
+def load_shape_set(path: str | Path) -> ShapeSet:
     """Load a shape set from disk.
 
     Args:
-        path: CSV file (one shape per row) or a directory with one file
-            per shape, consumed in lexicographic order.  Lines starting
-            with '#' are comments.
-        fmt: "csv_rows" or "directory_of_files".
+        path: a directory of one file per shape, read in lexicographic order
+            of the names (dot files skipped), or else a CSV file of one shape
+            per row.  Lines starting with '#' are comments.
 
     Returns:
         An unaligned ShapeSet in file order.
 
     Raises:
-        ParseError: malformed numeric fields, odd coordinate counts.
+        ParseError: malformed numeric fields, odd coordinate counts, an
+            unreadable file, a shape file without exactly one data row.
         DimensionMismatch: rows disagree on landmark count.
         TooFewSamples: fewer than two shapes.
     """
     path = Path(path)
     rows: list[np.ndarray] = []
-    if fmt == "csv_rows":
-        for lineno, line in _data_lines(path):
-            rows.append(_parse_row(line.split(","), f"{path}:{lineno}"))
-    elif fmt == "directory_of_files":
-        if not path.is_dir():
-            raise ParseError(f"{path} is not a directory")
+    if path.is_dir():
         files = sorted(p for p in path.iterdir() if p.is_file() and not p.name.startswith("."))
         for file in files:
             lines = _data_lines(file)
@@ -206,7 +201,8 @@ def load_shape_set(path: str | Path, fmt: str = "csv_rows") -> ShapeSet:
             lineno, line = lines[0]
             rows.append(_parse_row(line.split(","), f"{file}:{lineno}"))
     else:
-        raise ValueError(f"unknown shape set format {fmt!r}")
+        for lineno, line in _data_lines(path):
+            rows.append(_parse_row(line.split(","), f"{path}:{lineno}"))
 
     return ShapeSet(_stack(rows, f"{path}: "))
 

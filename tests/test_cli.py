@@ -246,6 +246,22 @@ class TestEndToEnd:
             assert converged in ("true", "false")
         assert min(scores, key=lambda t: (scores[t], t)) == t_star
 
+    def test_a_directory_of_one_file_per_shape_reads_as_its_csv(
+        self, small_csv: Path, tmp_path: Path, capsys: pytest.CaptureFixture
+    ) -> None:
+        # Zero-padded names keep the rows' order under the lexicographic read.
+        per_shape = tmp_path / "per_shape"
+        per_shape.mkdir()
+        for i, row in enumerate(small_csv.read_text().splitlines()):
+            (per_shape / f"s_{i:03d}").write_text(row + "\n")
+        outs = {}
+        for name, source in (("csv", small_csv), ("dir", per_shape)):
+            outs[name] = tmp_path / f"{name}_scores.csv"
+            assert main(["select", "--input", str(source), "--out", str(outs[name])]) == 0
+        assert outs["dir"].read_bytes() == outs["csv"].read_bytes()
+        picks = [line for line in capsys.readouterr().out.splitlines() if line.startswith("t_star=")]
+        assert len(picks) == 2 and picks[0] == picks[1]
+
     @pytest.mark.parametrize("max_iter", ["1", "100"])
     def test_select_manifest_counts_the_sweeps_of_the_scores_file(
         self, small_csv: Path, tmp_path: Path, max_iter: str
@@ -627,6 +643,8 @@ _SIM = "simulate --order 3 --beta-db 20 --seed 1 --out {out}"
         (_MC + " --trials two", 1),
         (_MC + " --methods foo", 1),
         (_MC + " --methods proposed,", 1),
+        (_MC + " --methods proposed,proposed", 1),
+        ("select --input {csv} --format csv-rows", 1),
         (_MC + " --spectrum bogus", 1),
         (_MC + " --spectrum list:4,2", 1),
         (_MC + " --spectrum geometric:0.5:nan", 1),
@@ -687,6 +705,7 @@ _SIM = "simulate --order 3 --beta-db 20 --seed 1 --out {out}"
     ],
     ids=[
         "select-variance-out", "trials-0", "trials-text", "unknown-method", "empty-method",
+        "repeated-method", "format-gone",
         "bogus-spectrum", "spectrum-order-mismatch", "spectrum-top-nan", "spectrum-list-inf",
         "montecarlo-spectrum-underflow", "simulate-spectrum-underflow",
         "montecarlo-beta-db-minus-inf", "simulate-beta-db-minus-inf",
@@ -746,7 +765,7 @@ _VALID_ARGV = {
         "--threads 2 --mode random --out o.csv"
     ),
     "lmmse": "lmmse --input {csv} --t-max 4 --selector-t-max 4 --out o.csv",
-    "mean-shape": "mean-shape --input {csv} --format csv-rows --out o.csv",
+    "mean-shape": "mean-shape --input {csv} --out o.csv",
 }
 
 

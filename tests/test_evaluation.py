@@ -174,40 +174,58 @@ class TestCellStats:
         assert math.isnan(cell.var_t)
 
 
+_CLASSES = ("DegenerateShape", "TooFewSamples", "ZeroVariance")
+
+
+@st.composite
+def _trial_outcomes(draw) -> tuple[tuple[str, ...], dict]:
+    """Methods and, per sample count, the same number of trial outcomes:
+    picks by method, or a failure's class name."""
+    methods = draw(st.sampled_from(
+        [("proposed",), ("variance",), ("proposed", "variance"), ("variance", "proposed")]
+    ))
+    picks = st.fixed_dictionaries({method: st.integers(1, 9) for method in methods})
+    trial = st.one_of(picks, st.sampled_from(_CLASSES))
+    trials = draw(st.integers(1, 6))
+    counts = draw(st.lists(st.integers(2, 60), min_size=1, max_size=4, unique=True))
+    return methods, {
+        count: tuple(draw(st.lists(trial, min_size=trials, max_size=trials))) for count in counts
+    }
+
+
 class TestTrialSummary:
-    def test_hist_total_must_match_trials(self) -> None:
-        cell = CellStats((4,))
-        with pytest.raises(ValueError):
-            TrialSummary(cells={("proposed", 10): cell}, trials=2)
+    @settings(max_examples=200, deadline=None)
+    @given(_trial_outcomes())
+    def test_property_statistics_come_from_the_outcomes(self, drawn) -> None:
+        methods, outcomes = drawn
+        summary = TrialSummary(outcomes, methods)
+        trials = len(next(iter(outcomes.values())))
+        assert summary.trials == trials
+        assert set(summary.cells) == {(m, c) for m in methods for c in outcomes}
+        # Cells hold the completed trials' picks in trial order.
+        for (method, count), cell in summary.cells.items():
+            completed = [i for i in range(trials) if isinstance(outcomes[count][i], dict)]
+            assert cell.picks == tuple(outcomes[count][i][method] for i in completed)
+        # Each method misses exactly `failures` picks across its cells.
+        failed = [o for trial_outcomes in outcomes.values() for o in trial_outcomes
+                  if isinstance(o, str)]
+        assert summary.failures == len(failed)
+        for method in methods:
+            kept = sum(len(summary.cells[(method, count)].picks) for count in outcomes)
+            assert len(outcomes) * trials - kept == summary.failures
+        # failure_classes counts each class once, sorted by name.
+        assert list(summary.failure_classes) == sorted(set(failed))
+        assert summary.failure_classes == {name: failed.count(name) for name in set(failed)}
 
-    def test_failures_relax_the_total_check(self) -> None:
-        cell = CellStats((4,))
-        summary = TrialSummary(
-            cells={("proposed", 10): cell}, trials=2,
-            failure_classes={"ZeroVariance": 1},
-        )
-        assert summary.failures == 1
+    def test_refuses_counts_of_different_trial_numbers(self) -> None:
+        with pytest.raises(ValueError, match="same number of trials"):
+            TrialSummary({10: ({"proposed": 4}, "TooFewSamples"), 20: ({"proposed": 5},)},
+                         ("proposed",))
 
-    def test_failures_must_match_missing_picks(self) -> None:
-        cell = CellStats((4,))
-        with pytest.raises(ValueError, match="missing picks"):
-            TrialSummary(
-                cells={("proposed", 10): cell}, trials=2,
-                failure_classes={"ZeroVariance": 5},
-            )
-
-    def test_failures_count_across_cells(self) -> None:
-        cells = {
-            ("proposed", 10): CellStats((4,)),
-            ("proposed", 20): CellStats((4, 5)),
-            ("variance", 10): CellStats((3, 3)),
-            ("variance", 20): CellStats((6,)),
-        }
-        classes = {"TooFewSamples": 1}
-        assert TrialSummary(cells=cells, trials=2, failure_classes=classes).failures == 1
-        cells[("variance", 20)] = CellStats((6, 6))
-        with pytest.raises(ValueError, match="missing picks"):
-            TrialSummary(cells=cells, trials=2, failure_classes=classes)
+    @pytest.mark.parametrize("picks", [{"proposed": 4}, {"proposed": 4, "variance": 3, "x": 1}])
+    def test_refuses_a_completed_trial_without_one_pick_per_method(self, picks) -> None:
+        with pytest.raises(ValueError, match="pick once per method"):
+            TrialSummary({10: ({"proposed": 4, "variance": 3}, picks)}, ("proposed", "variance"))
 
 
 class TestMonteCarloArguments:
@@ -537,6 +555,13 @@ class TestOrderSweep:
         assert sorted(calls) == [3, 12, 18]
         assert summary.trials == 4
         assert summary.failures == 4
+        assert summary.failure_classes == {"TooFewSamples": 4}
+        # Work is counted once, where failures scale with the trials.
+        once = order_sweep(
+            base_set, sample_counts=(3, 12, 18), trials=1, rng_seed=7, mode="prefix",
+            methods=("proposed",),
+        )
+        assert summary.sweeps == once.sweeps > 0
         assert summary.cells[("proposed", 3)].hist == {}
         for count in (12, 18):
             want = select_order_proposed(base_set.subset(list(range(count)))).t_star
@@ -555,9 +580,11 @@ class TestOrderSweep:
             (dict(variance_fraction=math.nan), "fraction must lie strictly between 0 and 1"),
             (dict(variance_fraction=1.5, methods=("proposed",)),
              "fraction must lie strictly between 0 and 1"),
+            (dict(methods=()), "at least one selector"),
+            (dict(methods=("proposed", "proposed")), "each once"),
         ],
         ids=["zero-trials", "empty-sample-counts", "unknown-method", "fraction-2",
-             "fraction-0", "fraction-nan", "fraction-unread"],
+             "fraction-0", "fraction-nan", "fraction-unread", "no-method", "repeated-method"],
     )
     def test_refuses_what_monte_carlo_refuses(
         self, base_set: ShapeSet, monkeypatch: pytest.MonkeyPatch, kwargs: dict, message: str

@@ -129,7 +129,7 @@ class TestShapeSet:
         (tmp_path / "a.csv").write_text("0,0,1,1\n")
         (tmp_path / "b.csv").write_text("0,0,1,1,2,2\n")
         with pytest.raises(DimensionMismatch):
-            load_shape_set(tmp_path, fmt="directory_of_files")
+            load_shape_set(tmp_path)
 
     def test_aligned_flag_checks_mean_centroid(self):
         a = [1.0, 1.0, 2.0, 2.0]
@@ -235,14 +235,10 @@ class TestLoadShapeSet:
         d.mkdir()
         (d / "b.csv").write_text("0,0,1,0,1,1,0,1\n")
         (d / "a.csv").write_text("0,0,2,0,2,2,0,2\n")
-        ss = load_shape_set(d, fmt="directory_of_files")
+        ss = load_shape_set(d)
         assert ss.n_shapes == 2
         # Lexicographic file order defines sample order.
         assert ss.as_matrix()[2, 0] == 2.0
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            load_shape_set(tmp_path, fmt="parquet")
 
 
 class TestAlignPair:
