@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, PdmOrderError, SingularSystem, TooFewSamples, ZeroVariance
-from .pdm import PdmModel, _modes, _project_stacked, fit_pdm
+from .pdm import PdmModel, _fit, _modes, _orthonormal, _project_stacked
 from .shapes import ShapeSet, mean_shape
 
 # Noise variances are kept above this fraction of the mean data power so
@@ -148,8 +148,13 @@ def alternating_ml(
     on a block that holds the one order of pdm.  Given the selector's
     floor, SIGMA_FLOOR_REL * trace(covariance) / N of the training model,
     a standalone fit follows the same sweeps as the selector's fit of that
-    order, up to the rounding that the block's zero padding adds; the
-    default floor below is a different one.
+    order, up to the rounding that the block's zero padding adds, and at
+    high orders the selector's dual form (_fit_orders); the default floor
+    below is a different one.  pdm carries no complement, so the fit takes
+    the direct form, except at order N, where the complement is empty and
+    the projection is B^T Y.  A basis orthonormal to rounding
+    (pdm._orthonormal) skips the Cholesky probe on every sweep whose sigma
+    ratio is below the bound where it cannot fail (pdm._safe_ratio).
 
     The box clamp clips each coefficient on its own.  Coefficients fitted
     to held-out data routinely poke past the box edge learned from the
@@ -187,6 +192,13 @@ def alternating_ml(
     return fit
 
 
+def _dual(n: int, lo: int, top: int) -> bool:
+    """Whether a block of orders lo..top of N coordinates projects through
+    its complement (_project_stacked): when the N - lo columns of its
+    widest complement are fewer than its top orders' modes."""
+    return n - lo < top
+
+
 def _fit_orders(
     Y: np.ndarray,
     basis: np.ndarray,
@@ -200,8 +212,21 @@ def _fit_orders(
 
     Row r, rows[r] = (s, t), fits set s's held-out data Y[s], stored
     coordinates-last as (M2, N), with the leading t columns of the set's
-    (N, T) basis[s], zero past them, its (T,) squared box widths lambdas[s]
-    and its noise-variance floor floors[s].  Rows enter the stack in the
+    (N, W) basis[s], zero past them up to the rows' top order T, its squared
+    box widths lambdas[s, :T] and its noise-variance floor floors[s].
+
+    Every projection goes through _project_stacked, in one of two forms
+    for the whole call.  The direct form solves a (T, T) system per row.
+    The dual form solves one the width of the widest complement, N - lo,
+    lo the rows' lowest order, and needs the complete basis (W = N).  A
+    call takes the dual form when it is given the complete basis, its
+    complement is narrower than its padded basis (_dual: N - lo < T), and
+    every set's basis passes pdm._orthonormal.  Both forms give the same
+    fits up to rounding.  The same orthonormality check, once per set,
+    lets a row skip the Cholesky probe while its sigma ratio stays below
+    the bound where the factorisation cannot fail (pdm._safe_ratio); a
+    basis that fails the check takes the direct form, and its rows are
+    probed on every sweep.  Rows enter the stack in the
     order given, each gathered from its set's arrays as it enters.  A row
     leaves when it converges, runs out of sweeps or its projection fails,
     and its slot passes to the next pending row; once none is pending, the
@@ -209,8 +234,8 @@ def _fit_orders(
     until its pool drains.  One stack of numpy calls sweeps every row, which
     spreads numpy's per-call overhead, but each row keeps its own sweep
     count, descent guard, objective trace and stopping rule, and depends on
-    its own set's arrays and order alone: its fit does not depend on the
-    stack size, the admission order or the other rows.
+    its own set's arrays and order alone: given the form, its fit does not
+    depend on the stack size, the admission order or the other rows.
 
     Yields:
         (r, fit) as row r leaves the stack, or (r, SingularSystem) for a row
@@ -224,7 +249,12 @@ def _fit_orders(
         raise ValueError("sigma_floor must not be NaN")
     row_set, row_order = np.array(rows, dtype=int).reshape(-1, 2).T
     _, m2, n = Y.shape
-    top = basis.shape[2]
+    lo, top = int(row_order.min(initial=n)), int(row_order.max(initial=0))
+    # Once per set: whether its basis is orthonormal to rounding, which lets
+    # its rows skip the probe where it cannot fail and take the dual form.
+    trusted = _orthonormal(basis)
+    dual = basis.shape[2] == n and _dual(n, lo, top) and bool(trusted.all())
+    modes = basis[:, :, :top]
     live = min(STACK_ROWS, len(rows))
     slots = np.arange(live)
     # The norms every row starts from: its data's, under unit variances.
@@ -233,6 +263,7 @@ def _fit_orders(
     # The state of the stack, one entry per slot: the row it holds, that
     # row's data, basis, box widths, floor and padding, and its fit so far.
     held = np.empty(live, dtype=int)
+    trust = np.empty(live, dtype=bool)
     data = np.empty((live, m2, n))
     bases = np.empty((live, n, top))
     widths = np.empty((live, top))
@@ -247,6 +278,14 @@ def _fit_orders(
     sweeps = np.empty(live, dtype=int)
     # trace[k, s] is slot k's objective after sweep s + 1; columns double as needed.
     trace = np.empty((live, min(max_iter, 16)))
+    # The dual form's state (_project_stacked): each row's complement, the
+    # basis columns lo..N-1 past its order, its padding, and its data's
+    # products with its modes and with its complement.
+    tail = np.arange(lo, n)
+    dual_state = () if not dual else (
+        np.empty((live, n, n - lo)), np.empty((live, n - lo)),
+        np.empty((live, top, m2)), np.empty((live, n - lo, m2)),
+    )
     entering, pending = slots, 0
     while live:
         if entering.size:
@@ -255,17 +294,29 @@ def _fit_orders(
             sets, orders = row_set[new], row_order[new]
             kept = np.arange(top) < orders[:, None]
             held[entering] = new
+            trust[entering] = trusted[sets]
             data[entering] = residuals[entering] = Y[sets]
-            bases[entering] = basis[sets] * kept[:, None, :]
-            widths[entering] = lambdas[sets]
+            bases[entering] = modes[sets] * kept[:, None, :]
+            widths[entering] = lambdas[sets, :top]
             lows[entering, 0] = np.maximum(floors[sets], 1e-300)
             pad[entering] = ~kept
             sigma[entering] = 1.0
             coeffs[entering] = 0.0
             norms[entering] = first_norms[sets]
             sweeps[entering] = 0
+            if dual:
+                columns, cpad, bty, cty = dual_state
+                past = tail >= orders[:, None]
+                columns[entering] = basis[sets, :, lo:] * past[:, None, :]
+                cpad[entering] = ~past
+                heldout = Y[sets].transpose(0, 2, 1)
+                bty[entering] = np.matmul(bases[entering].transpose(0, 2, 1), heldout)
+                cty[entering] = np.matmul(columns[entering].transpose(0, 2, 1), heldout)
 
-        candidate, failed = _project_stacked(bases, widths, data.transpose(0, 2, 1), sigma, pad)
+        candidate, failed = _project_stacked(
+            bases, widths, data.transpose(0, 2, 1), sigma, pad,
+            trusted=trust, dual=dual_state or None,
+        )
         cand_residuals = np.matmul(candidate.transpose(0, 2, 1), bases.transpose(0, 2, 1))
         np.subtract(data, cand_residuals, out=cand_residuals)
         # The clamp makes the projection approximate, so a column can come
@@ -309,15 +360,15 @@ def _fit_orders(
             )
         entering = leaving[: len(rows) - pending]
         if entering.size < leaving.size:
-            state = (held, data, bases, widths, lows, pad, sigma, coeffs, residuals, norms,
-                     sweeps, trace)
+            state = (held, trust, data, bases, widths, lows, pad, sigma, coeffs, residuals, norms,
+                     sweeps, trace, *dual_state)
             for slot in leaving[entering.size:][::-1].tolist():
                 live -= 1
                 for array in state:
                     array[slot] = array[live]
-            held, data, bases, widths, lows, pad, sigma, coeffs, residuals, norms, sweeps, trace = (
-                array[:live] for array in state
-            )
+            (held, trust, data, bases, widths, lows, pad, sigma, coeffs, residuals, norms, sweeps,
+             trace, *dual_state) = (array[:live] for array in state)
+            dual_state = tuple(dual_state)
 
 
 def aic_score(fit: RegressionFit, order: int) -> float:
@@ -414,6 +465,14 @@ def _select_many(
     returned list, and the other sets' results do not depend on it.  With
     keep_fits False the results carry no per_order_fits, so the memory of
     a call is its sets and one stack.
+
+    A block whose complement is narrower than its padded basis, N - lo <
+    top (_dual), is given each set's complete (N, N) basis from pdm._fit,
+    so its rows project through the complement (the dual form of
+    _project_stacked).  Only a set with such a block keeps that basis: its
+    last block is one whenever any is.  The scores of those blocks move at
+    rounding level against the direct form, and no sweep count moves on
+    the measured sets (CHANGES.md).
     """
     if t_max is not None and t_max < 1:
         raise ValueError("t_max must be at least 1")
@@ -425,7 +484,7 @@ def _select_many(
     for index, shape_set in enumerate(shape_sets):
         try:
             split = split_data(shape_set, seed=split_seed)
-            model = fit_pdm(split.x1)
+            model, complete = _fit(split.x1)
         except PdmOrderError as exc:
             results[index] = exc
             continue
@@ -434,7 +493,11 @@ def _select_many(
         if t_max is not None:
             t_hi = min(t_hi, t_max)
         floor = SIGMA_FLOOR_REL * float(np.sum(model.lambdas)) / model.n_coords
-        kept[index] = split.y.T, model.basis[:, :t_hi], model.lambdas[:t_hi], floor
+        # The complete basis is kept only for a set whose last block, and so
+        # possibly others, takes the dual form.
+        last = t_hi - (t_hi - 1) % ORDER_BLOCK
+        basis = complete if _dual(model.n_coords, last, t_hi) else model.basis[:, :t_hi]
+        kept[index] = split.y.T, basis, model.lambdas[:t_hi], floor
         for lo in range(1, t_hi + 1, ORDER_BLOCK):
             key = lo, min(lo + ORDER_BLOCK - 1, t_hi), split.y.shape
             groups.setdefault(key, []).append(index)
@@ -443,12 +506,13 @@ def _select_many(
     notes: dict[int, dict[int, list[str]]] = {i: {} for i in kept}
     fits: dict[int, dict[int, RegressionFit]] = {i: {} for i in kept}
     sweeps = dict.fromkeys(kept, 0)
-    for (lo, top, (_, m2)), members in groups.items():
+    for (lo, top, (n, m2)), members in groups.items():
         data, bases, lambdas, floors = zip(*(kept[i] for i in members))
         rows = [(k, t) for k in range(len(members)) for t in range(lo, top + 1)]
+        columns = n if _dual(n, lo, top) else top
         stream = _fit_orders(
             np.stack(data),
-            np.stack([basis[:, :top] for basis in bases]),
+            np.stack([basis[:, :columns] for basis in bases]),
             np.stack([widths[:top] for widths in lambdas]),
             np.array(floors),
             rows,

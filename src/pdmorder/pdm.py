@@ -11,6 +11,7 @@ fewer, so one PdmModel type serves every order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +35,12 @@ RANK_REL_TOL = 1e-12
 CENTRING_ULPS = 100.0
 # Largest entry of |P^T P - I| that load_pdm accepts in a stored basis P.
 ORTHONORMAL_TOL = 1e-8
+# Largest entry of |U^T U - I|, in units of N * machine epsilon, at which a
+# stacked (N, W) basis U counts as orthonormal to rounding (_orthonormal):
+# only such a basis may take the selector's shortcuts (_project_stacked).
+# The complete bases of _modes reach 0.6 at N = 24 and 0.25 at N = 80
+# (20 sets each, M = 20..200).
+ORTHONORMAL_ULPS = 4.0
 
 
 def _fmt(value: float) -> str:
@@ -154,11 +161,18 @@ def fit_pdm(shape_set: ShapeSet) -> PdmModel:
         NotAligned: the set was not Procrustes aligned first.
         ZeroVariance: every shape equals the mean, so no mode carries variance.
     """
+    return _fit(shape_set)[0]
+
+
+def _fit(shape_set: ShapeSet) -> tuple[PdmModel, np.ndarray]:
+    """fit_pdm's model and the complete (N, N) basis of _modes it comes from,
+    whose leading columns are the model's modes, signs fixed."""
     mu, basis, lambdas = _modes(shape_set)
     if lambdas[0] <= 0.0:
         raise ZeroVariance("the shapes carry no variance; a model needs one mode")
     order = _rank(lambdas)
-    return PdmModel(mu, _fix_signs(basis[:, :order]), lambdas[:order], shape_set.n_shapes)
+    basis[:, :order] = _fix_signs(basis[:, :order])
+    return PdmModel(mu, basis[:, :order], lambdas[:order], shape_set.n_shapes), basis
 
 
 def truncate(model: PdmModel, order: int) -> PdmModel:
@@ -239,17 +253,113 @@ def _probe(gram: np.ndarray) -> str | None:
     return None
 
 
+def _gram_error(basis: np.ndarray) -> np.ndarray:
+    """max |P^T P - I| of a (N, t) basis P, or of each basis of a (S, N, t) stack."""
+    gram = np.matmul(basis.swapaxes(-1, -2), basis)
+    return np.max(np.abs(gram - np.eye(basis.shape[-1])), axis=(-2, -1), initial=0.0)
+
+
+def _orthonormal(bases: np.ndarray) -> np.ndarray:
+    """(S,) whether each (N, W) basis U of a stack has max |U^T U - I| at
+    rounding level: at most ORTHONORMAL_ULPS * N * eps.  NaN fails."""
+    return _gram_error(bases) <= ORTHONORMAL_ULPS * bases.shape[1] * np.finfo(float).eps
+
+
+@functools.cache
+def _safe_ratio(size: int, n: int) -> float:
+    """The sigma_max / sigma_min up to which Cholesky cannot fail on a
+    trusted row's padded normal matrix of order size (_project_stacked).
+
+    Take a row whose (N, t) basis B, t <= size <= N, passes _orthonormal,
+    so that max |B^T B - I| <= d, and its matrix A = B^T S^-1 B (the direct
+    form) or C^T S C (the dual form, C its complement), S = diag(sigma),
+    rho = sigma_max / sigma_min, u = eps / 2 and g = gamma_{N+1} =
+    (N + 1) u / (1 - (N + 1) u).
+    - ||B^T B - I||_2 <= t d, so the eigenvalues of A lie in
+      [(1 - t d) / sigma_max, (1 + t d) / sigma_min] (sigma_min and
+      sigma_max swapped and inverted in the dual form), and no diagonal
+      entry exceeds (1 + d) / sigma_min.  So the unit-diagonal H =
+      D^-1 A D^-1, D^2 = diag(A), has lambda_min(H) >= lambda_min(A) /
+      max A_ii >= (1 - t d) / ((1 + d) rho).
+    - Each stored entry is an N-term dot product of b_i with b_j / sigma
+      (b_j sigma in the dual form): its error is at most g times the sum of
+      the terms' magnitudes, which is at most g sqrt(A_ii A_jj)
+      (Cauchy-Schwarz), and each stored diagonal entry is A_ii (1 + theta),
+      |theta| <= g.  So the stored matrix's own H' has lambda_min(H') >=
+      (lambda_min(H) - size g) / (1 + g).
+    - Cholesky runs to completion when lambda_min(H') > size gamma_{size+1}
+      / (1 - gamma_{size+1}) (Demmel; Higham, Accuracy and Stability of
+      Numerical Algorithms, 2nd ed., Thm 10.7), and gamma_{size+1} <= g.
+      The padding adds a decoupled identity block (exact zeros beside it),
+      which leaves the factorisation of A as it is.
+    - The check itself rounds U^T U by at most gamma_N (1 + d), so d <=
+      (ORTHONORMAL_ULPS N eps + g) / (1 - g).
+    Together: Cholesky succeeds while rho < (1 - size d)(1 - g) /
+    (2 size g (1 + d)), which falls about as 1 / (size N): 7.5e12 at
+    size = N = 24, 6.9e11 at size = N = 80 and 5e8 at size = N = 3000.  The
+    theorem bars underflow: a row skips the probe only while sigma lies
+    within [2^-900, 2^900], where every diagonal entry stays above 2^-901
+    and an underflowing rounding (2^-1075 at most) counts for less than
+    2^-170 of it, far below g.
+    """
+    eps = np.finfo(float).eps
+    g = (n + 1) * eps / 2 / (1 - (n + 1) * eps / 2)
+    d = (ORTHONORMAL_ULPS * n * eps + g) / (1 - g)
+    size = max(size, 1)
+    return max(0.0, (1 - size * d) * (1 - g) / (2 * size * g * (1 + d)))
+
+
+def _failures(
+    gram: np.ndarray, sigma: np.ndarray, trusted: np.ndarray | None
+) -> dict[int, SingularSystem]:
+    """{index in the stack: SingularSystem} of the unusable padded normal matrices.
+
+    Every matrix must be finite.  Cholesky runs on the rows that can fail
+    only: every row when trusted is None, else the rows not trusted and the
+    trusted rows whose sigma is outside the bound of _safe_ratio.  The
+    probe decides only failure, never a value.
+    """
+    probed = np.ones(len(gram), dtype=bool)
+    if trusted is not None:
+        bound = _safe_ratio(gram.shape[-1], sigma.shape[1])
+        high, low = float(sigma.max()), float(sigma.min())
+        probed = ~trusted
+        if not (2.0**-900 <= low and high <= 2.0**900 and high <= bound * low):
+            high, low = sigma.max(axis=1), sigma.min(axis=1)
+            with np.errstate(over="ignore"):
+                safe = (low >= 2.0**-900) & (high <= 2.0**900) & (high <= bound * low)
+            probed |= ~safe
+    if np.all(np.isfinite(gram)) and (not probed.any() or _probe(gram[probed]) is None):
+        return {}
+    suspects = np.flatnonzero(probed | ~np.all(np.isfinite(gram), axis=(1, 2))).tolist()
+    return {k: SingularSystem(why) for k in suspects if (why := _probe(gram[k]))}
+
+
 def _project_stacked(
     basis: np.ndarray,
     lambdas: np.ndarray,
     Y: np.ndarray,
     sigma: np.ndarray,
     pad: np.ndarray,
+    trusted: np.ndarray | None = None,
+    dual: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, dict[int, SingularSystem]]:
     """project_constrained for a stack of K models, each with its own data.
 
-    One probe tests the whole stack; only when it fails is each model probed
-    on its own, and each failing model gets zero coefficients.  Each model's
+    The direct form solves the (T, T) weighted normal equations B^T S^-1 B
+    c = B^T S^-1 y, S = diag(sigma).  The dual form (the null-space method;
+    Bjorck, Numerical Methods for Least Squares Problems, SIAM 1996) needs
+    a complete orthonormal basis [B C] and solves a system the width of the
+    complement C instead: the weighted residual r = y - B c has B^T S^-1 r
+    = 0, so S^-1 r = C z, and C^T (y - r) = 0 gives z = (C^T S C)^-1 C^T y
+    and c = B^T (y - r) = B^T y - (B^T S C) z.  Both give the same
+    coefficients up to rounding; the dual form is cheaper when C is
+    narrower than B.
+
+    A model whose matrix is not finite, or whose Cholesky factorisation
+    fails, gets zero coefficients and a SingularSystem.  The factorisation
+    is tried only where it can fail (_failures): on every model unless
+    trusted says which bases are orthonormal to rounding.  Each model's
     coefficients depend on its own row of every argument alone.
 
     Args:
@@ -258,29 +368,46 @@ def _project_stacked(
         lambdas: (K, T) box widths, one row per model.  Any width will do
             at a padded mode: clipping keeps its zero coefficient zero.
         Y: (K, N, M) data, one row per model (a broadcast view when the
-            models share it).
+            models share it).  The dual form reads only its products below.
         sigma: (K, N) noise variances, one row per model.
         pad: (K, T) 1.0 at every padded mode and 0.0 elsewhere.  It is added
             to the diagonal of the weighted normal matrix, which makes that
             matrix [G 0; 0 I]: padded coefficients solve to exactly zero and
             the probe tests G alone.
+        trusted: (K,) whether each model's basis passes _orthonormal, or
+            None to probe every model.
+        dual: None for the direct form, or (C, cpad, B^T Y, C^T Y) for the
+            dual form: (K, N, W) complement columns, zero at the columns a
+            model keeps in B; (K, W) 1.0 at those zero columns, which pads
+            C^T S C as pad pads the direct matrix; and the (K, T, M) and
+            (K, W, M) products of the data.
 
     Returns:
         (K, T, M) coefficients, each clipped into its box, zero at padded modes,
         and {index in the stack: SingularSystem} of the failing models.
     """
+    columns, padding = (basis, pad) if dual is None else dual[:2]
     with np.errstate(over="ignore", invalid="ignore"):
-        weighted = basis / sigma[:, :, None]
-        gram = np.matmul(basis.transpose(0, 2, 1), weighted)
+        weighted = basis / sigma[:, :, None] if dual is None else columns * sigma[:, :, None]
+        gram = np.matmul(columns.transpose(0, 2, 1), weighted)
     diagonal = np.arange(gram.shape[-1])
-    gram[:, diagonal, diagonal] += pad
-    failed = {}
-    if _probe(gram) is not None:
-        failed = {k: SingularSystem(why) for k, g in enumerate(gram) if (why := _probe(g))}
-        rows = list(failed)
+    gram[:, diagonal, diagonal] += padding
+    failed = _failures(gram, sigma, trusted)
+    rows = list(failed)
+    if rows:
         gram[rows] = np.eye(gram.shape[-1])
         weighted[rows] = 0.0
-    B = np.linalg.solve(gram, np.matmul(weighted.transpose(0, 2, 1), Y))
+    if dual is None:
+        B = np.linalg.solve(gram, np.matmul(weighted.transpose(0, 2, 1), Y))
+    else:
+        # (B^T S C) z = P^T C^T y with P = (C^T S C)^-1 C^T S B: P's solve
+        # has T right-hand sides where z's has M, and the selector's M2 is
+        # at least its top order T.
+        bty, cty = dual[2:]
+        P = np.linalg.solve(gram, np.matmul(weighted.transpose(0, 2, 1), basis))
+        B = bty - np.matmul(P.transpose(0, 2, 1), cty)
+    if rows:
+        B[rows] = 0.0
     limits = np.sqrt(lambdas)[:, :, None]
     return np.clip(B, -limits, limits), failed
 
@@ -354,7 +481,7 @@ def load_pdm(path: str | Path) -> PdmModel:
 
 def _not_orthonormal(basis: np.ndarray) -> str | None:
     """Why a (N, t) basis P fails max |P^T P - I| <= ORTHONORMAL_TOL, or None."""
-    gram_error = float(np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))))
+    gram_error = float(_gram_error(basis))
     if gram_error <= ORTHONORMAL_TOL:
         return None
     return f"max |P^T P - I| = {gram_error:.3g} > {ORTHONORMAL_TOL:g}"

@@ -188,7 +188,7 @@ def load_shape_set(path: str | Path) -> ShapeSet:
         ParseError: malformed numeric fields, odd coordinate counts, an
             unreadable file, a shape file without exactly one data row.
         DimensionMismatch: rows disagree on landmark count.
-        TooFewSamples: fewer than two shapes.
+        TooFewSamples: fewer than two shapes; the message names the path.
     """
     path = Path(path)
     rows: list[np.ndarray] = []
@@ -203,7 +203,8 @@ def load_shape_set(path: str | Path) -> ShapeSet:
     else:
         for lineno, line in _data_lines(path):
             rows.append(_parse_row(line.split(","), f"{path}:{lineno}"))
-
+    if len(rows) < 2:
+        raise TooFewSamples(f"{path}: a shape set needs at least 2 shapes, got {len(rows)}")
     return ShapeSet(_stack(rows, f"{path}: "))
 
 

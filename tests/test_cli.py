@@ -86,6 +86,23 @@ class TestDispatch:
         assert rc == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["empty-directory", "empty-file", "one-row"])
+    @pytest.mark.parametrize("command", ["select", "fit", "lmmse"])
+    def test_too_few_shapes_exits_2_naming_the_input(
+        self, tmp_path: Path, capsys: pytest.CaptureFixture, command: str, kind: str
+    ) -> None:
+        path = tmp_path / "input"
+        if kind == "empty-directory":
+            path.mkdir()
+        else:
+            path.write_text("" if kind == "empty-file" else "0,0,1,0,1,1,0,1\n")
+        out = tmp_path / "out.csv"
+        assert main([command, "--input", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        count = 1 if kind == "one-row" else 0
+        assert err == f"data error: {path}: a shape set needs at least 2 shapes, got {count}\n"
+        assert not out.exists()
+
     def test_no_align_on_raw_input_exits_2(
         self, tmp_path: Path, capsys: pytest.CaptureFixture
     ) -> None:

@@ -32,6 +32,7 @@ from pdmorder import (
     truncate,
 )
 from pdmorder.order_select import _variance_order
+from pdmorder.pdm import _fit
 
 
 def _aligned_random_set(rng: np.random.Generator, n: int, m: int) -> ShapeSet:
@@ -62,8 +63,8 @@ def _singular_projection_at(failing_order: int):
     """The stacked projection, except that every model of the given order fails."""
     project_stacked = order_select._project_stacked
 
-    def project(basis, lambdas, Y, sigma, pad):
-        coeffs, failed = project_stacked(basis, lambdas, Y, sigma, pad)
+    def project(basis, lambdas, Y, sigma, pad, **form):
+        coeffs, failed = project_stacked(basis, lambdas, Y, sigma, pad, **form)
         orders = basis.shape[2] - pad.sum(axis=1)
         for row in np.flatnonzero(orders == failing_order).tolist():
             failed[row] = SingularSystem("weighted normal matrix is numerically singular")
@@ -280,7 +281,8 @@ class TestFitOrdersStream:
     """The kernel streams a pool of rows through a stack of any size (STACK_ROWS).
 
     Every row's fit must be bit-identical whatever the stack size, the
-    admission order or the other rows of the pool, a failing row included.
+    admission order or the other rows of the pool, a failing row included,
+    in the direct form and in the dual form alike.
     """
 
     HADAMARD = TestFitOrdersKernelExit.HADAMARD
@@ -291,31 +293,50 @@ class TestFitOrdersStream:
         top=st.integers(2, 6),
         seed=st.integers(0, 2**32 - 1),
         max_iter=st.integers(1, 40),
+        dual=st.booleans(),
         data=st.data(),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_fits_do_not_depend_on_capacity_or_admission_order(
-        self, n_sets, m2, top, seed, max_iter, data
+        self, n_sets, m2, top, seed, max_iter, dual, data
     ):
         rng = np.random.default_rng(seed)
-        # Hadamard columns keep every Gram entry of the first sweep exact, so
-        # the last set, whose column top - 1 repeats its column 0, is exactly
-        # singular at its order top and regular below it.
-        bases = np.stack([
-            self.HADAMARD[:, rng.choice(16, top, replace=False)] for _ in range(n_sets + 1)
-        ])
-        bases[n_sets, :, top - 1] = bases[n_sets, :, 0]
         Y = rng.normal(0.0, 1.0, (n_sets + 1, m2, 16)) * rng.uniform(0.1, 2.0, (n_sets + 1, 1, 16))
-        lambdas = np.sort(rng.uniform(0.05, 3.0, (n_sets + 1, top)), axis=1)[:, ::-1].copy()
         floors = 10.0 ** rng.uniform(-12.0, -1.0, n_sets + 1)
-        rows = data.draw(st.lists(
-            st.tuples(st.integers(0, n_sets), st.integers(1, top - 1)), min_size=1, max_size=14
-        ))
+        if dual:
+            # Complete bases of permuted Hadamard columns, orthonormal to the
+            # last bit, and orders lo..top with 16 - lo < top: the dual form.
+            # The last set's data hold a NaN, so its row fails on the second
+            # sweep, when its sigma is no longer finite.
+            top += 10
+            lo = 17 - top
+            bases = np.stack([self.HADAMARD[:, rng.permutation(16)] for _ in range(n_sets + 1)])
+            Y[n_sets, 0, rng.integers(16)] = np.nan
+            max_iter = max(max_iter, 2)
+            drawn = st.tuples(st.integers(0, n_sets - 1), st.integers(lo, top - 1))
+        else:
+            # Hadamard columns keep every Gram entry of the first sweep exact,
+            # so the last set, whose column top - 1 repeats its column 0, is
+            # exactly singular at its order top and regular below it.
+            bases = np.stack([
+                self.HADAMARD[:, rng.choice(16, top, replace=False)] for _ in range(n_sets + 1)
+            ])
+            bases[n_sets, :, top - 1] = bases[n_sets, :, 0]
+            drawn = st.tuples(st.integers(0, n_sets), st.integers(1, top - 1))
+        lambdas = np.sort(rng.uniform(0.05, 3.0, (n_sets + 1, top)), axis=1)[:, ::-1].copy()
+        rows = data.draw(st.lists(drawn, min_size=1, max_size=14))
         rows.insert(data.draw(st.integers(0, len(rows))), (n_sets, top))
+        forms = set()
+        project_stacked = order_select._project_stacked
+
+        def spy(*args, **form):
+            forms.add(form["dual"] is not None)
+            return project_stacked(*args, **form)
 
         def stream(pool, stack_rows):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(order_select, "STACK_ROWS", stack_rows)
+                patch.setattr(order_select, "_project_stacked", spy)
                 fits = dict(order_select._fit_orders(
                     Y, bases, lambdas, floors, pool, 1e-8, max_iter
                 ))
@@ -331,6 +352,41 @@ class TestFitOrdersStream:
         order = data.draw(st.permutations(range(len(rows))))
         shuffled = stream([rows[i] for i in order], data.draw(st.sampled_from([2, 5])))
         assert [shuffled[order.index(row)] for row in range(len(rows))] == alone
+        assert forms == {dual}
+
+    def test_complete_basis_fits_match_the_direct_form(self):
+        # The block of orders 17..19 of a 12-landmark set (N = 24, M2 = 20)
+        # projects through its complement when given the complete basis.
+        seed = make_seed_pdm_procedural(12, 3, "geometric:0.7", rng_seed=61)
+        split = split_data(sample_shapes(seed, 40, 20.0, 62))
+        model, complete = _fit(split.x1)
+        assert model.order >= 19 and order_select._dual(24, 17, 19)
+        floor = np.array([order_select.SIGMA_FLOOR_REL * float(np.sum(model.lambdas)) / 24])
+        rows = [(0, t) for t in (17, 18, 19)]
+        forms = []
+        project_stacked = order_select._project_stacked
+
+        def spy(*args, **form):
+            forms.append(form["dual"] is not None)
+            return project_stacked(*args, **form)
+
+        def fits(basis):
+            forms.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(order_select, "_project_stacked", spy)
+                got = dict(order_select._fit_orders(
+                    split.y.T[None], basis[None], model.lambdas[None, :19], floor, rows, 1e-8, 100
+                ))
+            return [got[row] for row in range(len(rows))], set(forms)
+
+        dual, dual_forms = fits(complete)
+        direct, direct_forms = fits(complete[:, :19])
+        assert (dual_forms, direct_forms) == ({True}, {False})
+        for a, b in zip(dual, direct):
+            assert (a.iterations, a.converged) == (b.iterations, b.converged)
+            assert a.iterations > 1
+            np.testing.assert_allclose(a.objective_trace, b.objective_trace, rtol=1e-12)
+            np.testing.assert_allclose(a.coeffs, b.coeffs, rtol=1e-9, atol=1e-12)
 
 
 class TestAicScore:

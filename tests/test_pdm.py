@@ -26,7 +26,18 @@ from pdmorder import (
     truncate,
 )
 from pdmorder.order_select import select_order_variance
-from pdmorder.pdm import RANK_REL_TOL, _fix_signs, _modes, _rank
+from pdmorder import pdm as pdm_module
+from pdmorder.pdm import (
+    RANK_REL_TOL,
+    _failures,
+    _fit,
+    _fix_signs,
+    _modes,
+    _orthonormal,
+    _project_stacked,
+    _rank,
+    _safe_ratio,
+)
 
 
 def _aligned_random_set(rng: np.random.Generator, n: int, m: int) -> ShapeSet:
@@ -129,6 +140,19 @@ def _eigh_oracle(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestModes:
+    @pytest.mark.parametrize("m", [5, 30])
+    def test_fit_keeps_the_complete_basis_behind_the_model(self, m):
+        # M < N and M > N: the complete basis is (N, N) either way, and its
+        # leading columns are fit_pdm's modes bit for bit.
+        ss = _aligned_random_set(np.random.default_rng(25), 12, m)
+        model, complete = _fit(ss)
+        alone = fit_pdm(ss)
+        np.testing.assert_array_equal(model.basis, alone.basis)
+        np.testing.assert_array_equal(model.lambdas, alone.lambdas)
+        np.testing.assert_array_equal(complete[:, : model.order], alone.basis)
+        assert complete.shape == (12, 12)
+        assert _orthonormal(complete[None])[0]
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         k=st.integers(2, 12),
@@ -521,6 +545,168 @@ class TestProjectConstrained:
         sigma[3] = 0.0
         with pytest.raises(ValueError):
             project_constrained(pdm, np.zeros((pdm.n_coords, 2)), sigma)
+
+
+def _padded_forms(u: np.ndarray, orders: list[int], lo: int, top: int, Y: np.ndarray):
+    """The direct and dual arguments of _project_stacked for one row per order.
+
+    Row k keeps the leading orders[k] columns of the complete basis u,
+    zero-padded to top, and its complement is u's columns lo..N-1 past its
+    order, zero at the kept ones, as _fit_orders builds them.
+    """
+    n = u.shape[0]
+    orders = np.array(orders)
+    kept = np.arange(top) < orders[:, None]
+    basis = u[None, :, :top] * kept[:, None, :]
+    past = np.arange(lo, n) >= orders[:, None]
+    columns = u[None, :, lo:] * past[:, None, :]
+    dual = (
+        columns, (~past).astype(float),
+        np.matmul(basis.transpose(0, 2, 1), Y), np.matmul(columns.transpose(0, 2, 1), Y),
+    )
+    return basis, (~kept).astype(float), dual
+
+
+class TestProjectStackedForms:
+    """The dual form projects through the complement of the modes; the
+    probe runs only where Cholesky can fail."""
+
+    @given(
+        n=st.integers(8, 40),
+        m=st.integers(1, 12),
+        log_ratio=st.floats(0.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_property_dual_coefficients_match_direct(self, n, m, log_ratio, seed, data):
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lo = data.draw(st.integers(n // 2 + 1, n))
+        top = data.draw(st.integers(lo, n))
+        orders = data.draw(st.lists(st.integers(lo, top), min_size=1, max_size=4))
+        sigma = 10.0 ** rng.uniform(0.0, log_ratio, (len(orders), n))
+        sigma[:, rng.permutation(n)[:2]] = [1.0, 10.0**log_ratio]
+        Y = np.broadcast_to(rng.standard_normal((n, m)), (len(orders), n, m))
+        basis, pad, dual = _padded_forms(u, orders, lo, top, Y)
+        # Infinite boxes: the coefficients before clipping.
+        lambdas = np.full((len(orders), top), np.inf)
+        direct, none = _project_stacked(basis, lambdas, Y, sigma, pad)
+        got, also_none = _project_stacked(basis, lambdas, Y, sigma, pad, dual=dual)
+        assert none == also_none == {}
+        for k, t in enumerate(orders):
+            assert not np.any(got[k, t:])
+            scale = np.linalg.norm(direct[k])
+            assert np.linalg.norm(got[k] - direct[k]) <= 1e-10 * scale
+
+    @given(
+        n=st.integers(2, 80),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-250.0, 250.0),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_property_cholesky_succeeds_at_the_bound(self, n, seed, log_scale, data):
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        assert _orthonormal(u[None])[0]
+        t = data.draw(st.integers(1, n))
+        lo = data.draw(st.integers(0, t))
+        # The direct form pads its modes at the end, the dual form its
+        # complement at the front, as _fit_orders lays them out.
+        top = data.draw(st.integers(t, n))
+        direct = np.zeros((n, top))
+        direct[:, :t] = u[:, :t]
+        dual = np.zeros((n, n - lo))
+        dual[:, t - lo:] = u[:, t:]
+        for padded, pad, weight in (
+            (direct, np.arange(t, top), lambda s: 1.0 / s),
+            (dual, np.arange(t - lo), lambda s: s),
+        ):
+            ratio = _safe_ratio(padded.shape[1], n)
+            sigma = 10.0**log_scale * ratio ** rng.uniform(0.0, 1.0, n)
+            sigma[rng.permutation(n)[:2]] = 10.0**log_scale * np.array([1.0, ratio])
+            gram = padded.T @ (padded * weight(sigma)[:, None])
+            gram[pad, pad] += 1.0
+            np.linalg.cholesky(gram)
+            assert _failures(gram[None], sigma[None], np.array([True])) == {}
+
+    def test_the_bound_falls_with_the_size(self):
+        assert _safe_ratio(80, 80) == pytest.approx(6.95e11, rel=1e-3)
+        assert _safe_ratio(24, 24) == pytest.approx(7.51e12, rel=1e-3)
+        assert _safe_ratio(8, 80) > _safe_ratio(80, 80) > _safe_ratio(3000, 3000) > 1e8
+
+    def test_a_singular_row_beyond_the_bound_still_fails(self, monkeypatch):
+        # Two exactly orthonormal Hadamard modes, weighted by 1 and 2^70:
+        # every entry of their normal matrix rounds to +-2^68, so it is
+        # exactly singular, with sigma spanning 2^70, beyond every bound.
+        h2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+        u = np.kron(h2, h2) / 2.0
+        n = u.shape[0]
+        sigma = np.array([1.0, 2.0**-70, 1.0, 1.0])
+        assert _orthonormal(u[None])[0]
+        assert sigma.max() / sigma.min() > _safe_ratio(2, n)
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            calls.append(len(a) if a.ndim == 3 else 1)
+            return cholesky(a)
+
+        monkeypatch.setattr(pdm_module.np.linalg, "cholesky", counted)
+        # Row 0 is within the bound and is never factored; row 1 is factored
+        # and fails, and row 0 keeps its coefficients.
+        basis = np.stack([u[:, :2], u[:, :2]])
+        Y = np.ones((2, n, 3))
+        stack_sigma = np.stack([np.ones(n), sigma])
+        coeffs, failed = _project_stacked(
+            basis, np.full((2, 2), np.inf), Y, stack_sigma, np.zeros((2, 2)),
+            trusted=np.array([True, True]),
+        )
+        assert list(failed) == [1]
+        assert str(failed[1]) == "weighted normal matrix is numerically singular"
+        assert calls == [1, 1]
+        np.testing.assert_array_equal(coeffs[1], 0.0)
+        np.testing.assert_allclose(coeffs[0], u[:, :2].T @ Y[0], rtol=0, atol=1e-14)
+
+    def test_a_dual_row_that_is_not_finite_fails_with_zero_coefficients(self):
+        rng = np.random.default_rng(26)
+        u, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        Y = np.broadcast_to(rng.standard_normal((8, 3)), (2, 8, 3))
+        basis, pad, dual = _padded_forms(u, [6, 7], 6, 7, Y)
+        sigma = np.ones((2, 8))
+        sigma[0, 2] = np.inf
+        coeffs, failed = _project_stacked(
+            basis, np.full((2, 7), np.inf), Y, sigma, pad, trusted=np.ones(2, bool), dual=dual
+        )
+        assert list(failed) == [0]
+        assert str(failed[0]) == "weighted normal matrix is not finite"
+        np.testing.assert_array_equal(coeffs[0], 0.0)
+        np.testing.assert_allclose(coeffs[1, :7], u[:, :7].T @ Y[1], rtol=0, atol=1e-13)
+
+    def test_an_untrusted_row_is_always_probed(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(
+            pdm_module.np.linalg, "cholesky", lambda a: calls.append(len(a)) or cholesky(a)
+        )
+        args = (q[None, :, :3], np.ones((1, 3)), np.ones((1, 8, 2)), np.ones((1, 8)),
+                np.zeros((1, 3)))
+        for trusted, probed in ((None, [1]), (np.array([False]), [1]), (np.array([True]), [])):
+            calls.clear()
+            assert _project_stacked(*args, trusted=trusted)[1] == {}
+            assert calls == probed
+
+    def test_rows_of_a_basis_that_is_not_orthonormal_are_not_trusted(self):
+        rng = np.random.default_rng(24)
+        q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        bases = np.stack([q, q, q])
+        bases[1, :, 3] = bases[1, :, 0]
+        bases[2, 0, 0] += 1e-12
+        assert _orthonormal(bases).tolist() == [True, False, False]
+        assert not _orthonormal(np.full((1, 8, 2), np.nan))[0]
 
 
 class TestReconstruct:

@@ -216,6 +216,23 @@ class TestLoadShapeSet:
         with pytest.raises(TooFewSamples):
             load_shape_set(p)
 
+    @pytest.mark.parametrize("kind, count", [
+        ("empty-directory", 0), ("one-file-directory", 1), ("empty-file", 0),
+        ("comments-only", 0), ("one-row", 1),
+    ])
+    def test_too_few_shapes_names_the_path(self, tmp_path, kind, count):
+        p = tmp_path / "input"
+        if kind.endswith("directory"):
+            p.mkdir()
+            if count:
+                (p / "a.csv").write_text("0,0,1,0,1,1,0,1\n")
+        else:
+            p.write_text({"empty-file": "", "comments-only": "# no shapes\n\n",
+                          "one-row": "0,0,1,0,1,1,0,1\n"}[kind])
+        with pytest.raises(TooFewSamples) as err:
+            load_shape_set(p)
+        assert str(err.value) == f"{p}: a shape set needs at least 2 shapes, got {count}"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_shape_set(tmp_path / "absent.csv")
